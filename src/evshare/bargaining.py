@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CriterionPoint, EvshareError
+from .core import CriterionPoint, EvshareError, _exact
 from . import solver as _solver
 
 INFINITY = math.inf
@@ -23,14 +23,6 @@ INFINITY = math.inf
 
 class BargainError(EvshareError):
     """Invalid bargaining parameters or an empty/degenerate selection."""
-
-
-def _exact(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
 
 
 def _is_infinite(alpha):

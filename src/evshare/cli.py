@@ -63,13 +63,6 @@ def _stem(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _eps_text(value):
-    frac = Fraction(str(value))
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return repr(float(frac))
-
-
 def _manifest(path, command, config, outputs, wall_times, seed=None):
     data = {
         "tool": "evshare",
@@ -162,7 +155,7 @@ def _cmd_frontier(args):
                                   epsilon, config)
 
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
-    eps_text = _eps_text(epsilon)
+    eps_text = _frontier._epsilon_text(epsilon)
     paths = _frontier_paths(out_dir, _stem(args.instance), args.method, eps_text)
 
     _write(paths["frontier_csv"], _frontier.frontier_to_csv(result))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 class EvshareError(Exception):
@@ -193,6 +194,20 @@ def pareto_filter(points):
     """The subset of points not dominated by any other input point."""
     pts = set(points)
     return {p for p in pts if not any(dominates(q, p) for q in pts)}
+
+
+def _exact(value):
+    """Exact Fraction from int/str/float/Fraction (floats via their repr)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    return Fraction(str(value))
+
+
+def _half_up(fraction):
+    """Round an exact Fraction to the nearest int, ties away from zero."""
+    return int((2 * fraction + 1) // 2) if fraction >= 0 else -int((-2 * fraction + 1) // 2)
 
 
 def format_minor(amount):

@@ -31,6 +31,8 @@ from .core import (
     Constraint,
     CriterionPoint,
     EvshareError,
+    _exact,
+    _half_up,
 )
 from . import solver as _solver
 
@@ -118,20 +120,6 @@ METHODS = ("bbox", "b3m1", "b3m2")
 
 # ---------------------------------------------------------------------------
 # Margins and closeness predicates.
-
-
-def _exact(value):
-    """Exact Fraction from int/str/float/Fraction (floats via repr)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
-
-
-def _half_up(fraction):
-    """Round an exact non-negative Fraction to int, ties away from zero."""
-    return int((2 * fraction + 1) // 2) if fraction >= 0 else -int((-2 * fraction + 1) // 2)
 
 
 def compute_margins(epsilon, z_top, z_bottom):
@@ -275,23 +263,18 @@ class _Run:
         """
         cap1 = Constraint(self.program.objective1, "<=", point.z1, "certify-z1")
         cap2 = Constraint(self.program.objective2, "<=", point.z2, "certify-z2")
-        best2 = _solver.solve_min(self.program, 2, self.caps + [cap1], self.config)
-        self.solver_calls += 1
+        best2 = self._solve_min(2, cap1)
         if best2.status != "optimal" or best2.value < point.z2:
             return False
-        best1 = _solver.solve_min(self.program, 1, self.caps + [cap2], self.config)
-        self.solver_calls += 1
+        best1 = self._solve_min(1, cap2)
         return best1.status == "optimal" and best1.value >= point.z1
 
-
-def _search_bottom(run, rect_bottom):
-    """Lexicographic (z1, z2) minimum over the bottom half-rectangle."""
-    return run.lexmin((1, 2), rect_bottom)
-
-
-def _search_top(run, rect_top):
-    """Lexicographic (z2, z1) minimum over the (tightened) top rectangle."""
-    return run.lexmin((2, 1), rect_top)
+    def _solve_min(self, objective_index, cap):
+        out = _solver.solve_min(self.program, objective_index, self.caps + [cap], self.config)
+        self.solver_calls += 1
+        if out.status == "node-limit":
+            raise FrontierError("node limit exhausted during certification")
+        return out
 
 
 def _run_rectangles(method, run, z_top, z_bottom):
@@ -321,7 +304,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None          # newly recorded point, if any
         top_z1_cap = search_box.bottom_right.z1
-        bottom = _search_bottom(run, bottom_half)
+        bottom = run.lexmin((1, 2), bottom_half)
         if bottom.status == "optimal":
             candidate = bottom.point
             top_z1_cap = candidate.z1 - zeta
@@ -349,7 +332,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         top_box = Rectangle(search_box.top_left,
                             CriterionPoint(top_z1_cap, top_floor))
 
-        top = _search_top(run, top_box)
+        top = run.lexmin((2, 1), top_box)
         if top.status != "optimal":
             continue
         candidate = top.point

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charging import ChargingInstance
-from .core import EvshareError
+from .core import EvshareError, _exact, _half_up
 
 
 class ScenarioError(EvshareError):
@@ -24,21 +24,6 @@ class ScenarioError(EvshareError):
 
 class PriceFormatError(EvshareError):
     pass
-
-
-def _half_up(x):
-    """Round a Fraction (or float) to the nearest integer, ties away from zero upward."""
-    f = Fraction(x) if not isinstance(x, Fraction) else x
-    return int((f + Fraction(1, 2)).__floor__()) if f >= 0 else -int((-f + Fraction(1, 2)).__floor__())
-
-
-def _exact(x):
-    """Convert a config number to an exact Fraction via its decimal rendering."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
 
 
 @dataclass(frozen=True)

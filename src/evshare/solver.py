@@ -2,8 +2,10 @@
 
 Reference backend: depth-first branch and bound over the integer variables
 in declaration order (lower value first), with incremental activity-bound
-constraint propagation and an objective cutoff row.  Dependency-free and
-deterministic: two runs on identical inputs return identical assignments.
+propagation over rows that all read ``sum(c * x) <= rhs``, the last being an
+objective cutoff.  The search runs on an explicit stack and leaves the
+interpreter's recursion limit alone.  Dependency-free and repeatable: two
+runs on identical inputs return identical assignments.
 
 Also hosts the two-stage lexicographic solve used by the frontier search,
 an LP-format exporter, and a parser for external solver solutions.
@@ -12,11 +14,10 @@ an LP-format exporter, and a parser for external solver solutions.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
 from .core import (Assignment, Constraint, CriterionPoint, EvshareError,
-                   evaluate, expr)
+                   evaluate)
 
 
 class SolverError(EvshareError):
@@ -35,7 +36,6 @@ class SolutionValidationError(EvshareError):
 class SolverConfig:
     zeta: int = 1             # strict-inequality offset in minor units
     node_limit: int = None    # None = unlimited
-    deterministic: bool = True  # the reference backend is always deterministic
 
     def __post_init__(self):
         if self.zeta < 1:
@@ -63,12 +63,16 @@ class LexOutcome:
     solves: int = 0           # single-objective solves actually performed
 
 
-class _NodeLimitHit(Exception):
-    pass
+# Signs that turn a constraint into `<=` rows: `>=` is negated, `=` gives both.
+_ROW_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 
 class _Search:
-    """One branch-and-bound run over a compiled row system."""
+    """One branch-and-bound run over a compiled row system.
+
+    Every row is stored as ``sum(c * x) <= rhs``; the last row is the
+    objective, whose rhs stays None until an incumbent sets the cutoff.
+    """
 
     def __init__(self, program, objective_index, extra_constraints, config):
         variables = program.variables
@@ -78,28 +82,27 @@ class _Search:
         self.lower = [v.lower for v in variables]
         self.upper = [v.upper for v in variables]
 
-        row_vars, row_coefs, row_sense, row_rhs = [], [], [], []
+        row_vars, row_coefs, row_rhs = [], [], []
         for con in list(program.constraints) + list(extra_constraints):
             try:
                 rv = [index[vid] for vid in con.expression.terms]
             except KeyError as exc:
                 raise SolverError(f"constraint {con.name!r} references undeclared {exc}") from None
-            row_vars.append(rv)
-            row_coefs.append(list(con.expression.terms.values()))
-            row_sense.append(con.sense)
-            row_rhs.append(con.rhs - con.expression.constant)
+            rhs = con.rhs - con.expression.constant
+            for sign in _ROW_SIGNS[con.sense]:
+                row_vars.append(rv)
+                row_coefs.append([sign * c for c in con.expression.terms.values()])
+                row_rhs.append(sign * rhs)
 
         objective = program.objective(objective_index)
         self.obj_const = objective.constant
         self.obj_row = len(row_vars)
         row_vars.append([index[vid] for vid in objective.terms])
         row_coefs.append(list(objective.terms.values()))
-        row_sense.append("<=")
-        row_rhs.append(None)  # dynamic cutoff, set once an incumbent exists
+        row_rhs.append(None)
 
         self.row_vars = row_vars
         self.row_coefs = row_coefs
-        self.row_sense = row_sense
         self.row_rhs = row_rhs
         self.nrows = len(row_vars)
 
@@ -109,30 +112,11 @@ class _Search:
                 var_rows[v].append((r, c))
         self.var_rows = var_rows
 
-        amin = [0] * self.nrows
-        amax = [0] * self.nrows
-        for r in range(self.nrows):
-            lo = hi = 0
-            for v, c in zip(row_vars[r], row_coefs[r]):
-                a = c * self.lower[v]
-                b = c * self.upper[v]
-                if a <= b:
-                    lo += a
-                    hi += b
-                else:
-                    lo += b
-                    hi += a
-            amin[r] = lo
-            amax[r] = hi
-        self.amin = amin
-        self.amax = amax
-
-        self.in_queue = [False] * self.nrows
+        self.amin = [sum(c * (self.lower[v] if c > 0 else self.upper[v])
+                         for v, c in zip(row_vars[r], row_coefs[r]))
+                     for r in range(self.nrows)]
+        self.in_queue = [True] * self.nrows  # run() starts with every row queued
         self.trail = []
-        self.cutoff = None     # row-space objective cutoff (rhs for obj_row)
-        self.best_value = None
-        self.best_values = None
-        self.nodes = 0
         self.node_limit = config.node_limit
 
     # -- bound updates ------------------------------------------------------
@@ -143,193 +127,118 @@ class _Search:
         self.trail.append((v, old_l, old_u))
         lower[v] = new_lower
         upper[v] = new_upper
-        amin, amax, in_queue = self.amin, self.amax, self.in_queue
+        amin, in_queue = self.amin, self.in_queue
         dl = new_lower - old_l
         du = new_upper - old_u
         for r, c in self.var_rows[v]:
-            if c > 0:
-                if dl:
-                    amin[r] += c * dl
-                if du:
-                    amax[r] += c * du
-            else:
-                if du:
-                    amin[r] += c * du
-                if dl:
-                    amax[r] += c * dl
+            amin[r] += c * (dl if c > 0 else du)
             if not in_queue[r]:
                 in_queue[r] = True
                 queue.append(r)
-        return new_lower <= new_upper
 
     def _undo(self, mark):
-        lower, upper, amin, amax = self.lower, self.upper, self.amin, self.amax
+        lower, upper, amin = self.lower, self.upper, self.amin
         trail = self.trail
         while len(trail) > mark:
             v, old_l, old_u = trail.pop()
             dl = old_l - lower[v]
             du = old_u - upper[v]
             for r, c in self.var_rows[v]:
-                if c > 0:
-                    if dl:
-                        amin[r] += c * dl
-                    if du:
-                        amax[r] += c * du
-                else:
-                    if du:
-                        amin[r] += c * du
-                    if dl:
-                        amax[r] += c * dl
+                amin[r] += c * (dl if c > 0 else du)
             lower[v] = old_l
             upper[v] = old_u
 
     # -- propagation --------------------------------------------------------
 
-    def _seed(self, rows):
-        """Start a propagation queue; entries are flagged as queued."""
-        queue = []
-        in_queue = self.in_queue
-        for r in rows:
-            if not in_queue[r]:
-                in_queue[r] = True
-                queue.append(r)
-        return queue
-
     def _propagate(self, queue):
-        """Run the queue (already flagged) to fixpoint; False on infeasibility."""
+        """Run the queue (already flagged) to fixpoint; False on infeasibility.
+
+        A row fails only when its minimum activity exceeds its rhs: with
+        slack >= 0 a tightened bound never crosses the opposite bound.
+        """
         in_queue = self.in_queue
         lower, upper = self.lower, self.upper
-        amin, amax = self.amin, self.amax
+        amin, row_rhs = self.amin, self.row_rhs
         row_vars, row_coefs = self.row_vars, self.row_coefs
-        row_sense, row_rhs = self.row_sense, self.row_rhs
-        obj_row = self.obj_row
         head = 0
         while head < len(queue):
             r = queue[head]
             head += 1
             in_queue[r] = False
-            sense = row_sense[r]
-            rhs = self.cutoff if r == obj_row else row_rhs[r]
+            rhs = row_rhs[r]
             if rhs is None:
                 continue
-            rv = row_vars[r]
-            rc = row_coefs[r]
-            if sense != ">=":
-                # upper side: sum <= rhs
-                if amin[r] > rhs:
-                    for rr in queue[head:]:
-                        in_queue[rr] = False
-                    return False
-                slack = rhs - amin[r]
-                for v, c in zip(rv, rc):
-                    lo = lower[v]
-                    up = upper[v]
-                    if lo == up:
-                        continue
-                    if c > 0:
-                        new_u = lo + slack // c
-                        if new_u < up:
-                            if not self._change(v, lo, new_u, queue):
-                                for rr in queue[head:]:
-                                    in_queue[rr] = False
-                                return False
-                            slack = rhs - amin[r]
-                    else:
-                        new_l = up - slack // -c
-                        if new_l > lo:
-                            if not self._change(v, new_l, up, queue):
-                                for rr in queue[head:]:
-                                    in_queue[rr] = False
-                                return False
-                            slack = rhs - amin[r]
-            if sense != "<=":
-                # lower side: sum >= rhs
-                if amax[r] < rhs:
-                    for rr in queue[head:]:
-                        in_queue[rr] = False
-                    return False
-                need = rhs - amax[r]
-                for v, c in zip(rv, rc):
-                    lo = lower[v]
-                    up = upper[v]
-                    if lo == up:
-                        continue
-                    if c > 0:
-                        new_l = up - (-need) // c
-                        if new_l > lo:
-                            if not self._change(v, new_l, up, queue):
-                                for rr in queue[head:]:
-                                    in_queue[rr] = False
-                                return False
-                            need = rhs - amax[r]
-                    else:
-                        new_u = lo + need // c
-                        if new_u < up:
-                            if not self._change(v, lo, new_u, queue):
-                                for rr in queue[head:]:
-                                    in_queue[rr] = False
-                                return False
-                            need = rhs - amax[r]
+            slack = rhs - amin[r]
+            if slack < 0:
+                for rr in queue[head:]:
+                    in_queue[rr] = False
+                return False
+            for v, c in zip(row_vars[r], row_coefs[r]):
+                lo = lower[v]
+                up = upper[v]
+                if lo == up:
+                    continue
+                if c > 0:
+                    new_u = lo + slack // c
+                    if new_u < up:
+                        self._change(v, lo, new_u, queue)
+                else:
+                    new_l = up - slack // -c
+                    if new_l > lo:
+                        self._change(v, new_l, up, queue)
         return True
 
     # -- search -------------------------------------------------------------
 
-    def _record_leaf(self):
-        raw = self.amin[self.obj_row]
-        value = raw + self.obj_const
-        if self.best_value is None or value < self.best_value:
-            self.best_value = value
-            self.best_values = self.lower[:]
-            self.cutoff = raw - 1
-
-    def _dfs(self, start):
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _NodeLimitHit
-        lower, upper = self.lower, self.upper
-        n = self.n
-        i = start
-        while i < n and lower[i] == upper[i]:
-            i += 1
-        if i == n:
-            self._record_leaf()
-            return
-        pivot = lower[i]
-        for branch_lower, branch_upper in ((pivot, pivot), (pivot + 1, self.upper[i])):
-            if branch_lower > branch_upper:
-                continue
-            mark = len(self.trail)
-            queue = self._seed([self.obj_row] if self.cutoff is not None else [])
-            if self._change(i, branch_lower, branch_upper, queue):
-                if self._propagate(queue):
-                    self._dfs(i)
-            else:
-                for r in queue:
-                    self.in_queue[r] = False
-            self._undo(mark)
-
     def run(self):
-        limit_hit = False
-        if self._propagate(self._seed(range(self.nrows))):
-            try:
-                self._dfs(0)
-            except _NodeLimitHit:
-                limit_hit = True
-        if limit_hit:
-            return SolveOutcome("node-limit", None, None, self.nodes)
-        if self.best_value is None:
-            return SolveOutcome("infeasible", None, None, self.nodes)
-        assignment = Assignment(dict(zip(self.ids, self.best_values)))
-        return SolveOutcome("optimal", assignment, self.best_value, self.nodes)
+        """Depth-first search over an explicit stack, lower value first.
+
+        Each stack entry is (variable, new lower, new upper, trail mark): the
+        branch to apply after undoing the trail back to its parent node.
+        """
+        lower, upper, amin = self.lower, self.upper, self.amin
+        row_rhs, obj_row, n = self.row_rhs, self.obj_row, self.n
+        best_value = best_values = None
+        nodes = 0
+        stack = []
+        start = 0
+        feasible = self._propagate(list(range(self.nrows)))
+        while True:
+            if feasible:
+                nodes += 1
+                if self.node_limit is not None and nodes > self.node_limit:
+                    return SolveOutcome("node-limit", None, None, nodes)
+                i = start
+                while i < n and lower[i] == upper[i]:
+                    i += 1
+                if i == n:
+                    value = amin[obj_row] + self.obj_const
+                    if best_value is None or value < best_value:
+                        best_value = value
+                        best_values = lower[:]
+                        row_rhs[obj_row] = amin[obj_row] - 1
+                else:
+                    mark = len(self.trail)
+                    pivot = lower[i]
+                    stack.append((i, pivot + 1, upper[i], mark))
+                    stack.append((i, pivot, pivot, mark))
+            if not stack:
+                break
+            start, new_lower, new_upper, mark = stack.pop()
+            self._undo(mark)
+            queue = [obj_row]  # re-check the cutoff, which may have tightened
+            self.in_queue[obj_row] = True
+            self._change(start, new_lower, new_upper, queue)
+            feasible = self._propagate(queue)
+        if best_value is None:
+            return SolveOutcome("infeasible", None, None, nodes)
+        assignment = Assignment(dict(zip(self.ids, best_values)))
+        return SolveOutcome("optimal", assignment, best_value, nodes)
 
 
 def solve_min(program, objective_index, extra_constraints=(), config=SolverConfig()):
     """Global minimum of one objective over the program plus extra constraints."""
-    search = _Search(program, objective_index, extra_constraints, config)
-    depth_need = 10 * search.n + 1000
-    if sys.getrecursionlimit() < depth_need:
-        sys.setrecursionlimit(depth_need)
-    return search.run()
+    return _Search(program, objective_index, extra_constraints, config).run()
 
 
 def rectangle_constraints(program, rectangle):

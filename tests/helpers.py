@@ -34,6 +34,20 @@ def infeasible_program():
         (x,), (up,), LinearExpression({"x": 1}, 0), LinearExpression({"x": 1}, 0))
 
 
+def certify_limit_instance():
+    """Desk instance (seed 1001) whose b3m2 run at 3% has three points.
+
+    Under a 40-node limit, its endpoint and rectangle solves finish but a
+    certification solve does not.
+    """
+    from evshare.scenario import ScenarioConfig, generate_scenario
+
+    return generate_scenario(ScenarioConfig(
+        ev_distribution="uniform", charger_layout="centralized", n_evs=2, n_chargers=2,
+        seed=1001, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
+        demand_intervals=(1, 2), vot_sek_per_hour=200, rental_fee_sek=400))
+
+
 def selected_point(program, assignment):
     """Criterion point encoded by a selector assignment."""
     from evshare.core import criterion_point

@@ -11,6 +11,8 @@ from evshare.charging import instance_to_json
 from evshare.solver import solve_min
 from evshare.charging import build_charging_program, Schedule
 
+from helpers import certify_limit_instance
+
 
 @pytest.fixture
 def t1_file(tmp_path):
@@ -96,6 +98,16 @@ def test_frontier_artifacts(t1_file, tmp_path, capsys):
     assert "wall_times" in manifest
     out = capsys.readouterr().out
     assert "bbox eps=0: 1 points" in out
+
+
+def test_frontier_node_limit_exits_1(tmp_path, capsys):
+    path = tmp_path / "seed1001.json"
+    path.write_text(instance_to_json(certify_limit_instance()))
+    code = run_cli(["frontier", "--instance", str(path), "--method", "b3m2",
+                    "--epsilon", "3", "--node-limit", "40", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "node limit" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-frontier.csv"))
 
 
 def test_frontier_bbox_forces_epsilon_zero(t1_file, tmp_path):

@@ -31,9 +31,10 @@ from evshare.frontier import (
 )
 from evshare.oracle import charging_frontier, noncollab_costs
 from evshare.scenario import t1_instance
-from evshare.charging import build_charging_program
+from evshare.charging import build_charging_program, noncollab_point
+from evshare.solver import SolverConfig
 
-from helpers import make_point_program
+from helpers import certify_limit_instance, make_point_program
 
 P = CriterionPoint
 
@@ -252,6 +253,15 @@ def test_methods_agree_exactly_at_zero_tolerance():
         assert got.criterion_points() == exact.criterion_points()
         assert [a.rendering() for _, a in got.points] == [
             a.rendering() for _, a in exact.points]
+
+
+def test_b3m2_node_limit_during_certification_raises():
+    inst = certify_limit_instance()
+    prog = build_charging_program(inst)
+    participation = noncollab_point(inst)
+    assert len(run_method(prog, participation, "b3m2", 3).points) == 3
+    with pytest.raises(FrontierError, match="certification"):
+        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=40))
 
 
 def test_result_points_are_sorted_and_nondominated():

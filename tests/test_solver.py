@@ -1,7 +1,11 @@
+import itertools
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evshare.core import (
+    SENSES,
     Assignment,
     Constraint,
     CriterionPoint,
@@ -29,6 +33,31 @@ from evshare.solver import (
 )
 
 from helpers import infeasible_program, make_point_program
+
+@st.composite
+def tiny_programs(draw):
+    """Programs small enough to enumerate: up to four variables, three rows.
+
+    Binaries and general integers (possibly negative bounds), rows of every
+    sense with coefficients and constants of both signs.
+    """
+    variables = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            variables.append(binary(f"x{i}"))
+        else:
+            lower = draw(st.integers(min_value=-3, max_value=2))
+            variables.append(integer(f"x{i}", lower, lower + draw(st.integers(min_value=0, max_value=3))))
+    small = st.integers(min_value=-4, max_value=4)
+
+    def linear():
+        return expr({v.id: draw(small) for v in variables}, draw(small))
+
+    rows = [Constraint(linear(), draw(st.sampled_from(SENSES)),
+                       draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
+            for k in range(draw(st.integers(min_value=0, max_value=3)))]
+    return program(variables, rows, linear(), linear())
+
 
 point_sets = st.lists(
     st.tuples(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40)),
@@ -123,6 +152,34 @@ def test_solver_is_deterministic():
     b = solve_min(prog, 2)
     assert a.assignment.rendering() == b.assignment.rendering()
     assert a.nodes_explored == b.nodes_explored
+
+
+@given(tiny_programs(), st.sampled_from((1, 2)))
+@settings(max_examples=200, deadline=None)
+def test_solve_min_matches_enumeration(prog, objective_index):
+    objective = prog.objective(objective_index)
+    ids = [v.id for v in prog.variables]
+    feasible_values = []
+    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in prog.variables)):
+        candidate = Assignment(dict(zip(ids, values)))
+        if not check_assignment(prog, candidate):
+            feasible_values.append(evaluate(objective, candidate))
+    out = solve_min(prog, objective_index)
+    assert (out.status == "infeasible") == (not feasible_values)
+    if feasible_values:
+        assert out.status == "optimal"
+        assert out.value == min(feasible_values)
+        assert check_assignment(prog, out.assignment) == []
+        assert evaluate(objective, out.assignment) == out.value
+
+
+def test_solve_min_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    # One more variable than the limit: the search goes that many levels deep.
+    xs = [binary(f"x{i}") for i in range(before + 1)]
+    prog = program(xs, [], expr({x.id: 1 for x in xs}), expr())
+    assert solve_min(prog, 1).value == 0
+    assert sys.getrecursionlimit() == before
 
 
 def test_node_limit_reported():
