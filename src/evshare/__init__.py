@@ -35,10 +35,8 @@ from .frontier import (
     run_method,
 )
 from .bargaining import (
-    BargainConfig,
     ReferencePoints,
     alpha_norm,
-    bargain_select,
     distance_select,
     gnb_select,
     reference_points,
@@ -56,7 +54,6 @@ from .scenario import ScenarioConfig, generate_scenario, load_price_series, t1_i
 
 __all__ = [
     "Assignment",
-    "BargainConfig",
     "BiObjectiveProgram",
     "ChargingInstance",
     "ClosenessMargins",
@@ -73,7 +70,6 @@ __all__ = [
     "SolverConfig",
     "Variable",
     "alpha_norm",
-    "bargain_select",
     "build_charging_program",
     "check_assignment",
     "company_cost",

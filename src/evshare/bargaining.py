@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CriterionPoint, EvshareError, _exact
+from .frontier import participation_constraints
 from . import solver as _solver
 
 INFINITY = math.inf
@@ -53,40 +54,12 @@ class ReferencePoints:
                 f"{self.disagreement.as_tuple()}")
 
 
-@dataclass(frozen=True)
-class BargainConfig:
-    """Selection rule and its parameter.
-
-    mode is one of "gnb", "alpha-norm", "inf-norm"; pi is the first
-    company's bargaining strength (gnb), alpha the norm exponent.
-    """
-
-    mode: str = "gnb"
-    pi: Fraction = Fraction(1, 2)
-    alpha: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        if self.mode not in ("gnb", "alpha-norm", "inf-norm"):
-            raise BargainError(f"unknown bargaining mode {self.mode!r}")
-        pi = _exact(self.pi)
-        if not 0 < pi < 1:
-            raise BargainError(f"pi must lie strictly inside (0, 1), got {self.pi!r}")
-        object.__setattr__(self, "pi", pi)
-        if not _is_infinite(self.alpha):
-            alpha = _exact(self.alpha)
-            if alpha <= 0:
-                raise BargainError(f"alpha must be positive, got {self.alpha!r}")
-            object.__setattr__(self, "alpha", alpha)
-
-
 def reference_points(program, participation, config=_solver.SolverConfig()):
     """Ideal point from two single-objective solves; disagreement verbatim.
 
     Both solves run inside the participation region so the ideal can never
     fall outside the disagreement box.
     """
-    from .frontier import participation_constraints          # circular-safe
-
     caps = participation_constraints(program, participation)
     best1 = _solver.solve_min(program, 1, caps, config)
     if best1.status != "optimal":
@@ -119,6 +92,7 @@ def gnb_select(points, disagreement, pi):
     gains are positive; points with a zero (or negative) gain rank strictly
     below every positive-gain point.  Near-equal log objectives (relative
     difference below 1e-12) tie; ties go to the smallest z1, then z2.
+    ``pi`` may also be a string such as "0.5" or "1/3".
     """
     pi = _exact(pi)
     if not 0 < pi < 1:
@@ -222,8 +196,8 @@ def distance_select(points, refs, alpha):
     """Pick the point nearest the ideal under the normalized alpha-norm.
 
     Coordinates are min-max normalized by the ideal/disagreement box before
-    measuring; ties go to the smallest z1, then z2.  Pass math.inf (or
-    "inf") for the min-max rule.
+    measuring; ties go to the smallest z1, then z2.  ``alpha`` may be a
+    string such as "2.5"; pass math.inf (or "inf") for the min-max rule.
     """
     span1 = refs.disagreement.z1 - refs.ideal.z1
     span2 = refs.disagreement.z2 - refs.ideal.z2
@@ -246,12 +220,3 @@ def distance_select(points, refs, alpha):
         if best_key is None or key < best_key:
             best, best_key = point, key
     return best
-
-
-def bargain_select(points, refs, config):
-    """Dispatch to the configured selection rule."""
-    if config.mode == "gnb":
-        return gnb_select(points, refs.disagreement, config.pi)
-    if config.mode == "inf-norm":
-        return distance_select(points, refs, INFINITY)
-    return distance_select(points, refs, config.alpha)

@@ -12,10 +12,12 @@ All money is in integer minor units (0.01 SEK).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
-from . import core
+from . import core, solver
 from .core import Constraint, EvshareError, binary, expr, integer
+from .frontier import ParticipationPoint
 
 
 class InstanceError(EvshareError):
@@ -299,6 +301,17 @@ class Schedule:
     occupancy: dict
     energy: dict
 
+    @classmethod
+    def from_sessions(cls, instance, rentals, sessions):
+        """The Schedule whose occupancy and energy follow from its sessions."""
+        occupancy = {}
+        energy = {}
+        for i, (j, start, finish) in sessions.items():
+            for t in range(start + 1, finish + 1):
+                occupancy[j, t] = i
+            energy[i] = instance.charge_rate.get((i, j), 0) * max(finish - start, 0)
+        return cls(rentals, sessions, occupancy, energy)
+
 
 def decode_schedule(assignment, instance, program=None):
     """Extract a Schedule from a feasible assignment of the built program."""
@@ -313,23 +326,14 @@ def decode_schedule(assignment, instance, program=None):
         renter = [k for k in instance.companies if values[var_rent(j, k)] == 1]
         rentals[j] = renter[0] if renter else None
     sessions = {}
-    occupancy = {}
-    energy = {}
     for i in instance.evs:
-        start = values[var_tstart(i)]
-        finish = values[var_tfinish(i)]
         charger = None
         for j in instance.chargers:
             for t in instance.intervals():
                 if values[var_start(i, j, t)] == 1:
                     charger = j
-        sessions[i] = (charger, start, finish)
-        active = 0
-        for t in range(start + 1, finish + 1):
-            occupancy[sessions[i][0], t] = i
-            active += 1
-        energy[i] = instance.charge_rate[i, charger] * active if charger is not None else 0
-    return Schedule(rentals, sessions, occupancy, energy)
+        sessions[i] = (charger, values[var_tstart(i)], values[var_tfinish(i)])
+    return Schedule.from_sessions(instance, rentals, sessions)
 
 
 def validate_schedule(schedule, instance):
@@ -408,10 +412,6 @@ def standalone_instance(instance, k):
 
 def noncollab_point(instance, config=None):
     """Each company's optimal standalone cost (no shared access): (z1Non, z2Non)."""
-    from . import solver  # local import keeps the model layer usable without it
-
-    from .frontier import ParticipationPoint
-
     cfg = config if config is not None else solver.SolverConfig()
     costs = []
     for index, k in enumerate(instance.companies, start=1):
@@ -467,8 +467,6 @@ def instance_to_dict(instance):
 
 
 def instance_to_json(instance):
-    import json
-
     return json.dumps(instance_to_dict(instance), indent=2) + "\n"
 
 
@@ -500,8 +498,6 @@ def instance_from_dict(data):
 
 
 def instance_from_json(text):
-    import json
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -527,27 +523,16 @@ def schedule_to_dict(schedule, instance):
 
 
 def schedule_to_json(schedule, instance):
-    import json
-
     return json.dumps(schedule_to_dict(schedule, instance), indent=2) + "\n"
 
 
 def schedule_from_dict(data, instance):
     sessions = {row["ev"]: (row["charger"], row["start"], row["end"]) for row in data["sessions"]}
-    occupancy = {}
-    energy = {}
-    for i, (j, start, finish) in sessions.items():
-        for t in range(start + 1, finish + 1):
-            occupancy[j, t] = i
-        rate = instance.charge_rate.get((i, j), 0)
-        energy[i] = rate * (finish - start)
     rentals = {j: data["rentals"].get(j) for j in instance.chargers}
-    return Schedule(rentals, sessions, occupancy, energy)
+    return Schedule.from_sessions(instance, rentals, sessions)
 
 
 def schedule_from_json(text, instance):
-    import json
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -10,8 +10,9 @@ artifact), 2 usage error (unknown flags or subcommands).
 """
 
 import argparse
+import csv
+import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -76,8 +77,13 @@ def _manifest(path, command, config, outputs, wall_times, seed=None):
     _write(path, _json_text(data))
 
 
-def _assignment_values(assignment):
-    return {vid: value for vid, value in assignment.rendering() if value != 0}
+def _points_payload(result):
+    """{ref: {z1, z2, values}} for every point of a frontier result."""
+    return {
+        ref: {"z1": point.z1, "z2": point.z2,
+              "values": {vid: value for vid, value in assignment.rendering() if value != 0}}
+        for ref, (point, assignment) in zip(_frontier.assignment_refs(result), result.points)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +115,10 @@ def _cmd_generate(args):
     out_path = os.path.join(args.out_dir, f"{instance.name}.json")
     _write(out_path, _charging.instance_to_json(instance))
     manifest_path = os.path.join(args.out_dir, f"{instance.name}-manifest.json")
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "func", "seed", "out_dir")}
     _manifest(
-        manifest_path, "generate",
-        {
-            "ev_dist": args.ev_dist, "charger_layout": args.charger_layout,
-            "n_evs": args.n_evs, "n_chargers": args.n_chargers,
-            "horizon": args.horizon, "area": args.area,
-            "rental_fee": args.rental_fee, "vot": args.vot,
-            "travel": args.travel, "collab_discount": args.collab_discount,
-            "charge_rate": args.charge_rate, "window": args.window,
-            "earliest": list(args.earliest), "demand": list(args.demand),
-            "price_scale": args.price_scale,
-            "prices": args.prices,
-        },
+        manifest_path, "generate", flags,
         {"instance": out_path},
         {"total_s": round(time.perf_counter() - started, 6)},
         seed=args.seed,
@@ -150,24 +147,15 @@ def _cmd_frontier(args):
     participation = _charging.noncollab_point(instance)
     program = _charging.build_charging_program(instance)
     config = _solver.SolverConfig(node_limit=args.node_limit)
-    epsilon = "0" if args.method == "bbox" else args.epsilon
     result = _frontier.run_method(program, participation, args.method,
-                                  epsilon, config)
+                                  args.epsilon, config)
 
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
-    eps_text = _frontier._epsilon_text(epsilon)
+    eps_text = _frontier._epsilon_text(result.epsilon)
     paths = _frontier_paths(out_dir, _stem(args.instance), args.method, eps_text)
 
     _write(paths["frontier_csv"], _frontier.frontier_to_csv(result))
     _write(paths["stats_csv"], _frontier.stats_to_csv([_frontier.stats_row(result)]))
-    refs = _frontier.assignment_refs(result)
-    points_payload = {}
-    for ref, (point, assignment) in zip(refs, result.points):
-        points_payload[ref] = {
-            "z1": point.z1,
-            "z2": point.z2,
-            "values": _assignment_values(assignment),
-        }
     _write(paths["assignments_json"], _json_text({
         "instance": instance.name,
         "method": result.method,
@@ -175,7 +163,7 @@ def _cmd_frontier(args):
         "status": result.status,
         "participation": {"z1_non": participation.z1_non,
                           "z2_non": participation.z2_non},
-        "points": points_payload,
+        "points": _points_payload(result),
     }))
     _manifest(
         paths["manifest"], "frontier",
@@ -193,12 +181,6 @@ def _cmd_frontier(args):
 
 # ---------------------------------------------------------------------------
 # bargain
-
-
-def _parse_alpha(text):
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return Fraction(text)
 
 
 def _cmd_bargain(args):
@@ -219,11 +201,10 @@ def _cmd_bargain(args):
     refs = _bargaining.ReferencePoints(ideal, disagreement)
 
     if args.mode == "gnb":
-        selected = _bargaining.gnb_select(points, disagreement, Fraction(args.pi))
+        selected = _bargaining.gnb_select(points, disagreement, args.pi)
         parameter = {"pi": args.pi}
     else:
-        alpha = _parse_alpha(args.alpha)
-        selected = _bargaining.distance_select(points, refs, alpha)
+        selected = _bargaining.distance_select(points, refs, args.alpha)
         parameter = {"alpha": args.alpha}
 
     ref = next(r for point, r in rows if point == selected)
@@ -266,33 +247,21 @@ def _cmd_oracle(args):
     noncollab = _oracle.noncollab_costs(instance, budget)
     exact = _oracle.charging_frontier(instance, participation=noncollab,
                                       budget=budget)
-    ordered = sorted(exact.items(), key=lambda item: item[0].as_tuple())
+    ordered = tuple(sorted(exact.items(), key=lambda item: item[0].as_tuple()))
+    result = _frontier.FrontierResult("oracle", Fraction(0), ordered, solver_calls=0,
+                                      wall_time=0.0, rectangles_processed=0, status="ok")
 
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
     base = os.path.join(out_dir, f"{_stem(args.instance)}-oracle")
     csv_path = f"{base}.csv"
     assignments_path = f"{base}-assignments.json"
 
-    import csv as _csv
-    import io as _io
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_frontier.FRONTIER_HEADER)
-    points_payload = {}
-    for index, (point, assignment) in enumerate(ordered):
-        ref = f"oracle-{index}"
-        writer.writerow(["oracle", "0", index, point.z1, point.z2, ref])
-        points_payload[ref] = {
-            "z1": point.z1,
-            "z2": point.z2,
-            "values": _assignment_values(assignment),
-        }
-    _write(csv_path, buffer.getvalue())
+    _write(csv_path, _frontier.frontier_to_csv(result))
     _write(assignments_path, _json_text({
         "instance": instance.name,
         "method": "oracle",
         "noncollab": {"z1_non": noncollab[0], "z2_non": noncollab[1]},
-        "points": points_payload,
+        "points": _points_payload(result),
     }))
     _manifest(
         f"{base}-manifest.json", "oracle",
@@ -378,10 +347,8 @@ def _cmd_report(args):
             "cts_pct_mean": sum(ctss) / len(ctss) if ctss else None,
         })
 
-    import csv as _csv
-    import io as _io
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["method", "epsilon", "cases", "ndp_mean", "cpu_ms_mean",
                      "gap_pct_mean", "cts_pct_mean"])
     for row in out_rows:

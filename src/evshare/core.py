@@ -24,6 +24,10 @@ class ProgramError(EvshareError):
     pass
 
 
+class NumberFormatError(EvshareError):
+    """A value that should be a number (e.g. a CLI flag) does not parse as one."""
+
+
 SENSES = ("<=", "=", ">=")
 
 
@@ -202,7 +206,10 @@ def _exact(value):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise NumberFormatError(f"not a finite number: {value!r}") from None
 
 
 def _half_up(fraction):

@@ -14,9 +14,8 @@ same branch-and-bound backend:
     box are certified non-dominated with two extra solves before being
     recorded.
 
-All objective values are fixed-point integers (minor currency units).  The
-strict-inequality offset ``zeta`` of the solver configuration (1 minor unit
-by default) converts open bounds into closed integer bounds.
+All objective values are fixed-point integers (minor currency units), so an
+open bound becomes a closed one by stepping one minor unit.
 """
 
 import csv
@@ -138,20 +137,9 @@ def compute_margins(epsilon, z_top, z_bottom):
 
 
 def strictly_close(point, others, margins):
-    """True if some point of ``others`` is within BOTH margins (inclusive).
-
-    "Strict" means both coordinates must be close simultaneously, as
-    opposed to the either-coordinate rule of relaxed_close.
-    """
+    """True if some point of ``others`` is within BOTH margins (inclusive)."""
     return any(abs(point.z1 - q.z1) <= margins.sigma1
                and abs(point.z2 - q.z2) <= margins.sigma2
-               for q in others)
-
-
-def relaxed_close(point, others, margins):
-    """True if some point of ``others`` is within EITHER margin (inclusive)."""
-    return any(abs(point.z1 - q.z1) <= margins.sigma1
-               or abs(point.z2 - q.z2) <= margins.sigma2
                for q in others)
 
 
@@ -279,7 +267,6 @@ class _Run:
 
 def _run_rectangles(method, run, z_top, z_bottom):
     """FIFO rectangle subdivision between the two frontier endpoints."""
-    zeta = run.config.zeta
     queue = deque()
     if z_top != z_bottom:
         queue.append(Rectangle(z_top, z_bottom))
@@ -292,14 +279,14 @@ def _run_rectangles(method, run, z_top, z_bottom):
             search_box = shrink_rectangle(rect, run.margins)
             if search_box is None:
                 continue
-        if search_box.z2_extent() > 0:
-            mid = (search_box.top_left.z2 + search_box.bottom_right.z2) // 2
+        halves = split_rectangle(search_box)
+        if halves is not None:
+            bottom_half = halves[1]
         elif method == "b3m2":
-            mid = search_box.bottom_right.z2  # shrunk to a single z2 line
+            bottom_half = search_box  # shrunk to a single z2 line
         else:
             continue
-        bottom_half = Rectangle(CriterionPoint(search_box.top_left.z1, mid),
-                                search_box.bottom_right)
+        mid = bottom_half.top_left.z2
 
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None          # newly recorded point, if any
@@ -307,7 +294,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         bottom = run.lexmin((1, 2), bottom_half)
         if bottom.status == "optimal":
             candidate = bottom.point
-            top_z1_cap = candidate.z1 - zeta
+            top_z1_cap = candidate.z1 - 1
             if candidate not in run.recorded:
                 if method == "b3m1" and strictly_close(
                         candidate, (rect.bottom_right,), run.margins):
@@ -322,8 +309,8 @@ def _run_rectangles(method, run, z_top, z_bottom):
         # --- top rectangle: everything above the mid line, left of the cap.
         if method == "b3m2" and found_bottom is not None:
             # Re-anchor on the recorded point, stepping a full margin left
-            # (at least zeta) and a margin up, never below the mid line.
-            top_z1_cap = found_bottom.z1 - max(run.margins.sigma1, zeta)
+            # (at least one unit) and a margin up, never below the mid line.
+            top_z1_cap = found_bottom.z1 - max(run.margins.sigma1, 1)
             top_floor = max(found_bottom.z2 + run.margins.sigma2, mid)
         else:
             top_floor = mid
@@ -374,7 +361,8 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
     start = time.perf_counter()
     box = initial_box(program, participation, config)
     if box is None:
-        return FrontierResult(method, eps_pct, (), 2, time.perf_counter() - start,
+        # initial_box stops after the one stage-1 solve that found no point.
+        return FrontierResult(method, eps_pct, (), 1, time.perf_counter() - start,
                               0, "no-collaboration")
     z_top, z_bottom, endpoints, endpoint_solves = box
     margins = compute_margins(eps_pct / 100, z_top, z_bottom)

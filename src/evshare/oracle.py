@@ -215,17 +215,6 @@ def _enumerate_schedules(instance, options, patterns, visit):
         walk(0)
 
 
-def _placements_to_schedule(instance, rentals, placements):
-    sessions = {i: (j, s, s + d) for i, (j, s, d) in placements.items()}
-    occupancy = {}
-    energy = {}
-    for i, (j, s, d) in placements.items():
-        for t in range(s + 1, s + d + 1):
-            occupancy[j, t] = i
-        energy[i] = instance.charge_rate[i, j] * d
-    return charging.Schedule(dict(rentals), sessions, occupancy, energy)
-
-
 def schedule_to_assignment(schedule, instance):
     """Reconstruct the full variable assignment a schedule corresponds to."""
     values = {}
@@ -316,7 +305,8 @@ def charging_frontier(instance, participation=None, budget=OracleBudget(),
         point = CriterionPoint(c1, c2)
         if point not in frontier:
             return
-        schedule = _placements_to_schedule(instance, rentals, placements)
+        sessions = {i: (j, s, s + d) for i, (j, s, d) in placements.items()}
+        schedule = charging.Schedule.from_sessions(instance, dict(rentals), sessions)
         assignment = schedule_to_assignment(schedule, instance)
         key = assignment.rendering()
         if point not in survivors or key < survivors[point][0]:

@@ -9,7 +9,7 @@ exact-fraction scaling so tariff sweeps stay reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -81,22 +81,13 @@ DEFAULT_PRICES = PriceSeries(
 )
 
 
-def euclidean_km(a, b):
-    return math.dist(a, b)
-
-
-def energy_cost_matrix(ev_locations, charger_locations, sek_per_km, distance=None):
-    """Travel cost table w[i, j] in minor units: distance x tariff, half-up rounded.
-
-    `distance` is a pluggable provider (a, b) -> km; Euclidean by default, so a
-    road-network adapter can be swapped in without touching callers.
-    """
-    dist = distance if distance is not None else euclidean_km
+def energy_cost_matrix(ev_locations, charger_locations, sek_per_km):
+    """Travel cost table w[i, j] in minor units: Euclidean km x tariff, half-up rounded."""
     rate = _exact(sek_per_km) * 100
     table = {}
     for i, a in ev_locations.items():
         for j, b in charger_locations.items():
-            km = dist(tuple(a), tuple(b))
+            km = math.dist(a, b)
             table[i, j] = _half_up(Fraction(str(km)) * rate)
     return table
 
@@ -320,7 +311,3 @@ def t1_instance():
         window={i: (0, 4) for i in evs},
         demand={i: (10, 10) for i in evs},
     )
-
-
-def with_price_scale(config, theta):
-    return replace(config, price_scale=theta)

@@ -34,12 +34,9 @@ class SolutionValidationError(EvshareError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    zeta: int = 1             # strict-inequality offset in minor units
     node_limit: int = None    # None = unlimited
 
     def __post_init__(self):
-        if self.zeta < 1:
-            raise SolverError("zeta must be at least one minor unit")
         if self.node_limit is not None and self.node_limit < 1:
             raise SolverError("node_limit must be positive when set")
 
@@ -67,6 +64,15 @@ class LexOutcome:
 _ROW_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
 
+def _nonzero(terms):
+    """The terms with a nonzero coefficient; propagation divides by each one.
+
+    ``expr()`` already drops zeros, but a LinearExpression built directly
+    (as ``core.program_from_dict`` does) may keep them.
+    """
+    return terms if 0 not in terms.values() else {v: c for v, c in terms.items() if c}
+
+
 class _Search:
     """One branch-and-bound run over a compiled row system.
 
@@ -84,21 +90,23 @@ class _Search:
 
         row_vars, row_coefs, row_rhs = [], [], []
         for con in list(program.constraints) + list(extra_constraints):
+            terms = _nonzero(con.expression.terms)
             try:
-                rv = [index[vid] for vid in con.expression.terms]
+                rv = [index[vid] for vid in terms]
             except KeyError as exc:
                 raise SolverError(f"constraint {con.name!r} references undeclared {exc}") from None
             rhs = con.rhs - con.expression.constant
             for sign in _ROW_SIGNS[con.sense]:
                 row_vars.append(rv)
-                row_coefs.append([sign * c for c in con.expression.terms.values()])
+                row_coefs.append([sign * c for c in terms.values()])
                 row_rhs.append(sign * rhs)
 
         objective = program.objective(objective_index)
+        terms = _nonzero(objective.terms)
         self.obj_const = objective.constant
         self.obj_row = len(row_vars)
-        row_vars.append([index[vid] for vid in objective.terms])
-        row_coefs.append(list(objective.terms.values()))
+        row_vars.append([index[vid] for vid in terms])
+        row_coefs.append(list(terms.values()))
         row_rhs.append(None)
 
         self.row_vars = row_vars
@@ -244,8 +252,8 @@ def solve_min(program, objective_index, extra_constraints=(), config=SolverConfi
 def rectangle_constraints(program, rectangle):
     """Inclusive box bounds on both objective values, as four linear rows.
 
-    Strict corners must be pre-offset by zeta by the caller; the solver never
-    adjusts them.
+    A strict bound must be passed already offset by one minor unit (the
+    objectives are integers); the solver never adjusts the corners.
     """
     if rectangle is None:
         return []

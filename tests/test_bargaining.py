@@ -6,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from evshare.bargaining import (
     INFINITY,
-    BargainConfig,
     BargainError,
     ReferencePoints,
     alpha_norm,
-    bargain_select,
     distance_select,
     gnb_select,
     power_sum,
     reference_points,
 )
 from evshare.charging import build_charging_program
-from evshare.core import CriterionPoint
+from evshare.core import CriterionPoint, NumberFormatError
 from evshare.frontier import ParticipationPoint
 from evshare.oracle import charging_frontier, noncollab_costs
 from evshare.scenario import t1_instance
@@ -227,22 +225,21 @@ def test_reference_points_invariant():
         ReferencePoints(P(5, 5), P(4, 9))
 
 
-def test_bargain_config_validation():
-    assert BargainConfig().pi == F(1, 2)
-    assert BargainConfig(pi="0.5").pi == F(1, 2)
-    assert BargainConfig(alpha="2.5").alpha == F(5, 2)
-    with pytest.raises(BargainError):
-        BargainConfig(mode="auction")
-    with pytest.raises(BargainError):
-        BargainConfig(pi=1)
-    with pytest.raises(BargainError):
-        BargainConfig(alpha=0)
-    assert BargainConfig(alpha=INFINITY).alpha == INFINITY
-
-
-def test_bargain_select_dispatch():
-    pts = {P(2, 8), P(4, 4)}
+def test_selection_rules_take_flag_strings():
+    """The CLI passes --pi and --alpha through as the strings it was given."""
+    pts = {P(2, 8), P(4, 4), P(8, 1)}
     refs = refs_0_10()
-    assert bargain_select(pts, refs, BargainConfig(mode="gnb", pi=F(1, 2))) == P(4, 4)
-    assert bargain_select(pts, refs, BargainConfig(mode="alpha-norm", alpha=2)) == P(4, 4)
-    assert bargain_select(pts, refs, BargainConfig(mode="inf-norm")) == P(4, 4)
+    assert gnb_select(pts, refs.disagreement, "0.5") == gnb_select(pts, refs.disagreement, F(1, 2))
+    assert gnb_select(pts, refs.disagreement, "1/3") == gnb_select(pts, refs.disagreement, F(1, 3))
+    assert distance_select(pts, refs, "2.5") == distance_select(pts, refs, F(5, 2))
+    for text in ("inf", " Infinity "):
+        assert distance_select(pts, refs, text) == distance_select(pts, refs, INFINITY)
+    with pytest.raises(BargainError):
+        gnb_select(pts, refs.disagreement, "1")
+    with pytest.raises(BargainError):
+        distance_select(pts, refs, "0")
+    for bad in ("abc", "1/0"):
+        with pytest.raises(NumberFormatError):
+            gnb_select(pts, refs.disagreement, bad)
+        with pytest.raises(NumberFormatError):
+            distance_select(pts, refs, bad)

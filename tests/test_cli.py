@@ -360,3 +360,16 @@ def test_validate_rejects_malformed_schedule_file(t1_file, tmp_path, capsys):
     assert run_cli(["validate", "--instance", t1_file,
                     "--schedule", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["frontier", "--method", "b3m1", "--epsilon", "abc"],
+    ["bargain", "--mode", "gnb", "--pi", "abc"],
+    ["bargain", "--mode", "dist", "--alpha", "abc"],
+], ids=["frontier-epsilon", "bargain-pi", "bargain-alpha"])
+def test_malformed_number_exits_1(argv, t1_file, tmp_path, capsys):
+    if argv[0] == "bargain":
+        argv = argv + ["--frontier", two_point_frontier_csv(tmp_path)]
+    code = run_cli(argv + ["--instance", t1_file])
+    assert code == 1
+    assert "error: not a finite number: 'abc'" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from evshare.core import CriterionPoint, check_assignment, criterion_point, pareto_filter
 from evshare.frontier import (
@@ -20,7 +20,6 @@ from evshare.frontier import (
     gap_metric,
     initial_box,
     participation_constraints,
-    relaxed_close,
     run_method,
     shrink_rectangle,
     split_rectangle,
@@ -30,7 +29,7 @@ from evshare.frontier import (
     strictly_close,
 )
 from evshare.oracle import charging_frontier, noncollab_costs
-from evshare.scenario import t1_instance
+from evshare.scenario import ScenarioConfig, ScenarioError, generate_scenario, t1_instance
 from evshare.charging import build_charging_program, noncollab_point
 from evshare.solver import SolverConfig
 
@@ -42,6 +41,24 @@ point_sets = st.lists(
     st.tuples(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60)),
     min_size=1,
     max_size=8,
+)
+
+# Instances small enough for the oracle: 1-4 EVs (so a company may have none),
+# 1-2 chargers, 4-6 intervals, free waiting or rentals, and equal tariffs at beta = 1.
+tiny_scenarios = st.builds(
+    ScenarioConfig,
+    ev_distribution=st.sampled_from(("uniform", "clustered")),
+    charger_layout=st.sampled_from(("uniform", "centralized")),
+    n_evs=st.integers(min_value=1, max_value=4),
+    n_chargers=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=10_000),
+    horizon=st.integers(min_value=4, max_value=6),
+    window_length_h=st.integers(min_value=2, max_value=4),
+    earliest_start_range=st.just((0, 3)),
+    demand_intervals=st.sampled_from(((1, 1), (1, 2))),
+    vot_sek_per_hour=st.sampled_from((0, 50, 100, 300)),
+    rental_fee_sek=st.sampled_from((0, 50, 150, 400)),
+    collab_discount=st.sampled_from((0.5, 0.75, 1)),
 )
 
 
@@ -78,15 +95,6 @@ def test_strictly_close_examples():
     # boundary is inclusive
     assert strictly_close(P(105, 210), anchor, m)
     assert not strictly_close(P(106, 210), anchor, m)
-
-
-def test_relaxed_close_examples():
-    m = ClosenessMargins(5, 10, Fraction(1))
-    anchor = (P(100, 200),)
-    assert relaxed_close(P(103, 215), anchor, m)
-    assert not relaxed_close(P(110, 215), anchor, m)
-    assert relaxed_close(P(100, 200), anchor, m)
-    assert not relaxed_close(P(103, 215), (), m)
 
 
 # -- rectangle surgery -------------------------------------------------------
@@ -192,12 +200,33 @@ def test_t1_bbox_matches_oracle():
     assert got.status == "ok"
 
 
+@given(tiny_scenarios)
+@settings(max_examples=60, deadline=None)
+def test_frontiers_match_the_oracle_on_random_instances(config):
+    try:
+        inst = generate_scenario(config)
+    except ScenarioError:
+        reject()
+    prog = build_charging_program(inst)
+    participation = noncollab_point(inst)
+    noncollab = noncollab_costs(inst)
+    assert (participation.z1_non, participation.z2_non) == noncollab
+    exact = set(charging_frontier(inst, participation=noncollab))
+    bbox = run_method(prog, participation, "bbox")
+    assert set(bbox.criterion_points()) == exact
+    assert bbox.status == ("ok" if exact else "no-collaboration")
+    endpoints = {min(exact), min(exact, key=lambda p: (p.z2, p.z1))} if exact else set()
+    for method in ("b3m1", "b3m2"):
+        reduced = set(run_method(prog, participation, method, 3).criterion_points())
+        assert endpoints <= reduced <= exact
+
+
 def test_no_collaboration_status():
     prog = make_point_program([(5, 5)])
     got = run_method(prog, ParticipationPoint(4, 4), "b3m1", 3)
     assert got.status == "no-collaboration"
     assert got.points == ()
-    assert got.solver_calls == 2  # one failed endpoint search
+    assert got.solver_calls == 1  # one failed endpoint search
 
 
 def test_participation_caps_apply_to_every_method():

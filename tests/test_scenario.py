@@ -13,11 +13,9 @@ from evshare.scenario import (
     ScenarioConfig,
     ScenarioError,
     energy_cost_matrix,
-    euclidean_km,
     generate_scenario,
     load_price_series,
     t1_instance,
-    with_price_scale,
 )
 
 DESK = ScenarioConfig(n_evs=4, n_chargers=2, seed=7, horizon=8,
@@ -163,16 +161,9 @@ def test_energy_cost_matrix_transpose_symmetry():
             assert table[i, j] == swapped[j, i]
 
 
-def test_energy_cost_matrix_custom_distance():
-    manhattan = lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1])
-    table = energy_cost_matrix({"v": (0.0, 0.0)}, {"c": (1.0, 1.0)}, 6.0, distance=manhattan)
-    assert table["v", "c"] == 1200
-    assert euclidean_km((0.0, 0.0), (3.0, 4.0)) == 5.0
-
-
 def test_price_scale_doubles_both_tariffs_and_nothing_else():
     base = generate_scenario(DESK)
-    doubled = generate_scenario(with_price_scale(DESK, 2.0))
+    doubled = generate_scenario(dataclasses.replace(DESK, price_scale=2.0))
     assert doubled.energy_fee_own == {k: 2 * v for k, v in base.energy_fee_own.items()}
     assert doubled.energy_fee_collab == {k: 2 * v for k, v in base.energy_fee_collab.items()}
     for field in ("evs", "chargers", "owner", "window", "demand", "rental_fee",
@@ -182,7 +173,7 @@ def test_price_scale_doubles_both_tariffs_and_nothing_else():
 
 def test_fractional_price_scale_must_keep_whole_minor_units():
     with pytest.raises(ScenarioError, match="price_scale"):
-        generate_scenario(with_price_scale(DESK, 1.0001))
+        generate_scenario(dataclasses.replace(DESK, price_scale=1.0001))
 
 
 def test_config_validation():

@@ -9,6 +9,7 @@ from evshare.core import (
     Assignment,
     Constraint,
     CriterionPoint,
+    LinearExpression,
     binary,
     check_assignment,
     criterion_point,
@@ -39,7 +40,8 @@ def tiny_programs(draw):
     """Programs small enough to enumerate: up to four variables, three rows.
 
     Binaries and general integers (possibly negative bounds), rows of every
-    sense with coefficients and constants of both signs.
+    sense with coefficients and constants of both signs.  Expressions are
+    built directly, as ``program_from_dict`` does, so zero coefficients occur.
     """
     variables = []
     for i in range(draw(st.integers(min_value=1, max_value=4))):
@@ -51,7 +53,7 @@ def tiny_programs(draw):
     small = st.integers(min_value=-4, max_value=4)
 
     def linear():
-        return expr({v.id: draw(small) for v in variables}, draw(small))
+        return LinearExpression({v.id: draw(small) for v in variables}, draw(small))
 
     rows = [Constraint(linear(), draw(st.sampled_from(SENSES)),
                        draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
