@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CriterionPoint, EvshareError, _exact
-from .frontier import participation_constraints
+from .frontier import participation_caps
 from . import solver as _solver
 
 INFINITY = math.inf
@@ -60,7 +60,7 @@ def reference_points(program, participation, config=_solver.SolverConfig()):
     Both solves run inside the participation region so the ideal can never
     fall outside the disagreement box.
     """
-    caps = participation_constraints(program, participation)
+    caps = participation_caps(participation)
     best1 = _solver.solve_min(program, 1, caps, config)
     if best1.status != "optimal":
         raise BargainError(f"objective-1 minimization ended {best1.status}")

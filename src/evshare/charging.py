@@ -13,7 +13,7 @@ All money is in integer minor units (0.01 SEK).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import core, solver
 from .core import Constraint, EvshareError, binary, expr, integer
@@ -292,25 +292,19 @@ class Schedule:
     rentals: charger -> company id or None.
     sessions: ev -> (charger, start, finish) with start/finish on the
       interval-boundary scale, occupying intervals start+1 .. finish.
-    occupancy: (charger, interval) -> ev.
     energy: ev -> energy units delivered.
     """
 
     rentals: dict
     sessions: dict
-    occupancy: dict
     energy: dict
 
     @classmethod
     def from_sessions(cls, instance, rentals, sessions):
-        """The Schedule whose occupancy and energy follow from its sessions."""
-        occupancy = {}
-        energy = {}
-        for i, (j, start, finish) in sessions.items():
-            for t in range(start + 1, finish + 1):
-                occupancy[j, t] = i
-            energy[i] = instance.charge_rate.get((i, j), 0) * max(finish - start, 0)
-        return cls(rentals, sessions, occupancy, energy)
+        """The Schedule whose energy follows from its sessions."""
+        energy = {i: instance.charge_rate.get((i, j), 0) * max(finish - start, 0)
+                  for i, (j, start, finish) in sessions.items()}
+        return cls(rentals, sessions, energy)
 
 
 def decode_schedule(assignment, instance, program=None):
@@ -423,7 +417,8 @@ def noncollab_point(instance, config=None):
         other = instance.other_company(k)
         pins = [Constraint(expr({var_rent(j, other): 1}), "=", 0, f"no-foreign-rental:{j}")
                 for j in sub.chargers]
-        outcome = solver.solve_min(prog, index, extra_constraints=pins, config=cfg)
+        prog = replace(prog, constraints=prog.constraints + tuple(pins))
+        outcome = solver.solve_min(prog, index, config=cfg)
         if outcome.status != "optimal":
             hint = infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""

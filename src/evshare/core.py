@@ -7,7 +7,6 @@ is exact -- no floating point anywhere in the program representation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -222,63 +221,3 @@ def format_minor(amount):
     sign = "-" if amount < 0 else ""
     whole, cents = divmod(abs(amount), 100)
     return f"{sign}{whole}.{cents:02d}"
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization. Field names and ordering are part of the format and are
-# covered by golden-file tests; do not reorder keys.
-
-def program_to_dict(prog):
-    return {
-        "variables": [
-            {"id": v.id, "kind": v.kind, "lower": v.lower, "upper": v.upper}
-            for v in prog.variables
-        ],
-        "constraints": [
-            {
-                "name": c.name,
-                "terms": [[vid, coef] for vid, coef in c.expression.sorted_terms()],
-                "constant": c.expression.constant,
-                "sense": c.sense,
-                "rhs": c.rhs,
-            }
-            for c in prog.constraints
-        ],
-        "objectives": [
-            {"terms": [[vid, coef] for vid, coef in obj.sorted_terms()], "constant": obj.constant}
-            for obj in (prog.objective1, prog.objective2)
-        ],
-    }
-
-
-def program_to_json(prog):
-    return json.dumps(program_to_dict(prog), indent=2) + "\n"
-
-
-def program_from_dict(data):
-    variables = [Variable(v["id"], v["kind"], v["lower"], v["upper"]) for v in data["variables"]]
-    constraints = [
-        Constraint(
-            LinearExpression({vid: coef for vid, coef in c["terms"]}, c.get("constant", 0)),
-            c["sense"],
-            c["rhs"],
-            c.get("name", ""),
-        )
-        for c in data["constraints"]
-    ]
-    objs = data["objectives"]
-    if len(objs) != 2:
-        raise ProgramError("program JSON must carry exactly two objectives")
-    o1, o2 = (LinearExpression({vid: coef for vid, coef in o["terms"]}, o.get("constant", 0)) for o in objs)
-    return program(variables, constraints, o1, o2)
-
-
-def program_from_json(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProgramError(f"program file is not valid JSON: {exc}") from exc
-    try:
-        return program_from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ProgramError(f"malformed program JSON: {exc!r}") from exc

@@ -14,8 +14,12 @@ same branch-and-bound backend:
     box are certified non-dominated with two extra solves before being
     recorded.
 
-All objective values are fixed-point integers (minor currency units), so an
-open bound becomes a closed one by stepping one minor unit.
+Every solve is restricted in objective space only through the solver's
+``bounds``: a rectangle (``Rectangle.bounds``), the participation region
+(``participation_caps``) or a certification cap, each side an inclusive
+integer or None when open.  All objective values are fixed-point integers
+(minor currency units), so an open bound becomes a closed one by stepping
+one minor unit.
 """
 
 import csv
@@ -26,13 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    Constraint,
-    CriterionPoint,
-    EvshareError,
-    _exact,
-    _half_up,
-)
+from .core import CriterionPoint, EvshareError, _exact, _half_up
 from . import solver as _solver
 
 
@@ -64,6 +62,11 @@ class Rectangle:
 
     def z2_extent(self):
         return self.top_left.z2 - self.bottom_right.z2
+
+    def bounds(self):
+        """The box as solver bounds: ((z1 lo, z1 hi), (z2 lo, z2 hi))."""
+        return ((self.top_left.z1, self.bottom_right.z1),
+                (self.bottom_right.z2, self.top_left.z2))
 
 
 @dataclass(frozen=True)
@@ -182,14 +185,11 @@ def shrink_rectangle(rect, margins):
 # Participation bounds and the initial box.
 
 
-def participation_constraints(program, participation):
-    """Rows capping each company's objective at its standalone cost."""
+def participation_caps(participation):
+    """Solver bounds capping each company's objective at its standalone cost."""
     if participation is None:
-        return []
-    return [
-        Constraint(program.objective1, "<=", participation.z1_non, "participation-z1"),
-        Constraint(program.objective2, "<=", participation.z2_non, "participation-z2"),
-    ]
+        return _solver.OPEN
+    return ((None, participation.z1_non), (None, participation.z2_non))
 
 
 def initial_box(program, participation=None, config=_solver.SolverConfig()):
@@ -200,13 +200,13 @@ def initial_box(program, participation=None, config=_solver.SolverConfig()):
     contains no feasible point at all -- collaboration cannot make both
     parties at least as well off as standing alone.
     """
-    caps = participation_constraints(program, participation)
-    top = _solver.lexmin(program, (1, 2), None, config, caps)
+    caps = participation_caps(participation)
+    top = _solver.lexmin(program, (1, 2), caps, config)
     if top.status == "infeasible":
         return None
     if top.status != "optimal":
         raise FrontierError(f"endpoint search ended with status {top.status}")
-    bottom = _solver.lexmin(program, (2, 1), None, config, caps)
+    bottom = _solver.lexmin(program, (2, 1), caps, config)
     if bottom.status != "optimal":
         raise FrontierError(f"endpoint search ended with status {bottom.status}")
     assignments = {top.point: top.assignment}
@@ -223,16 +223,15 @@ class _Run:
 
     def __init__(self, program, participation, config, margins):
         self.program = program
-        self.participation = participation
         self.config = config
         self.margins = margins
-        self.caps = participation_constraints(program, participation)
+        self.caps = participation_caps(participation)
         self.recorded = {}
         self.solver_calls = 0
         self.rectangles = 0
 
     def lexmin(self, order, rectangle):
-        out = _solver.lexmin(self.program, order, rectangle, self.config)
+        out = _solver.lexmin(self.program, order, rectangle.bounds(), self.config)
         self.solver_calls += out.solves
         if out.status == "node-limit":
             raise FrontierError("node limit exhausted during rectangle search")
@@ -247,18 +246,18 @@ class _Run:
         Two single-objective solves: the best z2 subject to z1 <= point.z1
         must be point.z2, and symmetrically for z1.  Needed only for
         candidates from shrunk rectangles, whose box bounds no longer
-        guarantee non-dominance.
+        guarantee non-dominance.  The point lies inside the participation
+        region, so its own coordinate is the tighter of the two caps.
         """
-        cap1 = Constraint(self.program.objective1, "<=", point.z1, "certify-z1")
-        cap2 = Constraint(self.program.objective2, "<=", point.z2, "certify-z2")
-        best2 = self._solve_min(2, cap1)
+        z1_caps, z2_caps = self.caps
+        best2 = self._solve_min(2, ((None, point.z1), z2_caps))
         if best2.status != "optimal" or best2.value < point.z2:
             return False
-        best1 = self._solve_min(1, cap2)
+        best1 = self._solve_min(1, (z1_caps, (None, point.z2)))
         return best1.status == "optimal" and best1.value >= point.z1
 
-    def _solve_min(self, objective_index, cap):
-        out = _solver.solve_min(self.program, objective_index, self.caps + [cap], self.config)
+    def _solve_min(self, objective_index, bounds):
+        out = _solver.solve_min(self.program, objective_index, bounds, self.config)
         self.solver_calls += 1
         if out.status == "node-limit":
             raise FrontierError("node limit exhausted during certification")
@@ -499,18 +498,24 @@ def stats_from_csv(text):
     if not rows or tuple(rows[0]) != STATS_HEADER:
         raise FrontierError(f"bad stats CSV header: {rows[0] if rows else 'empty file'!r}")
     parsed = []
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        parsed.append({
-            "method": row[0],
-            "epsilon": _exact(row[1]),
-            "ndp": int(row[2]),
-            "solver_calls": int(row[3]),
-            "wall_ms": int(row[4]),
-            "gap_pct": float(row[5]) if row[5] else None,
-            "cts_pct": float(row[6]) if row[6] else None,
-        })
+        if len(row) != len(STATS_HEADER):
+            raise FrontierError(f"stats CSV row {lineno}: expected "
+                                f"{len(STATS_HEADER)} fields, got {len(row)}")
+        try:
+            parsed.append({
+                "method": row[0],
+                "epsilon": _exact(row[1]),
+                "ndp": int(row[2]),
+                "solver_calls": int(row[3]),
+                "wall_ms": int(row[4]),
+                "gap_pct": float(row[5]) if row[5] else None,
+                "cts_pct": float(row[6]) if row[6] else None,
+            })
+        except (ValueError, EvshareError) as exc:
+            raise FrontierError(f"stats CSV row {lineno}: {exc}") from None
     return parsed
 
 

@@ -2,10 +2,13 @@
 
 Reference backend: depth-first branch and bound over the integer variables
 in declaration order (lower value first), with incremental activity-bound
-propagation over rows that all read ``sum(c * x) <= rhs``, the last being an
-objective cutoff.  The search runs on an explicit stack and leaves the
-interpreter's recursion limit alone.  Dependency-free and repeatable: two
-runs on identical inputs return identical assignments.
+propagation over rows that all read ``sum(c * x) <= rhs``.  A solve may be
+restricted to an objective-space box, ``bounds = ((lo1, hi1), (lo2, hi2))``
+with None for an open side; each finite bound becomes one row, and the
+minimized objective's upper row doubles as the incumbent cutoff.  The
+search runs on an explicit stack and leaves the interpreter's recursion
+limit alone.  Dependency-free and repeatable: two runs on identical inputs
+return identical assignments.
 
 Also hosts the two-stage lexicographic solve used by the frontier search,
 an LP-format exporter, and a parser for external solver solutions.
@@ -16,8 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import (Assignment, Constraint, CriterionPoint, EvshareError,
-                   evaluate)
+from .core import Assignment, CriterionPoint, EvshareError, evaluate
 
 
 class SolverError(EvshareError):
@@ -60,6 +62,9 @@ class LexOutcome:
     solves: int = 0           # single-objective solves actually performed
 
 
+# Objective bounds that leave both objectives unrestricted.
+OPEN = ((None, None), (None, None))
+
 # Signs that turn a constraint into `<=` rows: `>=` is negated, `=` gives both.
 _ROW_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
 
@@ -68,7 +73,7 @@ def _nonzero(terms):
     """The terms with a nonzero coefficient; propagation divides by each one.
 
     ``expr()`` already drops zeros, but a LinearExpression built directly
-    (as ``core.program_from_dict`` does) may keep them.
+    may keep them.
     """
     return terms if 0 not in terms.values() else {v: c for v, c in terms.items() if c}
 
@@ -76,38 +81,45 @@ def _nonzero(terms):
 class _Search:
     """One branch-and-bound run over a compiled row system.
 
-    Every row is stored as ``sum(c * x) <= rhs``; the last row is the
-    objective, whose rhs stays None until an incumbent sets the cutoff.
+    Every row is stored as ``sum(c * x) <= rhs``: the program's constraints,
+    then one row per finite objective bound.  ``obj_row`` is the minimized
+    objective's upper row; its rhs is None while that side is open, and each
+    incumbent lowers it to a cutoff one unit below the incumbent's value.
     """
 
-    def __init__(self, program, objective_index, extra_constraints, config):
+    def __init__(self, program, objective_index, bounds, config):
         variables = program.variables
         self.ids = [v.id for v in variables]
         self.n = len(variables)
         index = {vid: i for i, vid in enumerate(self.ids)}
         self.lower = [v.lower for v in variables]
         self.upper = [v.upper for v in variables]
+        self.obj_const = program.objective(objective_index).constant
 
         row_vars, row_coefs, row_rhs = [], [], []
-        for con in list(program.constraints) + list(extra_constraints):
+        for con in program.constraints:
             terms = _nonzero(con.expression.terms)
-            try:
-                rv = [index[vid] for vid in terms]
-            except KeyError as exc:
-                raise SolverError(f"constraint {con.name!r} references undeclared {exc}") from None
+            rv = [index[vid] for vid in terms]
             rhs = con.rhs - con.expression.constant
             for sign in _ROW_SIGNS[con.sense]:
                 row_vars.append(rv)
                 row_coefs.append([sign * c for c in terms.values()])
                 row_rhs.append(sign * rhs)
 
-        objective = program.objective(objective_index)
-        terms = _nonzero(objective.terms)
-        self.obj_const = objective.constant
-        self.obj_row = len(row_vars)
-        row_vars.append([index[vid] for vid in terms])
-        row_coefs.append(list(terms.values()))
-        row_rhs.append(None)
+        for k, (lo, hi) in enumerate(bounds, start=1):
+            objective = program.objective(k)
+            terms = _nonzero(objective.terms)
+            rv = [index[vid] for vid in terms]
+            if lo is not None:
+                row_vars.append(rv)
+                row_coefs.append([-c for c in terms.values()])
+                row_rhs.append(objective.constant - lo)
+            if k == objective_index:
+                self.obj_row = len(row_vars)
+            if k == objective_index or hi is not None:
+                row_vars.append(rv)
+                row_coefs.append(list(terms.values()))
+                row_rhs.append(None if hi is None else hi - objective.constant)
 
         self.row_vars = row_vars
         self.row_coefs = row_coefs
@@ -244,45 +256,34 @@ class _Search:
         return SolveOutcome("optimal", assignment, best_value, nodes)
 
 
-def solve_min(program, objective_index, extra_constraints=(), config=SolverConfig()):
-    """Global minimum of one objective over the program plus extra constraints."""
-    return _Search(program, objective_index, extra_constraints, config).run()
+def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
+    """Global minimum of one objective over the program within ``bounds``.
 
-
-def rectangle_constraints(program, rectangle):
-    """Inclusive box bounds on both objective values, as four linear rows.
-
-    A strict bound must be passed already offset by one minor unit (the
-    objectives are integers); the solver never adjusts the corners.
+    ``bounds`` is ``((lo1, hi1), (lo2, hi2))``: inclusive integer bounds on
+    the two objective values, None marking an open side.  A strict bound
+    must be passed already offset by one minor unit (the objectives are
+    integers).  The minimized objective's upper bound is also the initial
+    incumbent cutoff.
     """
-    if rectangle is None:
-        return []
-    tl, br = rectangle.top_left, rectangle.bottom_right
-    o1, o2 = program.objective1, program.objective2
-    return [
-        Constraint(o1, ">=", tl.z1, "rect-z1-lo"),
-        Constraint(o1, "<=", br.z1, "rect-z1-hi"),
-        Constraint(o2, ">=", br.z2, "rect-z2-lo"),
-        Constraint(o2, "<=", tl.z2, "rect-z2-hi"),
-    ]
+    return _Search(program, objective_index, bounds, config).run()
 
 
-def lexmin(program, order, rectangle=None, config=SolverConfig(), extra_constraints=()):
-    """Two-stage lexicographic minimization inside an objective-space box.
+def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
+    """Two-stage lexicographic minimization inside objective ``bounds``.
 
     order is (1, 2) or (2, 1).  Stage one minimizes the first listed
-    objective under the rectangle bounds; stage two minimizes the other with
-    the first held at its optimum by an equality constraint.
+    objective within ``bounds``; stage two minimizes the other with the
+    first objective's bounds pinned to its optimum, ``(v, v)``.
     """
     first, second = order
     if {first, second} != {1, 2}:
         raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
-    box = rectangle_constraints(program, rectangle) + list(extra_constraints)
-    stage1 = solve_min(program, first, box, config)
+    stage1 = solve_min(program, first, bounds, config)
     if stage1.status != "optimal":
         return LexOutcome(stage1.status, None, None, stage1.nodes_explored, 1)
-    pin = Constraint(program.objective(first), "=", stage1.value, "lex-stage1-pin")
-    stage2 = solve_min(program, second, box + [pin], config)
+    pinned = list(bounds)
+    pinned[first - 1] = (stage1.value, stage1.value)
+    stage2 = solve_min(program, second, tuple(pinned), config)
     nodes = stage1.nodes_explored + stage2.nodes_explored
     if stage2.status != "optimal":
         return LexOutcome(stage2.status, None, None, nodes, 2)
@@ -318,7 +319,7 @@ def _lp_terms(expression):
     return " ".join(parts)
 
 
-def export_lp(program, objective_index, extra_constraints=()):
+def export_lp(program, objective_index):
     """Render one objective's ILP in the industry LP text format."""
     objective = program.objective(objective_index)
     lines = ["Minimize"]
@@ -329,7 +330,7 @@ def export_lp(program, objective_index, extra_constraints=()):
     lines.append(f" obj: {obj_terms}")
     lines.append("Subject To")
     sense_text = {"<=": "<=", ">=": ">=", "=": "="}
-    for idx, con in enumerate(list(program.constraints) + list(extra_constraints)):
+    for idx, con in enumerate(program.constraints):
         label = re.sub(r"[^A-Za-z0-9_]", "_", con.name) if con.name else "row"
         rhs = con.rhs - con.expression.constant
         lines.append(f" c{idx}_{label}: {_lp_terms(con.expression)} {sense_text[con.sense]} {rhs}")

@@ -325,7 +325,6 @@ def test_criterion_11_t1_ground_truth():
     schedule = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("A", 2, 4)},
-        occupancy={("A", 1): "v1", ("A", 2): "v1", ("A", 3): "v2", ("A", 4): "v2"},
         energy={"v1": 10, "v2": 10},
     )
     assert company_cost(schedule, inst, "k2") == 2700

@@ -30,7 +30,6 @@ def shared_at_a_schedule():
     return Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("A", 2, 4)},
-        occupancy={("A", 1): "v1", ("A", 2): "v1", ("A", 3): "v2", ("A", 4): "v2"},
         energy={"v1": 10, "v2": 10},
     )
 
@@ -120,7 +119,6 @@ def test_validate_flags_capacity_clash():
     schedule = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 1, 3), "v2": ("A", 2, 4)},
-        occupancy={},
         energy={"v1": 10, "v2": 10},
     )
     assert validate_schedule(schedule, inst) == ["charger-capacity: charger A, interval 3"]
@@ -132,7 +130,6 @@ def test_validate_flags_window_violation():
     schedule = Schedule(
         rentals={"A": "k1", "B": "k2"},
         sessions={"v1": ("A", 1, 3), "v2": ("B", 0, 2)},
-        occupancy={},
         energy={"v1": 10, "v2": 10},
     )
     assert validate_schedule(schedule, late) == ["time-window: v1"]
@@ -143,7 +140,6 @@ def test_validate_flags_unrented_and_demand():
     schedule = Schedule(
         rentals={"A": None, "B": None},
         sessions={"v1": ("A", 0, 1), "v2": ("B", 0, 2)},
-        occupancy={},
         energy={"v1": 5, "v2": 10},
     )
     got = validate_schedule(schedule, inst)

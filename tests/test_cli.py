@@ -210,6 +210,20 @@ def test_report_on_empty_directory_fails(tmp_path, capsys):
     assert "no frontier artifacts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["bbox,0,x,4,23,,", "bbox,0,1,4,23", "bbox,0,1,4,23,,,"])
+def test_report_rejects_malformed_stats_csv(t1_file, tmp_path, capsys, row):
+    batch = tmp_path / "batch"
+    assert run_cli(["frontier", "--instance", t1_file, "--method", "bbox",
+                    "--out-dir", str(batch)]) == 0
+    stats = batch / "T1-bbox-eps0-stats.csv"
+    header = stats.read_text().splitlines()[0]
+    stats.write_text(f"{header}\n{row}\n")
+    capsys.readouterr()
+    assert run_cli(["report", "--batch", str(batch)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stats CSV row 2" in err
+
+
 def test_export_lp_writes_model(t1_file, tmp_path):
     out = tmp_path / "t1-obj1.lp"
     code = run_cli(["export-lp", "--instance", t1_file, "--objective", "1",
@@ -305,7 +319,6 @@ def test_validate_schedule_paths(t1_file, tmp_path, capsys):
     good = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("A", 2, 4)},
-        occupancy={("A", 1): "v1", ("A", 2): "v1", ("A", 3): "v2", ("A", 4): "v2"},
         energy={"v1": 10, "v2": 10},
     )
     good_path = tmp_path / "good.json"
@@ -317,7 +330,6 @@ def test_validate_schedule_paths(t1_file, tmp_path, capsys):
     clash = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 1, 3), "v2": ("A", 2, 4)},
-        occupancy={},
         energy={"v1": 10, "v2": 10},
     )
     clash_path = tmp_path / "clash.json"

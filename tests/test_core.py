@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,8 +19,6 @@ from evshare.core import (
     integer,
     pareto_filter,
     program,
-    program_from_json,
-    program_to_json,
 )
 
 points = st.builds(
@@ -135,23 +131,6 @@ def test_format_minor():
     assert format_minor(0) == "0.00"
     assert format_minor(-35) == "-0.35"
     assert format_minor(100099) == "1000.99"
-
-
-def test_program_json_round_trip():
-    x, t = binary("x"), integer("t", 0, 24)
-    cap = Constraint(expr({"x": 2, "t": -1}, 3), ">=", 1, "link")
-    prog = program([x, t], [cap], expr({"t": 1}), expr({"x": 7}, -2))
-    text = program_to_json(prog)
-    assert program_from_json(text) == prog
-    data = json.loads(text)
-    assert [v["id"] for v in data["variables"]] == ["x", "t"]
-    assert data["constraints"][0]["sense"] == ">="
-
-
-def test_program_json_requires_two_objectives():
-    bad = json.dumps({"variables": [], "constraints": [], "objectives": []})
-    with pytest.raises(ProgramError):
-        program_from_json(bad)
 
 
 def test_assignment_rendering_is_sorted():

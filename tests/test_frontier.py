@@ -19,7 +19,7 @@ from evshare.frontier import (
     frontier_to_csv,
     gap_metric,
     initial_box,
-    participation_constraints,
+    participation_caps,
     run_method,
     shrink_rectangle,
     split_rectangle,
@@ -31,7 +31,7 @@ from evshare.frontier import (
 from evshare.oracle import charging_frontier, noncollab_costs
 from evshare.scenario import ScenarioConfig, ScenarioError, generate_scenario, t1_instance
 from evshare.charging import build_charging_program, noncollab_point
-from evshare.solver import SolverConfig
+from evshare.solver import OPEN, SolverConfig, solve_min
 
 from helpers import certify_limit_instance, make_point_program
 
@@ -130,12 +130,12 @@ def test_shrink_rectangle_examples():
 
 # -- participation and endpoints ----------------------------------------------
 
-def test_participation_constraints_rows():
-    prog = make_point_program([(1, 3), (3, 1)])
-    rows = participation_constraints(prog, ParticipationPoint(5, 5))
-    assert [(r.name, r.sense, r.rhs) for r in rows] == [
-        ("participation-z1", "<=", 5), ("participation-z2", "<=", 5)]
-    assert participation_constraints(prog, None) == []
+def test_participation_caps():
+    assert participation_caps(ParticipationPoint(5, 4)) == ((None, 5), (None, 4))
+    assert participation_caps(None) == OPEN
+    prog = make_point_program([(1, 9), (3, 4), (6, 1)])
+    assert solve_min(prog, 1, participation_caps(ParticipationPoint(5, 4))).value == 3
+    assert solve_min(prog, 2, participation_caps(ParticipationPoint(5, 4))).value == 4
 
 
 def test_initial_box_example():
@@ -200,13 +200,8 @@ def test_t1_bbox_matches_oracle():
     assert got.status == "ok"
 
 
-@given(tiny_scenarios)
-@settings(max_examples=60, deadline=None)
-def test_frontiers_match_the_oracle_on_random_instances(config):
-    try:
-        inst = generate_scenario(config)
-    except ScenarioError:
-        reject()
+def check_frontiers_against_the_oracle(inst):
+    """bbox equals the oracle; b3m1/b3m2 at 3% are subsets keeping both endpoints."""
     prog = build_charging_program(inst)
     participation = noncollab_point(inst)
     noncollab = noncollab_costs(inst)
@@ -219,6 +214,30 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
     for method in ("b3m1", "b3m2"):
         reduced = set(run_method(prog, participation, method, 3).criterion_points())
         assert endpoints <= reduced <= exact
+    return exact
+
+
+@given(tiny_scenarios)
+@settings(max_examples=60, deadline=None)
+def test_frontiers_match_the_oracle_on_random_instances(config):
+    try:
+        inst = generate_scenario(config)
+    except ScenarioError:
+        reject()
+    check_frontiers_against_the_oracle(inst)
+
+
+@pytest.mark.parametrize("seed, costs", [
+    (93, dict(vot_sek_per_hour=20, rental_fee_sek=50, collab_discount=0.9)),
+    (145, dict(vot_sek_per_hour=100, rental_fee_sek=0, collab_discount=0.7)),
+])
+def test_long_frontiers_match_the_oracle(seed, costs):
+    # Five-point frontiers: bbox finds them all only by searching the child
+    # rectangles below recorded points, which short random frontiers rarely need.
+    inst = generate_scenario(ScenarioConfig(
+        n_evs=5, n_chargers=2, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
+        demand_intervals=(1, 2), seed=seed, **costs))
+    assert len(check_frontiers_against_the_oracle(inst)) == 5
 
 
 def test_no_collaboration_status():

@@ -23,13 +23,13 @@ from evshare.charging import build_charging_program, company_cost, decode_schedu
 from evshare.frontier import Rectangle
 from evshare.scenario import t1_instance
 from evshare.solver import (
+    OPEN,
     SolutionParseError,
     SolutionValidationError,
     SolverConfig,
     export_lp,
     lexmin,
     parse_external_solution,
-    rectangle_constraints,
     solve_min,
 )
 
@@ -41,7 +41,8 @@ def tiny_programs(draw):
 
     Binaries and general integers (possibly negative bounds), rows of every
     sense with coefficients and constants of both signs.  Expressions are
-    built directly, as ``program_from_dict`` does, so zero coefficients occur.
+    built with ``LinearExpression`` directly, bypassing ``expr()``'s zero
+    filter, so zero coefficients occur.
     """
     variables = []
     for i in range(draw(st.integers(min_value=1, max_value=4))):
@@ -59,6 +60,27 @@ def tiny_programs(draw):
                        draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
             for k in range(draw(st.integers(min_value=0, max_value=3)))]
     return program(variables, rows, linear(), linear())
+
+
+# Objective bounds around the values tiny programs reach; any side may be open
+# and a lower bound may exceed its upper one.
+bound_sides = st.one_of(st.none(), st.integers(min_value=-12, max_value=12))
+objective_bounds = st.tuples(st.tuples(bound_sides, bound_sides),
+                             st.tuples(bound_sides, bound_sides))
+
+
+def feasible_assignments(prog):
+    """Every assignment within the variable bounds that satisfies all rows."""
+    ids = [v.id for v in prog.variables]
+    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in prog.variables)):
+        candidate = Assignment(dict(zip(ids, values)))
+        if not check_assignment(prog, candidate):
+            yield candidate
+
+
+def within(point, bounds):
+    return all((lo is None or lo <= z) and (hi is None or z <= hi)
+               for z, (lo, hi) in zip(point.as_tuple(), bounds))
 
 
 point_sets = st.lists(
@@ -111,10 +133,10 @@ def test_lexmin_examples():
 def test_lexmin_respects_rectangle():
     prog = make_point_program([(1, 3), (1, 2), (2, 1)])
     box = Rectangle(CriterionPoint(2, 3), CriterionPoint(5, 0))
-    out = lexmin(prog, (1, 2), rectangle=box)
+    out = lexmin(prog, (1, 2), box.bounds())
     assert out.point == CriterionPoint(2, 1)
     empty = Rectangle(CriterionPoint(3, 0), CriterionPoint(5, 0))
-    assert lexmin(prog, (1, 2), rectangle=empty).status == "infeasible"
+    assert lexmin(prog, (1, 2), empty.bounds()).status == "infeasible"
 
 
 def test_lexmin_rejects_bad_order():
@@ -160,12 +182,7 @@ def test_solver_is_deterministic():
 @settings(max_examples=200, deadline=None)
 def test_solve_min_matches_enumeration(prog, objective_index):
     objective = prog.objective(objective_index)
-    ids = [v.id for v in prog.variables]
-    feasible_values = []
-    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in prog.variables)):
-        candidate = Assignment(dict(zip(ids, values)))
-        if not check_assignment(prog, candidate):
-            feasible_values.append(evaluate(objective, candidate))
+    feasible_values = [evaluate(objective, a) for a in feasible_assignments(prog)]
     out = solve_min(prog, objective_index)
     assert (out.status == "infeasible") == (not feasible_values)
     if feasible_values:
@@ -191,17 +208,60 @@ def test_node_limit_reported():
     assert out.assignment is None
 
 
-def test_rectangle_constraints_rows():
-    prog = make_point_program([(1, 3), (2, 1)])
-    rows = rectangle_constraints(prog, Rectangle(CriterionPoint(1, 3), CriterionPoint(2, 1)))
-    assert [r.name for r in rows] == ["rect-z1-lo", "rect-z1-hi", "rect-z2-lo", "rect-z2-hi"]
-    assert rectangle_constraints(prog, None) == []
+def test_rectangle_bounds():
+    box = Rectangle(CriterionPoint(1, 3), CriterionPoint(2, 1))
+    assert box.bounds() == ((1, 2), (1, 3))
+    # Each point outside the box lies beyond exactly one of its four sides.
+    prog = make_point_program([(0, 2), (1, 4), (1, 3), (2, 1), (3, 2), (2, 0)])
+    assert solve_min(prog, 1, box.bounds()).value == 1
+    assert solve_min(prog, 2, box.bounds()).value == 1
+    assert lexmin(prog, (1, 2), box.bounds()).point == CriterionPoint(1, 3)
+    assert lexmin(prog, (2, 1), box.bounds()).point == CriterionPoint(2, 1)
+    assert solve_min(prog, 1, OPEN).value == solve_min(prog, 1).value == 0
 
 
-def test_extra_constraints_narrow_the_search():
+def test_bounds_narrow_the_search():
     prog = make_point_program([(1, 3), (2, 1)])
-    pin = Constraint(prog.objective2, "<=", 2, "cap-z2")
-    assert solve_min(prog, 1, [pin]).value == 2
+    assert solve_min(prog, 1, ((None, None), (None, 2))).value == 2
+    assert solve_min(prog, 1, ((2, None), (None, None))).value == 2
+    assert solve_min(prog, 2, ((None, 1), (None, None))).value == 3
+    assert solve_min(prog, 2, ((None, None), (2, None))).value == 3
+    assert solve_min(prog, 1, ((None, 1), (None, 2))).status == "infeasible"
+
+
+def bound_rows(prog, bounds):
+    """The objective bounds as explicit constraint rows."""
+    rows = []
+    for k, (lo, hi) in enumerate(bounds, start=1):
+        if lo is not None:
+            rows.append(Constraint(prog.objective(k), ">=", lo, f"z{k}-lo"))
+        if hi is not None:
+            rows.append(Constraint(prog.objective(k), "<=", hi, f"z{k}-hi"))
+    return rows
+
+
+@given(tiny_programs(), st.sampled_from((1, 2)), objective_bounds)
+@settings(max_examples=200, deadline=None)
+def test_bounds_match_explicit_rows(prog, objective_index, bounds):
+    explicit = program(prog.variables, prog.constraints + tuple(bound_rows(prog, bounds)),
+                       prog.objective1, prog.objective2)
+    # Same status, value, node count and assignment.
+    assert solve_min(prog, objective_index, bounds) == solve_min(explicit, objective_index)
+
+
+@given(tiny_programs(), st.sampled_from(((1, 2), (2, 1))), objective_bounds)
+@settings(max_examples=200, deadline=None)
+def test_lexmin_within_bounds_matches_enumeration(prog, order, bounds):
+    points = [p for p in (criterion_point(prog, a) for a in feasible_assignments(prog))
+              if within(p, bounds)]
+    out = lexmin(prog, order, bounds)
+    if not points:
+        assert out.status == "infeasible"
+        return
+    assert out.status == "optimal"
+    assert out.point == min(points, key=lambda p: tuple(p.as_tuple()[k - 1] for k in order))
+    assert check_assignment(prog, out.assignment) == []
+    assert criterion_point(prog, out.assignment) == out.point
 
 
 def test_export_lp_smoke():
