@@ -58,6 +58,9 @@ class ChargingInstance:
     def __post_init__(self):
         if len(self.companies) != 2 or len(set(self.companies)) != 2:
             raise InstanceError("exactly two distinct companies required")
+        for name, value in self._integer_fields():
+            if type(value) is not int:
+                raise InstanceError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise InstanceError("horizon must be at least one interval")
         for i in self.evs:
@@ -81,6 +84,24 @@ class ChargingInstance:
             for t in range(1, self.horizon + 1):
                 if self.energy_fee_own[j, t] < 0 or self.energy_fee_collab[j, t] < 0:
                     raise InstanceError(f"negative energy fee for ({j},{t})")
+
+    def _integer_fields(self):
+        """(field name, value) for the horizon, every fee, rate, travel cost
+        and value of time, and both ends of every window and demand.
+
+        Raises InstanceError for a window or demand that is not a pair.
+        """
+        yield "horizon", self.horizon
+        for name in ("rental_fee", "energy_fee_own", "energy_fee_collab",
+                     "charge_rate", "travel_cost", "vot"):
+            for key, value in getattr(self, name).items():
+                yield f"{name}[{key}]", value
+        for name in ("window", "demand"):
+            for key, pair in getattr(self, name).items():
+                if not isinstance(pair, tuple) or len(pair) != 2:
+                    raise InstanceError(f"{name}[{key}] must be a pair, got {pair!r}")
+                for value in pair:
+                    yield f"{name}[{key}]", value
 
     def company_evs(self, k):
         return tuple(i for i in self.evs if self.owner[i] == k)
@@ -499,7 +520,7 @@ def instance_from_json(text):
         raise InstanceError(f"instance file is not valid JSON: {exc}") from exc
     try:
         return instance_from_dict(data)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, IndexError) as exc:
         raise InstanceError(f"malformed instance JSON: {exc!r}") from exc
 
 
@@ -523,6 +544,9 @@ def schedule_to_json(schedule, instance):
 
 def schedule_from_dict(data, instance):
     sessions = {row["ev"]: (row["charger"], row["start"], row["end"]) for row in data["sessions"]}
+    for i, (_, start, finish) in sessions.items():
+        if type(start) is not int or type(finish) is not int:
+            raise InstanceError(f"session of EV {i}: start and end must be integers")
     rentals = {j: data["rentals"].get(j) for j in instance.chargers}
     return Schedule.from_sessions(instance, rentals, sessions)
 

@@ -303,10 +303,17 @@ def _cmd_report(args):
     if not runs:
         raise CliError(f"no frontier artifacts (*-frontier.csv) found in {args.batch}")
 
+    def parse(path, parser):
+        text = _read(path)
+        try:
+            return parser(text)
+        except EvshareError as exc:
+            raise CliError(f"{path}: {exc}") from None
+
     parsed = {}
     for key, paths in runs.items():
-        _, _, rows = _frontier.frontier_from_csv(_read(paths["frontier_csv"]))
-        stats = _frontier.stats_from_csv(_read(paths["stats_csv"]))
+        _, _, rows = parse(paths["frontier_csv"], _frontier.frontier_from_csv)
+        stats = parse(paths["stats_csv"], _frontier.stats_from_csv)
         if len(stats) != 1:
             raise CliError(f"{paths['stats_csv']}: expected exactly one stats row")
         parsed[key] = {"points": [p for p, _ in rows], "stats": stats[0]}

@@ -1,14 +1,16 @@
-"""Brute-force ground truth for desk-scale instances.
+"""Exhaustive ground truth for desk-scale charging instances.
 
-Two enumerators live here, both independent of the branch-and-bound solver
-and the frontier search (no shared search logic, by design -- they are the
-check on those modules, not a client):
+Enumerates charging schedules structurally (a rental pattern over the
+chargers, then one charger x start x duration session per EV, pruned by
+charger occupancy), which keeps the candidate count small enough to handle
+a few EVs exactly.  It shares no search logic with the branch-and-bound
+solver or the frontier search, by design: it is the check on those modules,
+not a client.
 
-* brute_force_frontier: raw enumeration over variable bounds of any
-  BiObjectiveProgram, for toy programs.
-* charging_frontier: structural enumeration of charging schedules
-  (charger x start x duration per EV, times rental patterns), which keeps
-  the candidate count small enough to handle a few EVs exactly.
+* charging_frontier: the exact participation-capped frontier, with one
+  witness assignment per point.
+* standalone_minimum / noncollab_costs: each company's optimal cost on its
+  own fleet, renting only for itself.
 """
 
 from __future__ import annotations
@@ -37,115 +39,13 @@ class OracleBudget:
             raise OracleError("budget must be positive")
 
 
-def _tighten_bounds(program):
-    """One independent interval-propagation pass to shrink the search box.
-
-    Intentionally simple (fixed-point loop over constraints); shares no code
-    with the solver's propagation.
-    """
-    lower = {v.id: v.lower for v in program.variables}
-    upper = {v.id: v.upper for v in program.variables}
-    changed = True
-    while changed:
-        changed = False
-        for con in program.constraints:
-            terms = con.expression.terms
-            if not terms:
-                continue
-            lo = con.expression.constant + sum(
-                min(c * lower[v], c * upper[v]) for v, c in terms.items())
-            hi = con.expression.constant + sum(
-                max(c * lower[v], c * upper[v]) for v, c in terms.items())
-            for v, c in terms.items():
-                vmin = min(c * lower[v], c * upper[v])
-                vmax = max(c * lower[v], c * upper[v])
-                if con.sense in ("<=", "="):
-                    slack = con.rhs - (lo - vmin)
-                    if c > 0:
-                        new_hi = slack // c
-                        if new_hi < upper[v]:
-                            upper[v] = new_hi
-                            changed = True
-                    elif c < 0:
-                        new_lo = -(slack // -c)
-                        if new_lo > lower[v]:
-                            lower[v] = new_lo
-                            changed = True
-                if con.sense in (">=", "="):
-                    need = con.rhs - (hi - vmax)
-                    if c > 0:
-                        new_lo = -(-need // c)
-                        if new_lo > lower[v]:
-                            lower[v] = new_lo
-                            changed = True
-                    elif c < 0:
-                        new_hi = need // c
-                        if new_hi < upper[v]:
-                            upper[v] = new_hi
-                            changed = True
-                if lower[v] > upper[v]:
-                    return None
-    return lower, upper
-
-
-def _collapse(found):
-    """Per criterion point keep the lexicographically smallest assignment rendering."""
-    best = {}
-    for point, assignment in found:
-        key = assignment.rendering()
-        if point not in best or key < best[point][0]:
-            best[point] = (key, assignment)
-    return {point: assignment for point, (_, assignment) in best.items()}
-
-
-def _participation_ok(point, participation):
-    if participation is None:
-        return True
-    return point.z1 <= participation[0] and point.z2 <= participation[1]
-
-
-def brute_force_frontier(program, participation=None, budget=OracleBudget()):
-    """Exact non-dominated set by raw enumeration of the variable box.
-
-    participation is an optional (z1 cap, z2 cap) pair; points above either
-    cap are dropped before dominance filtering.  Returns {CriterionPoint:
-    Assignment}; refuses outright when the box exceeds the budget.
-    """
-    tightened = _tighten_bounds(program)
-    if tightened is None:
-        return {}
-    lower, upper = tightened
-    size = 1
-    for v in program.variables:
-        size *= upper[v.id] - lower[v.id] + 1
-        if size > budget.max_candidates:
-            raise BudgetExceeded(
-                f"candidate space exceeds budget {budget.max_candidates} -- refusing")
-
-    ids = [v.id for v in program.variables]
-    ranges = [range(lower[i], upper[i] + 1) for i in ids]
-    found = []
-    for combo in product(*ranges):
-        assignment = Assignment(dict(zip(ids, combo)))
-        if core.check_assignment(program, assignment):
-            continue
-        point = core.criterion_point(program, assignment)
-        if _participation_ok(point, participation):
-            found.append((point, assignment))
-    frontier = core.pareto_filter({p for p, _ in found})
-    return _collapse((p, a) for p, a in found if p in frontier)
-
-
-# ---------------------------------------------------------------------------
-# Structural enumeration of charging schedules.
-
-def _session_options(instance, i, chargers):
+def _session_options(instance, i):
     """All (charger, start, duration) sessions EV i could run, ignoring occupancy."""
     T = instance.horizon
     e, l = instance.window[i]
     lo, hi = instance.demand[i]
     options = []
-    for j in chargers:
+    for j in instance.chargers:
         rate = instance.charge_rate[i, j]
         if rate > 0:
             d_min = max(1, -(-lo // rate))
@@ -162,13 +62,6 @@ def _session_options(instance, i, chargers):
             for s in range(max(e, 1), min(l, T - 1) + 1):
                 options.append((j, s, 0))
     return options
-
-
-def _rental_patterns(instance, allowed_renters=None):
-    renters = tuple(allowed_renters) if allowed_renters is not None else instance.companies
-    choices = (None,) + renters
-    return [dict(zip(instance.chargers, combo))
-            for combo in product(choices, repeat=len(instance.chargers))]
 
 
 def _schedule_cost(instance, rentals, placements, k):
@@ -247,49 +140,43 @@ def schedule_to_assignment(schedule, instance):
     return Assignment(values)
 
 
-def _structural_budget(instance, options, patterns):
+def _search_space(instance, renters, budget):
+    """Session options per EV and rental patterns, refused beyond the budget.
+
+    A rental pattern maps each charger to one of ``renters`` or to None.
+    """
+    options = {i: _session_options(instance, i) for i in instance.evs}
+    patterns = [dict(zip(instance.chargers, combo))
+                for combo in product((None,) + tuple(renters), repeat=len(instance.chargers))]
     size = len(patterns)
     for i in instance.evs:
         size *= max(1, len(options[i]))
-    return size
+    if size > budget.max_candidates:
+        raise BudgetExceeded(
+            f"structural candidate space {size} exceeds budget {budget.max_candidates} -- refusing")
+    return options, patterns
 
 
-def charging_frontier(instance, participation=None, budget=OracleBudget(),
-                      allowed_renters=None, objective_company=None):
+def charging_frontier(instance, participation=None, budget=OracleBudget()):
     """Exact frontier of a charging instance by structural enumeration.
 
-    Returns {CriterionPoint: Assignment} after participation filtering and
-    dominance filtering.  With objective_company set, returns the scalar
-    minimum cost for that company instead (used for standalone ground truth).
+    participation is an optional (z1 cap, z2 cap) pair; points above either
+    cap are dropped before dominance filtering.  Returns
+    {CriterionPoint: Assignment}, keeping the lexicographically smallest
+    assignment rendering per point.
     """
-    options = {i: _session_options(instance, i, instance.chargers) for i in instance.evs}
-    patterns = _rental_patterns(instance, allowed_renters)
-    bound = _structural_budget(instance, options, patterns)
-    if bound > budget.max_candidates:
-        raise BudgetExceeded(
-            f"structural candidate space {bound} exceeds budget {budget.max_candidates} -- refusing")
-
+    options, patterns = _search_space(instance, instance.companies, budget)
     k1, k2 = instance.companies
     points = set()
-    best_scalar = [None]
 
     def visit(rentals, placements):
-        c1 = _schedule_cost(instance, rentals, placements, k1)
-        c2 = _schedule_cost(instance, rentals, placements, k2)
-        if objective_company is not None:
-            value = c1 if objective_company == k1 else c2
-            if best_scalar[0] is None or value < best_scalar[0]:
-                best_scalar[0] = value
-            return
-        point = CriterionPoint(c1, c2)
-        if _participation_ok(point, participation):
+        point = CriterionPoint(_schedule_cost(instance, rentals, placements, k1),
+                               _schedule_cost(instance, rentals, placements, k2))
+        if participation is None or (point.z1 <= participation[0]
+                                     and point.z2 <= participation[1]):
             points.add(point)
 
     _enumerate_schedules(instance, options, patterns, visit)
-
-    if objective_company is not None:
-        return best_scalar[0]
-
     frontier = core.pareto_filter(points)
     if not frontier:
         return {}
@@ -332,10 +219,19 @@ def standalone_minimum(instance, k, budget=OracleBudget()):
     sub = charging.standalone_instance(instance, k)
     if not sub.evs:
         return 0
-    value = charging_frontier(sub, budget=budget, allowed_renters=(k,), objective_company=k)
-    if value is None:
+    options, patterns = _search_space(sub, (k,), budget)
+    best = None
+
+    def visit(rentals, placements):
+        nonlocal best
+        cost = _schedule_cost(sub, rentals, placements, k)
+        if best is None or cost < best:
+            best = cost
+
+    _enumerate_schedules(sub, options, patterns, visit)
+    if best is None:
         raise OracleError(f"standalone enumeration found no feasible schedule for {k}")
-    return value
+    return best
 
 
 def noncollab_costs(instance, budget=OracleBudget()):

@@ -1,11 +1,22 @@
-"""Shared test scaffolding: tiny programs with known criterion points."""
+"""Shared test scaffolding: programs with known criterion points, and tiny
+general programs with the exhaustive enumerator that is their ground truth."""
+
+import itertools
+
+from hypothesis import strategies as st
 
 from evshare.core import (
+    SENSES,
+    Assignment,
     BiObjectiveProgram,
     Constraint,
     CriterionPoint,
     LinearExpression,
     Variable,
+    binary,
+    check_assignment,
+    integer,
+    program,
 )
 
 
@@ -24,6 +35,42 @@ def make_point_program(points):
     objective2 = LinearExpression(
         {v.id: p.z2 for v, p in zip(variables, points) if p.z2 != 0}, 0)
     return BiObjectiveProgram(variables, (one_hot,), objective1, objective2)
+
+
+@st.composite
+def tiny_programs(draw):
+    """Programs small enough to enumerate: up to four variables, three rows.
+
+    Binaries and general integers (possibly negative bounds), rows of every
+    sense with coefficients and constants of both signs.  Expressions are
+    built with ``LinearExpression`` directly, bypassing ``expr()``'s zero
+    filter, so zero coefficients occur.
+    """
+    variables = []
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            variables.append(binary(f"x{i}"))
+        else:
+            lower = draw(st.integers(min_value=-3, max_value=2))
+            variables.append(integer(f"x{i}", lower, lower + draw(st.integers(min_value=0, max_value=3))))
+    small = st.integers(min_value=-4, max_value=4)
+
+    def linear():
+        return LinearExpression({v.id: draw(small) for v in variables}, draw(small))
+
+    rows = [Constraint(linear(), draw(st.sampled_from(SENSES)),
+                       draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
+            for k in range(draw(st.integers(min_value=0, max_value=3)))]
+    return program(variables, rows, linear(), linear())
+
+
+def feasible_assignments(prog):
+    """Every assignment within the variable bounds that satisfies all rows."""
+    ids = [v.id for v in prog.variables]
+    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in prog.variables)):
+        candidate = Assignment(dict(zip(ids, values)))
+        if not check_assignment(prog, candidate):
+            yield candidate
 
 
 def infeasible_program():

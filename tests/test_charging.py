@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -202,6 +203,29 @@ def test_instance_validation():
         dataclasses.replace(inst, window={"v1": (3, 2), "v2": (0, 4)})
     with pytest.raises(InstanceError):
         dataclasses.replace(inst, demand={"v1": (5, 2), "v2": (10, 10)})
+
+
+def test_non_integer_money_is_refused():
+    data = json.loads(instance_to_json(t1_instance()))
+    data["rental_fee"]["A"]["k1"] = 1000.5
+    with pytest.raises(InstanceError, match=r"rental_fee\[\('A', 'k1'\)\]"):
+        instance_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 4.0),
+    ("energy_fee_collab", {("A", 1): "200"}),
+    ("charge_rate", {("v1", "A"): True}),
+    ("vot", {"v2": 1.5}),
+    ("window", {"v1": (0, 4.0)}),
+    ("demand", {"v2": (10,)}),
+], ids=["float-horizon", "string-fee", "bool-rate", "float-vot", "float-window", "one-number-demand"])
+def test_instance_fields_must_be_integers(field, value):
+    inst = t1_instance()
+    if isinstance(value, dict):
+        value = {**getattr(inst, field), **value}
+    with pytest.raises(InstanceError, match=field):
+        dataclasses.replace(inst, **{field: value})
 
 
 def test_infeasible_demand_is_diagnosed():

@@ -222,6 +222,21 @@ def test_report_rejects_malformed_stats_csv(t1_file, tmp_path, capsys, row):
     assert run_cli(["report", "--batch", str(batch)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "stats CSV row 2" in err
+    assert "T1-bbox-eps0-stats.csv" in err
+
+
+def test_report_rejects_malformed_frontier_csv(t1_file, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    assert run_cli(["frontier", "--instance", t1_file, "--method", "bbox",
+                    "--out-dir", str(batch)]) == 0
+    frontier_csv = batch / "T1-bbox-eps0-frontier.csv"
+    header = frontier_csv.read_text().splitlines()[0]
+    frontier_csv.write_text(f"{header}\nbbox,0,0,x,2100,bbox-0\n")
+    capsys.readouterr()
+    assert run_cli(["report", "--batch", str(batch)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "frontier CSV row 2" in err
+    assert "T1-bbox-eps0-frontier.csv" in err
 
 
 def test_export_lp_writes_model(t1_file, tmp_path):
@@ -385,3 +400,42 @@ def test_malformed_number_exits_1(argv, t1_file, tmp_path, capsys):
     code = run_cli(argv + ["--instance", t1_file])
     assert code == 1
     assert "error: not a finite number: 'abc'" in capsys.readouterr().err
+
+
+def assert_error_without_traceback(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["evs"][0].update(window=[0]),
+    lambda data: data["energy_fee_own"].update(A=data["energy_fee_own"]["A"][:2]),
+], ids=["one-number-window", "short-fee-list"])
+def test_malformed_instance_file_exits_1(edit, tmp_path, capsys):
+    data = json.loads(instance_to_json(t1_instance()))
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["frontier", "--instance", str(bad), "--method", "bbox",
+                    "--out-dir", str(tmp_path)]) == 1
+    assert_error_without_traceback(capsys)
+
+
+def test_malformed_frontier_csv_exits_1(t1_file, tmp_path, capsys):
+    bad = tmp_path / "bad-frontier.csv"
+    bad.write_text("method,epsilon,index,z1,z2,assignment_ref\nb3m1,0,0,4\n")
+    assert run_cli(["bargain", "--frontier", str(bad), "--instance", t1_file,
+                    "--mode", "gnb"]) == 1
+    assert_error_without_traceback(capsys)
+
+
+def test_malformed_schedule_file_exits_1(t1_file, tmp_path, capsys):
+    schedule = Schedule(rentals={"A": "k1", "B": "k2"},
+                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
+                        energy={"v1": 10, "v2": 10})
+    data = json.loads(schedule_to_json(schedule, t1_instance()))
+    data["sessions"][0]["start"] = 0.5
+    bad = tmp_path / "bad-schedule.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["validate", "--instance", t1_file, "--schedule", str(bad)]) == 1
+    assert_error_without_traceback(capsys)

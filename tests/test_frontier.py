@@ -28,12 +28,12 @@ from evshare.frontier import (
     stats_to_csv,
     strictly_close,
 )
-from evshare.oracle import charging_frontier, noncollab_costs
+from evshare.oracle import OracleError, charging_frontier, noncollab_costs
 from evshare.scenario import ScenarioConfig, ScenarioError, generate_scenario, t1_instance
-from evshare.charging import build_charging_program, noncollab_point
+from evshare.charging import InfeasibleError, build_charging_program, noncollab_point
 from evshare.solver import OPEN, SolverConfig, solve_min
 
-from helpers import certify_limit_instance, make_point_program
+from helpers import certify_limit_instance, feasible_assignments, make_point_program, tiny_programs
 
 P = CriterionPoint
 
@@ -240,6 +240,35 @@ def test_long_frontiers_match_the_oracle(seed, costs):
     assert len(check_frontiers_against_the_oracle(inst)) == 5
 
 
+def t1_variant(**changes):
+    """T1 with some EVs' entries of the named per-EV fields replaced."""
+    inst = t1_instance()
+    return dataclasses.replace(
+        inst, **{name: {**getattr(inst, name), **values} for name, values in changes.items()})
+
+
+@pytest.mark.parametrize("changes, noncollab", [
+    (dict(demand={"v2": (0, 0)}), (2100, 300)),
+    (dict(demand={"v1": (0, 10), "v2": (0, 5)}), (300, 300)),
+    (dict(window={"v2": (2, 2)}, demand={"v2": (0, 0)}), (2100, 100)),
+    (dict(demand={"v1": (5, 10)}), (1600, 2100)),
+], ids=["zero-demand", "lo-zero-ranges", "zero-demand-empty-window", "range-demand"])
+def test_edge_case_instances_match_the_oracle(changes, noncollab):
+    # Sessions the generator never draws: zero duration, optional charge,
+    # an empty window and a choice of durations.
+    inst = t1_variant(**changes)
+    assert noncollab_costs(inst) == noncollab
+    check_frontiers_against_the_oracle(inst)
+
+
+def test_infeasible_window_is_refused_by_both_paths():
+    inst = t1_variant(window={"v1": (0, 1)})  # one interval for two intervals of demand
+    with pytest.raises(InfeasibleError, match="v1"):
+        noncollab_point(inst)
+    with pytest.raises(OracleError):
+        noncollab_costs(inst)
+
+
 def test_no_collaboration_status():
     prog = make_point_program([(5, 5)])
     got = run_method(prog, ParticipationPoint(4, 4), "b3m1", 3)
@@ -324,6 +353,53 @@ def test_result_points_are_sorted_and_nondominated():
 def test_bbox_equals_pareto_filter(raw):
     prog = make_point_program(raw)
     assert run_points(prog, "bbox") == pareto_filter({P(*p) for p in raw})
+
+
+@st.composite
+def capped_programs(draw):
+    """A tiny program, its enumerated criterion points, and participation caps
+    within two units of one of those points, or None."""
+    prog = draw(tiny_programs())
+    points = [criterion_point(prog, a) for a in feasible_assignments(prog)]
+    participation = None
+    if points and draw(st.booleans()):
+        near = draw(st.sampled_from(points))
+        shift = st.integers(min_value=-2, max_value=2)
+        participation = ParticipationPoint(near.z1 + draw(shift), near.z2 + draw(shift))
+    return prog, points, participation
+
+
+def assert_witnesses(prog, result):
+    for point, assignment in result.points:
+        assert check_assignment(prog, assignment) == []
+        assert criterion_point(prog, assignment) == point
+
+
+@given(capped_programs())
+@settings(max_examples=300, deadline=None)
+def test_frontiers_match_enumeration_on_general_programs(case):
+    prog, points, participation = case
+    if participation is not None:
+        points = [p for p in points
+                  if p.z1 <= participation.z1_non and p.z2 <= participation.z2_non]
+    exact = pareto_filter(points)
+    bbox = run_method(prog, participation, "bbox")
+    assert set(bbox.criterion_points()) == exact
+    assert bbox.status == ("ok" if exact else "no-collaboration")
+    assert_witnesses(prog, bbox)
+    for method in ("b3m1", "b3m2"):
+        assert run_method(prog, participation, method, 0).points == bbox.points
+    if not exact:
+        return
+    z_top = min(exact)
+    z_bottom = min(exact, key=lambda p: (p.z2, p.z1))
+    # Negative endpoints give negative closeness margins, which are refused.
+    if z_top.z1 < 0 or z_bottom.z2 < 0:
+        return
+    for method in ("b3m1", "b3m2"):
+        reduced = run_method(prog, participation, method, 3)
+        assert {z_top, z_bottom} <= set(reduced.criterion_points()) <= exact
+        assert_witnesses(prog, reduced)
 
 
 @given(point_sets, st.sampled_from([0, 2, 5, 10, 25]))

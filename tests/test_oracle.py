@@ -1,7 +1,6 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
     build_charging_program,
@@ -10,61 +9,16 @@ from evshare.charging import (
     noncollab_point,
     validate_schedule,
 )
-from evshare.core import CriterionPoint, binary, check_assignment, criterion_point, expr, pareto_filter, program
+from evshare.core import CriterionPoint, check_assignment
 from evshare.oracle import (
     BudgetExceeded,
     OracleBudget,
-    brute_force_frontier,
     charging_frontier,
     noncollab_costs,
     schedule_to_assignment,
     standalone_minimum,
 )
 from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
-
-from helpers import infeasible_program, make_point_program
-
-point_sets = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30)),
-    min_size=1,
-    max_size=7,
-)
-
-
-def test_brute_force_toy_example():
-    prog = make_point_program([(1, 3), (2, 2), (3, 1), (3, 3)])
-    got = brute_force_frontier(prog)
-    assert set(got) == {CriterionPoint(1, 3), CriterionPoint(2, 2), CriterionPoint(3, 1)}
-    # returned assignments actually produce their points
-    for point, assignment in got.items():
-        assert check_assignment(prog, assignment) == []
-        assert criterion_point(prog, assignment) == point
-
-
-def test_brute_force_infeasible_is_empty():
-    assert brute_force_frontier(infeasible_program()) == {}
-
-
-def test_brute_force_participation_filter():
-    prog = make_point_program([(1, 9), (5, 5), (9, 1)])
-    got = brute_force_frontier(prog, participation=(5, 5))
-    assert set(got) == {CriterionPoint(5, 5)}
-    assert brute_force_frontier(prog, participation=(0, 0)) == {}
-
-
-def test_brute_force_budget_refusal():
-    vars40 = [binary(f"b{i}") for i in range(40)]
-    prog = program(vars40, [], expr({"b0": 1}), expr({"b1": 1}))
-    with pytest.raises(BudgetExceeded, match="refus"):
-        brute_force_frontier(prog, budget=OracleBudget(max_candidates=1 << 20))
-
-
-@given(point_sets)
-@settings(max_examples=40, deadline=None)
-def test_brute_force_matches_pareto_filter_on_selectors(raw):
-    prog = make_point_program(raw)
-    got = set(brute_force_frontier(prog))
-    assert got == pareto_filter({CriterionPoint(*p) for p in raw})
 
 
 def test_t1_frontier_is_the_single_shared_optimum():

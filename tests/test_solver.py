@@ -1,15 +1,11 @@
-import itertools
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evshare.core import (
-    SENSES,
-    Assignment,
     Constraint,
     CriterionPoint,
-    LinearExpression,
     binary,
     check_assignment,
     criterion_point,
@@ -33,33 +29,7 @@ from evshare.solver import (
     solve_min,
 )
 
-from helpers import infeasible_program, make_point_program
-
-@st.composite
-def tiny_programs(draw):
-    """Programs small enough to enumerate: up to four variables, three rows.
-
-    Binaries and general integers (possibly negative bounds), rows of every
-    sense with coefficients and constants of both signs.  Expressions are
-    built with ``LinearExpression`` directly, bypassing ``expr()``'s zero
-    filter, so zero coefficients occur.
-    """
-    variables = []
-    for i in range(draw(st.integers(min_value=1, max_value=4))):
-        if draw(st.booleans()):
-            variables.append(binary(f"x{i}"))
-        else:
-            lower = draw(st.integers(min_value=-3, max_value=2))
-            variables.append(integer(f"x{i}", lower, lower + draw(st.integers(min_value=0, max_value=3))))
-    small = st.integers(min_value=-4, max_value=4)
-
-    def linear():
-        return LinearExpression({v.id: draw(small) for v in variables}, draw(small))
-
-    rows = [Constraint(linear(), draw(st.sampled_from(SENSES)),
-                       draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
-            for k in range(draw(st.integers(min_value=0, max_value=3)))]
-    return program(variables, rows, linear(), linear())
+from helpers import feasible_assignments, infeasible_program, make_point_program, tiny_programs
 
 
 # Objective bounds around the values tiny programs reach; any side may be open
@@ -67,15 +37,6 @@ def tiny_programs(draw):
 bound_sides = st.one_of(st.none(), st.integers(min_value=-12, max_value=12))
 objective_bounds = st.tuples(st.tuples(bound_sides, bound_sides),
                              st.tuples(bound_sides, bound_sides))
-
-
-def feasible_assignments(prog):
-    """Every assignment within the variable bounds that satisfies all rows."""
-    ids = [v.id for v in prog.variables]
-    for values in itertools.product(*(range(v.lower, v.upper + 1) for v in prog.variables)):
-        candidate = Assignment(dict(zip(ids, values)))
-        if not check_assignment(prog, candidate):
-            yield candidate
 
 
 def within(point, bounds):
