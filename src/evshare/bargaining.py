@@ -58,15 +58,13 @@ def reference_points(program, participation, config=_solver.SolverConfig()):
     """Ideal point from two single-objective solves; disagreement verbatim.
 
     Both solves run inside the participation region so the ideal can never
-    fall outside the disagreement box.
+    fall outside the disagreement box; an empty region fails the first.
     """
     caps = participation_caps(participation)
     best1 = _solver.solve_min(program, 1, caps, config)
-    if best1.status != "optimal":
-        raise BargainError(f"objective-1 minimization ended {best1.status}")
+    if best1.status == "infeasible":
+        raise BargainError("participation region is empty: no collaboration")
     best2 = _solver.solve_min(program, 2, caps, config)
-    if best2.status != "optimal":
-        raise BargainError(f"objective-2 minimization ended {best2.status}")
     ideal = CriterionPoint(best1.value, best2.value)
     disagreement = CriterionPoint(participation.z1_non, participation.z2_non)
     return ReferencePoints(ideal, disagreement)

@@ -58,6 +58,11 @@ class ChargingInstance:
     def __post_init__(self):
         if len(self.companies) != 2 or len(set(self.companies)) != 2:
             raise InstanceError("exactly two distinct companies required")
+        for name in ("evs", "chargers"):
+            ids = getattr(self, name)
+            for x in ids:
+                if ids.count(x) > 1:
+                    raise InstanceError(f"{name} lists id {x!r} more than once")
         for name, value in self._integer_fields():
             if type(value) is not int:
                 raise InstanceError(f"{name} must be an integer, got {value!r}")
@@ -289,11 +294,13 @@ def infeasibility_diagnostic(instance):
         if lo > best * span:
             bad.append(i)
             continue
-        # Demand floor must be reachable without overshooting the cap.
+        # Demand floor must be reachable without overshooting the cap.  A
+        # zero-length session sits at a boundary s, max(e,1) <= s <= min(l,T-1).
+        shortest = 0 if max(e, 1) <= min(l, instance.horizon - 1) else 1
         feasible_duration = False
         for j in instance.chargers:
             rate = instance.charge_rate[i, j]
-            for d in range(0, span + 1):
+            for d in range(shortest, span + 1):
                 if lo <= rate * d <= hi:
                     feasible_duration = True
                     break
@@ -440,7 +447,7 @@ def noncollab_point(instance, config=None):
                 for j in sub.chargers]
         prog = replace(prog, constraints=prog.constraints + tuple(pins))
         outcome = solver.solve_min(prog, index, config=cfg)
-        if outcome.status != "optimal":
+        if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""
             raise InfeasibleError(f"standalone problem infeasible for company {k}{detail}")

@@ -495,7 +495,8 @@ def build_parser():
     p.add_argument("--method", choices=_frontier.METHODS, required=True)
     p.add_argument("--epsilon", default="0",
                    help="closeness tolerance percentage (e.g. 3)")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="branch-and-bound nodes per solve; exceeding it is an error")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_frontier)
 

@@ -78,11 +78,9 @@ class LinearExpression:
 
 
 def expr(terms=None, constant=0):
-    """Build a LinearExpression, merging duplicate variable ids."""
-    merged = {}
-    for vid, coef in (terms or {}).items():
-        merged[vid] = merged.get(vid, 0) + int(coef)
-    return LinearExpression({v: c for v, c in merged.items() if c != 0}, int(constant))
+    """Build a LinearExpression: coefficients coerced to int, zeros dropped."""
+    terms = {vid: int(coef) for vid, coef in (terms or {}).items()}
+    return LinearExpression({v: c for v, c in terms.items() if c != 0}, int(constant))
 
 
 @dataclass(frozen=True)

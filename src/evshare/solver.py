@@ -10,6 +10,10 @@ search runs on an explicit stack and leaves the interpreter's recursion
 limit alone.  Dependency-free and repeatable: two runs on identical inputs
 return identical assignments.
 
+Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
+A single-objective solve that would exceed ``SolverConfig.node_limit``
+raises ``SolverError``, so a cut-short search is never read as an answer.
+
 Also hosts the two-stage lexicographic solve used by the frontier search,
 an LP-format exporter, and a parser for external solver solutions.
 """
@@ -36,7 +40,10 @@ class SolutionValidationError(EvshareError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    node_limit: int = None    # None = unlimited
+    """Search limits: ``node_limit`` caps the nodes of each single-objective
+    solve, None for no cap; a solve that needs more raises SolverError."""
+
+    node_limit: int = None
 
     def __post_init__(self):
         if self.node_limit is not None and self.node_limit < 1:
@@ -45,7 +52,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    status: str               # optimal | infeasible | node-limit
+    status: str               # optimal | infeasible
     assignment: Assignment    # when optimal
     value: int                # when optimal
     nodes_explored: int
@@ -55,7 +62,7 @@ class SolveOutcome:
 class LexOutcome:
     """Result of a two-stage lexicographic minimization."""
 
-    status: str               # optimal | infeasible | node-limit
+    status: str               # optimal | infeasible
     assignment: Assignment
     point: CriterionPoint
     nodes_explored: int
@@ -227,7 +234,7 @@ class _Search:
             if feasible:
                 nodes += 1
                 if self.node_limit is not None and nodes > self.node_limit:
-                    return SolveOutcome("node-limit", None, None, nodes)
+                    raise SolverError(f"node limit {self.node_limit} exhausted")
                 i = start
                 while i < n and lower[i] == upper[i]:
                     i += 1
@@ -264,6 +271,9 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     must be passed already offset by one minor unit (the objectives are
     integers).  The minimized objective's upper bound is also the initial
     incumbent cutoff.
+
+    Returns an ``optimal`` or ``infeasible`` SolveOutcome; raises
+    SolverError when the search needs more than ``config.node_limit`` nodes.
     """
     return _Search(program, objective_index, bounds, config).run()
 
@@ -273,20 +283,19 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
 
     order is (1, 2) or (2, 1).  Stage one minimizes the first listed
     objective within ``bounds``; stage two minimizes the other with the
-    first objective's bounds pinned to its optimum, ``(v, v)``.
+    first objective's bounds pinned to its optimum, ``(v, v)``.  Only
+    stage one can be infeasible: its optimum satisfies the pin.
     """
     first, second = order
     if {first, second} != {1, 2}:
         raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
     stage1 = solve_min(program, first, bounds, config)
-    if stage1.status != "optimal":
-        return LexOutcome(stage1.status, None, None, stage1.nodes_explored, 1)
+    if stage1.status == "infeasible":
+        return LexOutcome("infeasible", None, None, stage1.nodes_explored, 1)
     pinned = list(bounds)
     pinned[first - 1] = (stage1.value, stage1.value)
     stage2 = solve_min(program, second, tuple(pinned), config)
     nodes = stage1.nodes_explored + stage2.nodes_explored
-    if stage2.status != "optimal":
-        return LexOutcome(stage2.status, None, None, nodes, 2)
     point = CriterionPoint(evaluate(program.objective1, stage2.assignment),
                            evaluate(program.objective2, stage2.assignment))
     return LexOutcome("optimal", stage2.assignment, point, nodes, 2)

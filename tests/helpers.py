@@ -15,6 +15,7 @@ from evshare.core import (
     Variable,
     binary,
     check_assignment,
+    evaluate,
     integer,
     program,
 )
@@ -37,15 +38,11 @@ def make_point_program(points):
     return BiObjectiveProgram(variables, (one_hot,), objective1, objective2)
 
 
-@st.composite
-def tiny_programs(draw):
-    """Programs small enough to enumerate: up to four variables, three rows.
+SMALL = st.integers(min_value=-4, max_value=4)
 
-    Binaries and general integers (possibly negative bounds), rows of every
-    sense with coefficients and constants of both signs.  Expressions are
-    built with ``LinearExpression`` directly, bypassing ``expr()``'s zero
-    filter, so zero coefficients occur.
-    """
+
+def tiny_variables(draw):
+    """One to four binaries and general integers (possibly negative bounds)."""
     variables = []
     for i in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
@@ -53,15 +50,42 @@ def tiny_programs(draw):
         else:
             lower = draw(st.integers(min_value=-3, max_value=2))
             variables.append(integer(f"x{i}", lower, lower + draw(st.integers(min_value=0, max_value=3))))
-    small = st.integers(min_value=-4, max_value=4)
+    return variables
 
-    def linear():
-        return LinearExpression({v.id: draw(small) for v in variables}, draw(small))
 
-    rows = [Constraint(linear(), draw(st.sampled_from(SENSES)),
+def tiny_linear(draw, variables):
+    """Coefficients and constant of both signs; built with ``LinearExpression``
+    directly, bypassing ``expr()``'s zero filter, so zero coefficients occur."""
+    return LinearExpression({v.id: draw(SMALL) for v in variables}, draw(SMALL))
+
+
+@st.composite
+def tiny_programs(draw):
+    """Programs small enough to enumerate: up to four variables, three rows
+    of every sense.  Infeasible programs occur."""
+    variables = tiny_variables(draw)
+    rows = [Constraint(tiny_linear(draw, variables), draw(st.sampled_from(SENSES)),
                        draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
             for k in range(draw(st.integers(min_value=0, max_value=3)))]
-    return program(variables, rows, linear(), linear())
+    return program(variables, rows, tiny_linear(draw, variables), tiny_linear(draw, variables))
+
+
+@st.composite
+def feasible_tiny_programs(draw):
+    """Like ``tiny_programs``, but every row holds at a drawn anchor
+    assignment, so each program has at least one feasible point."""
+    variables = tiny_variables(draw)
+    anchor = Assignment({v.id: draw(st.integers(min_value=v.lower, max_value=v.upper))
+                         for v in variables})
+    rows = []
+    for k in range(draw(st.integers(min_value=0, max_value=3))):
+        expression = tiny_linear(draw, variables)
+        sense = draw(st.sampled_from(SENSES))
+        slack = 0 if sense == "=" else draw(st.integers(min_value=0, max_value=4))
+        value = evaluate(expression, anchor)
+        rows.append(Constraint(expression, sense,
+                               value - slack if sense == ">=" else value + slack, f"r{k}"))
+    return program(variables, rows, tiny_linear(draw, variables), tiny_linear(draw, variables))
 
 
 def feasible_assignments(prog):

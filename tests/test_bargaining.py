@@ -19,6 +19,7 @@ from evshare.core import CriterionPoint, NumberFormatError
 from evshare.frontier import ParticipationPoint
 from evshare.oracle import charging_frontier, noncollab_costs
 from evshare.scenario import t1_instance
+from evshare.solver import SolverConfig, SolverError
 
 from helpers import make_point_program
 
@@ -216,8 +217,14 @@ def test_reference_points_singleton():
 
 def test_reference_points_infeasible_region():
     prog = make_point_program([(5, 5)])
-    with pytest.raises(BargainError):
+    with pytest.raises(BargainError, match="participation region is empty"):
         reference_points(prog, ParticipationPoint(4, 4))
+
+
+def test_reference_points_node_limit_raises():
+    prog = build_charging_program(t1_instance())
+    with pytest.raises(SolverError, match="node limit 1 exhausted"):
+        reference_points(prog, ParticipationPoint(2100, 2100), SolverConfig(node_limit=1))
 
 
 def test_reference_points_invariant():

@@ -23,7 +23,7 @@ from evshare.charging import (
 from evshare.core import Assignment, evaluate
 from evshare.oracle import schedule_to_assignment
 from evshare.scenario import t1_instance
-from evshare.solver import solve_min
+from evshare.solver import SolverConfig, SolverError, solve_min
 
 
 def shared_at_a_schedule():
@@ -68,6 +68,11 @@ def test_company_cost_worked_example():
 def test_noncollab_point_t1():
     point = noncollab_point(t1_instance())
     assert (point.z1_non, point.z2_non) == (2100, 2100)
+
+
+def test_noncollab_point_node_limit_raises():
+    with pytest.raises(SolverError, match="node limit 1 exhausted"):
+        noncollab_point(t1_instance(), SolverConfig(node_limit=1))
 
 
 def test_noncollab_empty_fleet_costs_zero():
@@ -203,6 +208,12 @@ def test_instance_validation():
         dataclasses.replace(inst, window={"v1": (3, 2), "v2": (0, 4)})
     with pytest.raises(InstanceError):
         dataclasses.replace(inst, demand={"v1": (5, 2), "v2": (10, 10)})
+
+
+@pytest.mark.parametrize("field, ids", [("evs", ("v1", "v2", "v1")), ("chargers", ("A", "B", "A"))])
+def test_repeated_ids_are_refused(field, ids):
+    with pytest.raises(InstanceError, match=f"{field} lists id '{ids[0]}' more than once"):
+        dataclasses.replace(t1_instance(), **{field: ids})
 
 
 def test_non_integer_money_is_refused():

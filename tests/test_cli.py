@@ -106,8 +106,8 @@ def test_frontier_node_limit_exits_1(tmp_path, capsys):
     code = run_cli(["frontier", "--instance", str(path), "--method", "b3m2",
                     "--epsilon", "3", "--node-limit", "40", "--out-dir", str(tmp_path)])
     assert code == 1
-    assert "node limit" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*-frontier.csv"))
+    assert capsys.readouterr().err == "error: node limit 40 exhausted\n"
+    assert not list(tmp_path.glob("seed1001-*"))
 
 
 def test_frontier_bbox_forces_epsilon_zero(t1_file, tmp_path):
@@ -419,6 +419,17 @@ def test_malformed_instance_file_exits_1(edit, tmp_path, capsys):
     assert run_cli(["frontier", "--instance", str(bad), "--method", "bbox",
                     "--out-dir", str(tmp_path)]) == 1
     assert_error_without_traceback(capsys)
+
+
+def test_repeated_ev_id_exits_1(tmp_path, capsys):
+    data = json.loads(instance_to_json(t1_instance()))
+    data["evs"].append(data["evs"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["frontier", "--instance", str(bad), "--method", "bbox",
+                    "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'v1'" in err and "Traceback" not in err
 
 
 def test_malformed_frontier_csv_exits_1(t1_file, tmp_path, capsys):

@@ -30,10 +30,20 @@ from evshare.frontier import (
 )
 from evshare.oracle import OracleError, charging_frontier, noncollab_costs
 from evshare.scenario import ScenarioConfig, ScenarioError, generate_scenario, t1_instance
-from evshare.charging import InfeasibleError, build_charging_program, noncollab_point
-from evshare.solver import OPEN, SolverConfig, solve_min
+from evshare.charging import (
+    InfeasibleError,
+    build_charging_program,
+    infeasibility_diagnostic,
+    noncollab_point,
+)
+from evshare.solver import OPEN, SolverConfig, SolverError, solve_min
 
-from helpers import certify_limit_instance, feasible_assignments, make_point_program, tiny_programs
+from helpers import (
+    certify_limit_instance,
+    feasible_assignments,
+    feasible_tiny_programs,
+    make_point_program,
+)
 
 P = CriterionPoint
 
@@ -269,6 +279,18 @@ def test_infeasible_window_is_refused_by_both_paths():
         noncollab_costs(inst)
 
 
+@pytest.mark.parametrize("window", [(0, 0), (4, 4)])
+def test_zero_demand_at_the_horizon_edge_is_diagnosed(window):
+    # A zero-length session needs an inner boundary 1..T-1 inside the window.
+    inst = t1_variant(window={"v2": window}, demand={"v2": (0, 0)})
+    with pytest.raises(InfeasibleError, match="no feasible session for EV v2"):
+        noncollab_point(inst)
+    # An inner boundary still admits one; the zero-demand-empty-window case
+    # of test_edge_case_instances_match_the_oracle solves it.
+    inner = t1_variant(window={"v2": (2, 2)}, demand={"v2": (0, 0)})
+    assert infeasibility_diagnostic(inner) is None
+
+
 def test_no_collaboration_status():
     prog = make_point_program([(5, 5)])
     got = run_method(prog, ParticipationPoint(4, 4), "b3m1", 3)
@@ -337,7 +359,7 @@ def test_b3m2_node_limit_during_certification_raises():
     prog = build_charging_program(inst)
     participation = noncollab_point(inst)
     assert len(run_method(prog, participation, "b3m2", 3).points) == 3
-    with pytest.raises(FrontierError, match="certification"):
+    with pytest.raises(SolverError, match="node limit 40 exhausted"):
         run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=40))
 
 
@@ -357,9 +379,9 @@ def test_bbox_equals_pareto_filter(raw):
 
 @st.composite
 def capped_programs(draw):
-    """A tiny program, its enumerated criterion points, and participation caps
-    within two units of one of those points, or None."""
-    prog = draw(tiny_programs())
+    """A feasible tiny program, its enumerated criterion points, and
+    participation caps within two units of one of those points, or None."""
+    prog = draw(feasible_tiny_programs())
     points = [criterion_point(prog, a) for a in feasible_assignments(prog)]
     participation = None
     if points and draw(st.booleans()):
@@ -375,20 +397,34 @@ def assert_witnesses(prog, result):
         assert criterion_point(prog, assignment) == point
 
 
-@given(capped_programs())
+def run_with_limit(prog, participation, method, epsilon, node_limit):
+    """The unlimited run; a run under ``node_limit`` must either raise
+    SolverError or return the same points and solver calls."""
+    result = run_method(prog, participation, method, epsilon)
+    if node_limit is not None:
+        try:
+            limited = run_method(prog, participation, method, epsilon,
+                                 SolverConfig(node_limit=node_limit))
+        except SolverError:
+            return result
+        assert (limited.points, limited.solver_calls) == (result.points, result.solver_calls)
+    return result
+
+
+@given(capped_programs(), st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
 @settings(max_examples=300, deadline=None)
-def test_frontiers_match_enumeration_on_general_programs(case):
+def test_frontiers_match_enumeration_on_general_programs(case, node_limit):
     prog, points, participation = case
     if participation is not None:
         points = [p for p in points
                   if p.z1 <= participation.z1_non and p.z2 <= participation.z2_non]
     exact = pareto_filter(points)
-    bbox = run_method(prog, participation, "bbox")
+    bbox = run_with_limit(prog, participation, "bbox", 0, node_limit)
     assert set(bbox.criterion_points()) == exact
     assert bbox.status == ("ok" if exact else "no-collaboration")
     assert_witnesses(prog, bbox)
     for method in ("b3m1", "b3m2"):
-        assert run_method(prog, participation, method, 0).points == bbox.points
+        assert run_with_limit(prog, participation, method, 0, node_limit).points == bbox.points
     if not exact:
         return
     z_top = min(exact)
@@ -397,7 +433,7 @@ def test_frontiers_match_enumeration_on_general_programs(case):
     if z_top.z1 < 0 or z_bottom.z2 < 0:
         return
     for method in ("b3m1", "b3m2"):
-        reduced = run_method(prog, participation, method, 3)
+        reduced = run_with_limit(prog, participation, method, 3, node_limit)
         assert {z_top, z_bottom} <= set(reduced.criterion_points()) <= exact
         assert_witnesses(prog, reduced)
 

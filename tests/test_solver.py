@@ -23,6 +23,7 @@ from evshare.solver import (
     SolutionParseError,
     SolutionValidationError,
     SolverConfig,
+    SolverError,
     export_lp,
     lexmin,
     parse_external_solution,
@@ -101,8 +102,6 @@ def test_lexmin_respects_rectangle():
 
 
 def test_lexmin_rejects_bad_order():
-    from evshare.solver import SolverError
-
     with pytest.raises(SolverError):
         lexmin(make_point_program([(1, 1)]), (1, 1))
 
@@ -162,11 +161,10 @@ def test_solve_min_leaves_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == before
 
 
-def test_node_limit_reported():
+def test_node_limit_raises():
     prog = build_charging_program(t1_instance())
-    out = solve_min(prog, 1, config=SolverConfig(node_limit=1))
-    assert out.status == "node-limit"
-    assert out.assignment is None
+    with pytest.raises(SolverError, match="node limit 1 exhausted"):
+        solve_min(prog, 1, config=SolverConfig(node_limit=1))
 
 
 def test_rectangle_bounds():
