@@ -99,12 +99,18 @@ class Constraint:
 
 @dataclass(frozen=True)
 class BiObjectiveProgram:
-    """Two linear objectives, both minimized, over bounded integer variables."""
+    """Two linear objectives, both minimized, over bounded integer variables.
+
+    ``_compiled`` is the solver's compiled form of the program, set on its
+    first solve; it takes no part in comparison, and ``replace`` starts a
+    copy without it.
+    """
 
     variables: tuple
     constraints: tuple
     objective1: LinearExpression
     objective2: LinearExpression
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = {v.id for v in self.variables}

@@ -103,6 +103,8 @@ class FrontierResult:
     ascending z1.  ``status`` is "ok", or "no-collaboration" when the
     participation region is empty (then ``points`` is empty too).
     ``epsilon`` is the tolerance as a percentage (exact Fraction).
+    ``nodes`` sums the branch-and-bound nodes of every solve the run made,
+    endpoint and certification solves included.
     """
 
     method: str
@@ -112,6 +114,7 @@ class FrontierResult:
     wall_time: float
     rectangles_processed: int
     status: str
+    nodes: int = 0
 
     def criterion_points(self):
         return tuple(p for p, _ in self.points)
@@ -200,15 +203,11 @@ def initial_box(program, participation=None, config=_solver.SolverConfig()):
     contains no feasible point at all -- collaboration cannot make both
     parties at least as well off as standing alone.
     """
-    caps = participation_caps(participation)
-    top = _solver.lexmin(program, (1, 2), caps, config)
-    if top.status == "infeasible":
+    run = _Run(program, participation, config)
+    endpoints = run.endpoints()
+    if endpoints is None:
         return None
-    # Same region as the top search, which found a point: always optimal.
-    bottom = _solver.lexmin(program, (2, 1), caps, config)
-    assignments = {top.point: top.assignment}
-    assignments.setdefault(bottom.point, bottom.assignment)
-    return top.point, bottom.point, assignments, top.solves + bottom.solves
+    return (*endpoints, dict(run.recorded), run.solver_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +217,36 @@ def initial_box(program, participation=None, config=_solver.SolverConfig()):
 class _Run:
     """Mutable state shared by the three strategies during one run."""
 
-    def __init__(self, program, participation, config, margins):
+    def __init__(self, program, participation, config):
         self.program = program
         self.config = config
-        self.margins = margins
+        self.margins = None       # set once the endpoints are known
         self.caps = participation_caps(participation)
         self.recorded = {}
         self.solver_calls = 0
+        self.nodes = 0
         self.rectangles = 0
 
-    def lexmin(self, order, rectangle):
-        out = _solver.lexmin(self.program, order, rectangle.bounds(), self.config)
+    def lexmin(self, order, bounds):
+        out = _solver.lexmin(self.program, order, bounds, self.config)
         self.solver_calls += out.solves
+        self.nodes += out.nodes_explored
         return out
+
+    def endpoints(self):
+        """Record the frontier's two endpoints; (z_top, z_bottom) or None.
+
+        None means the participation region holds no feasible point, found
+        by the one stage-1 solve of the top search.
+        """
+        top = self.lexmin((1, 2), self.caps)
+        if top.status == "infeasible":
+            return None
+        # Same region as the top search, which found a point: always optimal.
+        bottom = self.lexmin((2, 1), self.caps)
+        self.recorded[top.point] = top.assignment
+        self.recorded.setdefault(bottom.point, bottom.assignment)
+        return top.point, bottom.point
 
     def record(self, point, assignment):
         self.recorded[point] = assignment
@@ -251,8 +267,10 @@ class _Run:
         return self._solve_min(1, (z1_caps, (None, point.z2))).value >= point.z1
 
     def _solve_min(self, objective_index, bounds):
+        out = _solver.solve_min(self.program, objective_index, bounds, self.config)
         self.solver_calls += 1
-        return _solver.solve_min(self.program, objective_index, bounds, self.config)
+        self.nodes += out.nodes_explored
+        return out
 
 
 def _run_rectangles(method, run, z_top, z_bottom):
@@ -281,7 +299,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None          # newly recorded point, if any
         top_z1_cap = search_box.bottom_right.z1
-        bottom = run.lexmin((1, 2), bottom_half)
+        bottom = run.lexmin((1, 2), bottom_half.bounds())
         if bottom.status != "infeasible":
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
@@ -309,7 +327,7 @@ def _run_rectangles(method, run, z_top, z_bottom):
         top_box = Rectangle(search_box.top_left,
                             CriterionPoint(top_z1_cap, top_floor))
 
-        top = run.lexmin((2, 1), top_box)
+        top = run.lexmin((2, 1), top_box.bounds())
         if top.status == "infeasible":
             continue
         candidate = top.point
@@ -349,24 +367,19 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
         eps_pct = Fraction(0)
 
     start = time.perf_counter()
-    box = initial_box(program, participation, config)
-    if box is None:
-        # initial_box stops after the one stage-1 solve that found no point.
-        return FrontierResult(method, eps_pct, (), 1, time.perf_counter() - start,
-                              0, "no-collaboration")
-    z_top, z_bottom, endpoints, endpoint_solves = box
-    margins = compute_margins(eps_pct / 100, z_top, z_bottom)
-
-    run = _Run(program, participation, config, margins)
-    run.solver_calls = endpoint_solves
-    for point, assignment in endpoints.items():
-        run.record(point, assignment)
+    run = _Run(program, participation, config)
+    endpoints = run.endpoints()
+    if endpoints is None:
+        return FrontierResult(method, eps_pct, (), run.solver_calls,
+                              time.perf_counter() - start, 0, "no-collaboration", run.nodes)
+    z_top, z_bottom = endpoints
+    run.margins = compute_margins(eps_pct / 100, z_top, z_bottom)
 
     _run_rectangles(method, run, z_top, z_bottom)
 
     ordered = tuple(sorted(run.recorded.items(), key=lambda item: item[0].as_tuple()))
     return FrontierResult(method, eps_pct, ordered, run.solver_calls,
-                          time.perf_counter() - start, run.rectangles, "ok")
+                          time.perf_counter() - start, run.rectangles, "ok", run.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +490,19 @@ def stats_to_csv(rows):
             _epsilon_text(row["epsilon"]),
             row["ndp"],
             row["solver_calls"],
-            row["wall_ms"],
+            f"{row['wall_ms']:.3f}",
             "" if row.get("gap_pct") is None else f"{row['gap_pct']:.1f}",
             "" if row.get("cts_pct") is None else f"{row['cts_pct']:.1f}",
         ])
     return out.getvalue()
+
+
+def _wall_ms(text):
+    """A stats CSV's wall time: milliseconds, whole or with decimals."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"wall_ms is not finite: {text!r}")
+    return value
 
 
 def stats_from_csv(text):
@@ -501,7 +522,7 @@ def stats_from_csv(text):
                 "epsilon": _exact(row[1]),
                 "ndp": int(row[2]),
                 "solver_calls": int(row[3]),
-                "wall_ms": int(row[4]),
+                "wall_ms": _wall_ms(row[4]),
                 "gap_pct": float(row[5]) if row[5] else None,
                 "cts_pct": float(row[6]) if row[6] else None,
             })
@@ -517,7 +538,7 @@ def stats_row(result, gap_pct=None, cts_pct=None):
         "epsilon": result.epsilon,
         "ndp": len(result.points),
         "solver_calls": result.solver_calls,
-        "wall_ms": int(round(result.wall_time * 1000)),
+        "wall_ms": round(result.wall_time * 1000, 3),
         "gap_pct": gap_pct,
         "cts_pct": cts_pct,
     }

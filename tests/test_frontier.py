@@ -190,6 +190,25 @@ def test_bbox_three_point_staircase():
         assert criterion_point(prog, assignment) == point
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_nodes_sum_every_solve(method, monkeypatch):
+    solves = []
+
+    def counted(*args):
+        out = solve_min(*args)
+        solves.append(out.nodes_explored)
+        return out
+
+    monkeypatch.setattr("evshare.solver.solve_min", counted)
+    prog = make_point_program([(10, 100), (30, 70), (50, 50), (90, 20)])
+    result = run_method(prog, None, method, 30)
+    assert (result.solver_calls, result.nodes) == (len(solves), sum(solves))
+    solves.clear()
+    result = run_method(prog, ParticipationPoint(5, 5), method, 30)
+    assert result.status == "no-collaboration"
+    assert (result.solver_calls, result.nodes) == (len(solves), sum(solves)) == (1, 0)
+
+
 def test_engine_solver_call_accounting():
     prog = make_point_program([(1, 3), (3, 1)])
     result = run_method(prog, None, "bbox")
@@ -211,20 +230,23 @@ def test_t1_bbox_matches_oracle():
 
 
 def check_frontiers_against_the_oracle(inst):
-    """bbox equals the oracle; b3m1/b3m2 at 3% are subsets keeping both endpoints."""
+    """bbox equals the oracle; b3m1/b3m2 at 3% are subsets keeping both endpoints.
+
+    Returns the exact frontier and the three runs, keyed by method.
+    """
     prog = build_charging_program(inst)
     participation = noncollab_point(inst)
     noncollab = noncollab_costs(inst)
     assert (participation.z1_non, participation.z2_non) == noncollab
     exact = set(charging_frontier(inst, participation=noncollab))
-    bbox = run_method(prog, participation, "bbox")
-    assert set(bbox.criterion_points()) == exact
-    assert bbox.status == ("ok" if exact else "no-collaboration")
+    runs = {"bbox": run_method(prog, participation, "bbox")}
+    assert set(runs["bbox"].criterion_points()) == exact
+    assert runs["bbox"].status == ("ok" if exact else "no-collaboration")
     endpoints = {min(exact), min(exact, key=lambda p: (p.z2, p.z1))} if exact else set()
     for method in ("b3m1", "b3m2"):
-        reduced = set(run_method(prog, participation, method, 3).criterion_points())
-        assert endpoints <= reduced <= exact
-    return exact
+        runs[method] = run_method(prog, participation, method, 3)
+        assert endpoints <= set(runs[method].criterion_points()) <= exact
+    return exact, runs
 
 
 @given(tiny_scenarios)
@@ -237,6 +259,14 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
     check_frontiers_against_the_oracle(inst)
 
 
+# (solver calls, branch-and-bound nodes) of each method's run on the long
+# frontiers below: any change to the search tree moves a node total.
+LONG_FRONTIER_COUNTS = {
+    93: {"bbox": (20, 5854), "b3m1": (12, 3705), "b3m2": (11, 3416)},
+    145: {"bbox": (20, 2656), "b3m1": (16, 2206), "b3m2": (16, 2208)},
+}
+
+
 @pytest.mark.parametrize("seed, costs", [
     (93, dict(vot_sek_per_hour=20, rental_fee_sek=50, collab_discount=0.9)),
     (145, dict(vot_sek_per_hour=100, rental_fee_sek=0, collab_discount=0.7)),
@@ -247,7 +277,10 @@ def test_long_frontiers_match_the_oracle(seed, costs):
     inst = generate_scenario(ScenarioConfig(
         n_evs=5, n_chargers=2, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
         demand_intervals=(1, 2), seed=seed, **costs))
-    assert len(check_frontiers_against_the_oracle(inst)) == 5
+    exact, runs = check_frontiers_against_the_oracle(inst)
+    assert len(exact) == 5
+    assert {method: (run.solver_calls, run.nodes)
+            for method, run in runs.items()} == LONG_FRONTIER_COUNTS[seed]
 
 
 def t1_variant(**changes):
@@ -542,6 +575,19 @@ def test_frontier_csv_rejects_garbage():
         frontier_from_csv(good + "b3m1,5,1,ninety,20,b3m1-1\n")
     with pytest.raises(FrontierError):
         frontier_from_csv(good + "b3m1,5,1,90\n")
+
+
+def test_stats_csv_wall_ms_keeps_microseconds():
+    run = run_method(make_point_program([(1, 3), (3, 1)]), None, "bbox")
+    row = stats_row(dataclasses.replace(run, wall_time=0.0016234))
+    assert row["wall_ms"] == 1.623
+    text = stats_to_csv([row])
+    assert text.splitlines()[1].split(",")[4] == "1.623"
+    assert stats_from_csv(text)[0]["wall_ms"] == 1.623
+    header = "method,epsilon,ndp,solver_calls,wall_ms,gap_pct,cts_pct\n"
+    assert stats_from_csv(header + "bbox,0,2,8,23,,\n")[0]["wall_ms"] == 23  # whole ms
+    with pytest.raises(FrontierError, match="row 2"):
+        stats_from_csv(header + "bbox,0,2,8,nan,,\n")
 
 
 def test_stats_csv_round_trip():

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from evshare.core import (
     Constraint,
     CriterionPoint,
+    ProgramError,
     binary,
     check_assignment,
     criterion_point,
@@ -159,6 +161,43 @@ def test_solve_min_leaves_the_recursion_limit_alone():
     prog = program(xs, [], expr({x.id: 1 for x in xs}), expr())
     assert solve_min(prog, 1).value == 0
     assert sys.getrecursionlimit() == before
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_bad_objective_index_raises(k):
+    prog = make_point_program([(1, 3), (2, 1)])
+    for _ in range(2):  # before and after the program's first solve compiles it
+        with pytest.raises(ProgramError, match=f"got {k}"):
+            solve_min(prog, k)
+        assert solve_min(prog, 1).value == 1
+    with pytest.raises(ProgramError, match="got 3"):  # a third pair bounds objective 3
+        lexmin(prog, (1, 2), OPEN + ((None, None),))
+
+
+# Per objective: open, crossed (lower above upper), pinned or any sides.
+values = st.integers(min_value=-12, max_value=12)
+side_bounds = st.one_of(
+    st.just((None, None)),
+    st.tuples(values, values).map(lambda pair: (max(pair) + 1, min(pair))),
+    values.map(lambda v: (v, v)),
+    st.tuples(bound_sides, bound_sides),
+)
+solve_calls = st.lists(
+    st.tuples(st.booleans(), st.sampled_from((1, 2)), st.tuples(side_bounds, side_bounds)),
+    min_size=1, max_size=6)
+
+
+@given(tiny_programs(), solve_calls)
+@settings(max_examples=150, deadline=None)
+def test_solves_on_one_program_match_fresh_copies(prog, calls):
+    # The first solve compiles the program and every later one reuses that;
+    # a replaced copy starts uncompiled.  No solve may leak into the next.
+    for lexicographic, k, bounds in calls:
+        if lexicographic:
+            order = (k, 3 - k)
+            assert lexmin(prog, order, bounds) == lexmin(dataclasses.replace(prog), order, bounds)
+        else:
+            assert solve_min(prog, k, bounds) == solve_min(dataclasses.replace(prog), k, bounds)
 
 
 def test_node_limit_raises():
