@@ -15,12 +15,13 @@ the four objective rows and its root fixpoint, the domains after
 propagating the constraint rows alone.  Each solve starts from that
 fixpoint and queues only its objective rows.  This is exact because bound
 propagation is monotone, so its fixpoint does not depend on the order rows
-are processed in.  Propagation skips a row whose slack is at least its
-root span, the largest ``|c| * (u - l)`` over its terms.  This is exact
-because such a row cannot tighten a bound, and domains only shrink below
+are processed in.  The compiled rows keep only the terms still unfixed at
+the root, in nonincreasing order of root span ``|c| * (u - l)``, and a row
+scan stops at the first term whose span is at most the row's slack: that
+term and every later one cannot tighten, since domains only shrink below
 the root.  So every solve explores the same nodes and returns the same
-value and assignment as one that propagates every row from the declared
-bounds.
+value and assignment as one that scans every row in full from the
+declared bounds.
 
 Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
 A single-objective solve that would exceed ``SolverConfig.node_limit``
@@ -32,6 +33,7 @@ an LP-format exporter, and a parser for external solver solutions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -111,10 +113,16 @@ class _Compiled:
     here and queues only its objective rows reaches the same root domains as
     one that propagates every row from the declared bounds.
 
-    ``span[r]`` is ``max |c| * (u - l)`` over row r at the root.  A row whose
-    slack is at least its span tightens nothing (for ``c > 0``,
-    ``l + slack // c >= u``; symmetrically for ``c < 0``), and below the root
-    domains only shrink, so the span stays an upper bound.
+    ``row_terms[r]`` lists row r's terms as ``(v, c, span)`` with span the
+    root ``|c| * (u - l)``, in nonincreasing span order, and leaves out the
+    terms fixed at the root: those are constants, already counted in
+    ``amin``.  A term whose span is at most its row's slack tightens nothing
+    (for ``c > 0``, ``l + slack // c >= u``; symmetrically for ``c < 0``),
+    and below the root domains only shrink, so neither can any later term
+    of the row.  Scanning a row leaves that row's slack alone: tightening v
+    moves only the rows where v has the opposite sign.  So a scan may stop
+    at the first such term.  The root pass itself scans every term: there
+    each span is infinite.
 
     ``lower_rows[v]`` lists the (row, c) pairs with ``c > 0``, whose minimum
     activity reads v's lower bound; ``upper_rows[v]`` those with ``c < 0``.
@@ -140,7 +148,6 @@ class _Compiled:
             row_terms.append([(index[vid], -c) for vid, c in terms.items()])
             row_terms.append([(index[vid], c) for vid, c in terms.items()])
             row_rhs += [None, None]
-        self.row_terms = row_terms
         self.row_rhs = row_rhs
         self.nrows = len(row_terms)
 
@@ -154,16 +161,15 @@ class _Compiled:
         self.upper = [v.upper for v in variables]
         self.amin = [sum(c * (self.lower[v] if c > 0 else self.upper[v]) for v, c in terms)
                      for terms in row_terms]
-        self.span = self._spans()  # the declared bounds' spans bound the root's
+        self.row_terms = [[(v, c, math.inf) for v, c in terms] for terms in row_terms]
         root = _Search(self, row_rhs[:])
         self.feasible = root.settle(range(self.obj_base))
         self.lower, self.upper, self.amin = root.lower, root.upper, root.amin
-        self.span = self._spans()
-
-    def _spans(self):
         lower, upper = self.lower, self.upper
-        return [max((abs(c) * (upper[v] - lower[v]) for v, c in terms), default=0)
-                for terms in self.row_terms]
+        self.row_terms = [
+            sorted(((v, c, abs(c) * (upper[v] - lower[v])) for v, c in terms
+                    if lower[v] < upper[v]), key=lambda term: -term[2])
+            for terms in row_terms]
 
 
 def _compiled(program):
@@ -181,7 +187,9 @@ class _Search:
     Works on copies of the compiled domains and activities and on its own
     ``rhs`` list, so solves never see each other's state.  Also runs the
     compile-time propagation of the constraint rows, from the declared
-    bounds.
+    bounds.  Keeps no trail: a branching node saves copies of its domains
+    and activities for its second child, which adopts them in place of
+    undoing the first child's subtree.
     """
 
     def __init__(self, compiled, rhs):
@@ -191,7 +199,6 @@ class _Search:
         self.amin = compiled.amin[:]
         self.rhs = rhs
         self.in_queue = [False] * compiled.nrows
-        self.trail = []
 
     # -- bound updates ------------------------------------------------------
 
@@ -201,7 +208,6 @@ class _Search:
         amin, in_queue = self.amin, self.in_queue
         dl = new_lower - lower[v]
         du = new_upper - upper[v]
-        self.trail.append((v, lower[v], upper[v]))
         lower[v] = new_lower
         upper[v] = new_upper
         for rows, delta in ((self.compiled.lower_rows[v], dl), (self.compiled.upper_rows[v], du)):
@@ -211,23 +217,6 @@ class _Search:
                     if not in_queue[r]:
                         in_queue[r] = True
                         queue.append(r)
-
-    def _undo(self, mark):
-        lower, upper, amin = self.lower, self.upper, self.amin
-        lower_rows, upper_rows = self.compiled.lower_rows, self.compiled.upper_rows
-        trail = self.trail
-        for v, old_l, old_u in reversed(trail[mark:]):
-            dl = old_l - lower[v]
-            if dl:
-                for r, c in lower_rows[v]:
-                    amin[r] += c * dl
-                lower[v] = old_l
-            du = old_u - upper[v]
-            if du:
-                for r, c in upper_rows[v]:
-                    amin[r] += c * du
-                upper[v] = old_u
-        del trail[mark:]
 
     # -- propagation --------------------------------------------------------
 
@@ -243,15 +232,17 @@ class _Search:
 
         A row fails only when its minimum activity exceeds its rhs: with
         slack >= 0 a tightened bound never crosses the opposite bound.  A
-        tightened bound requeues only the rows whose minimum activity it
-        moves; the others' slack and implied bounds stay as they were.  The
-        bound update is inlined rather than a call to ``_change``: it runs
-        once per tightened bound, and the call alone cost measurable time.
+        row scan stops at the first term whose root span is at most the
+        slack (see ``_Compiled``).  A tightened bound requeues only the rows
+        whose minimum activity it moves; the others' slack and implied
+        bounds stay as they were.  The bound update is inlined rather than
+        a call to ``_change``: it runs once per tightened bound, and the
+        call alone cost measurable time.
         """
         compiled = self.compiled
-        in_queue, trail = self.in_queue, self.trail
+        in_queue = self.in_queue
         lower, upper, amin, row_rhs = self.lower, self.upper, self.amin, self.rhs
-        row_terms, span = compiled.row_terms, compiled.span
+        row_terms = compiled.row_terms
         lower_rows, upper_rows = compiled.lower_rows, compiled.upper_rows
         for r in queue:  # rows appended while iterating are visited too
             in_queue[r] = False
@@ -263,9 +254,9 @@ class _Search:
                 for rr in queue:
                     in_queue[rr] = False
                 return False
-            if slack >= span[r]:
-                continue
-            for v, c in row_terms[r]:
+            for v, c, span in row_terms[r]:
+                if span <= slack:
+                    break
                 lo = lower[v]
                 up = upper[v]
                 if lo == up:
@@ -273,7 +264,6 @@ class _Search:
                 if c > 0:
                     new = lo + slack // c
                     if new < up:
-                        trail.append((v, lo, up))
                         upper[v] = new
                         delta = new - up
                         for rr, cc in upper_rows[v]:
@@ -284,7 +274,6 @@ class _Search:
                 else:
                     new = up - slack // -c
                     if new > lo:
-                        trail.append((v, lo, up))
                         lower[v] = new
                         delta = new - lo
                         for rr, cc in lower_rows[v]:
@@ -303,10 +292,16 @@ class _Search:
         is the minimized objective's upper row; its rhs is None while that
         side is open, and each incumbent lowers it to a cutoff one unit
         below the incumbent's value.  Each stack entry is
-        (variable, new lower, new upper, trail mark): the branch to apply
-        after undoing the trail back to its parent node.
+        (variable, new lower, new upper, lower, upper, amin): the branch to
+        apply and the domains and activities of its parent node to apply it
+        to.  A branching node pushes its second child, ``x_i >= l + 1``,
+        with copies of its state, then its first child, ``x_i = l``, with
+        the state itself, which is popped at once and changed in place.  By
+        the time the second child is popped, its parent's subtree is done
+        and the copies are the only record of the parent's state.  The
+        cutoff is no part of that state: it only falls, so each child
+        re-checks it.
         """
-        lower, upper, amin = self.lower, self.upper, self.amin
         row_rhs, n = self.rhs, self.compiled.n
         best_value = best_values = None
         nodes = 0
@@ -318,6 +313,7 @@ class _Search:
                 nodes += 1
                 if node_limit is not None and nodes > node_limit:
                     raise SolverError(f"node limit {node_limit} exhausted")
+                lower, upper, amin = self.lower, self.upper, self.amin
                 i = start
                 while i < n and lower[i] == upper[i]:
                     i += 1
@@ -328,14 +324,12 @@ class _Search:
                         best_values = lower[:]
                         row_rhs[obj_row] = amin[obj_row] - 1
                 else:
-                    mark = len(self.trail)
                     pivot = lower[i]
-                    stack.append((i, pivot + 1, upper[i], mark))
-                    stack.append((i, pivot, pivot, mark))
+                    stack.append((i, pivot + 1, upper[i], lower[:], upper[:], amin[:]))
+                    stack.append((i, pivot, pivot, lower, upper, amin))
             if not stack:
                 break
-            start, new_lower, new_upper, mark = stack.pop()
-            self._undo(mark)
+            start, new_lower, new_upper, self.lower, self.upper, self.amin = stack.pop()
             queue = [obj_row]  # re-check the cutoff, which may have tightened
             self.in_queue[obj_row] = True
             self._change(start, new_lower, new_upper, queue)
@@ -480,6 +474,8 @@ def parse_external_solution(text, program):
             x = float(raw)
         except ValueError:
             raise SolutionParseError(f"non-numeric value {raw!r} for {name}") from None
+        if not math.isfinite(x):
+            raise SolutionParseError(f"non-finite value {raw!r} for {name}")
         nearest = round(x)
         if abs(x - nearest) > 1e-6:
             raise SolutionParseError(f"value {raw} for {name} is not within 1e-6 of an integer")

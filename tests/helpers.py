@@ -1,5 +1,6 @@
-"""Shared test scaffolding: programs with known criterion points, and tiny
-general programs with the exhaustive enumerator that is their ground truth."""
+"""Shared test scaffolding: programs with known criterion points, tiny
+general programs with the exhaustive enumerator that is their ground truth,
+a plain reference branch and bound, and the desk-scale scenario configs."""
 
 import itertools
 
@@ -97,12 +98,117 @@ def feasible_assignments(prog):
             yield candidate
 
 
+def reference_search(prog, objective_index, bounds=((None, None), (None, None))):
+    """The search ``solve_min`` must reproduce, written plainly.
+
+    Depth-first branch and bound on the first unfixed variable in
+    declaration order, lower value first, with a cutoff one unit below the
+    incumbent.  Every node starts from the declared bounds narrowed by the
+    branches on its path and scans every row in full until nothing
+    tightens; a node counts when that propagation finds no violated row.
+    Returns a SolveOutcome.
+    """
+    from evshare.solver import SolveOutcome
+
+    rows = []  # (terms, rhs) reading sum(c * x) <= rhs
+    for con in prog.constraints:
+        terms = [(vid, c) for vid, c in con.expression.terms.items() if c]
+        rhs = con.rhs - con.expression.constant
+        if con.sense != ">=":
+            rows.append((terms, rhs))
+        if con.sense != "<=":
+            rows.append(([(vid, -c) for vid, c in terms], -rhs))
+    for k, (lo, hi) in enumerate(bounds, start=1):
+        objective = prog.objective(k)
+        terms = [(vid, c) for vid, c in objective.terms.items() if c]
+        if lo is not None:
+            rows.append(([(vid, -c) for vid, c in terms], objective.constant - lo))
+        if hi is not None:
+            rows.append((terms, hi - objective.constant))
+    objective = prog.objective(objective_index)
+    objective_terms = [(vid, c) for vid, c in objective.terms.items() if c]
+    ids = [v.id for v in prog.variables]
+    best_value = best_assignment = None
+    nodes = 0
+
+    def fixpoint(path):
+        lower = {v.id: v.lower for v in prog.variables}
+        upper = {v.id: v.upper for v in prog.variables}
+        for vid, lo, up in path:
+            lower[vid], upper[vid] = max(lower[vid], lo), min(upper[vid], up)
+        active = list(rows)
+        if best_value is not None:
+            active.append((objective_terms, best_value - 1 - objective.constant))
+        changed = True
+        while changed:
+            changed = False
+            for terms, rhs in active:
+                slack = rhs - sum(c * (lower[vid] if c > 0 else upper[vid]) for vid, c in terms)
+                if slack < 0:
+                    return None
+                for vid, c in terms:
+                    if c > 0 and lower[vid] + slack // c < upper[vid]:
+                        upper[vid] = lower[vid] + slack // c
+                        changed = True
+                    elif c < 0 and upper[vid] - slack // -c > lower[vid]:
+                        lower[vid] = upper[vid] - slack // -c
+                        changed = True
+        return lower, upper
+
+    def visit(path):
+        nonlocal nodes, best_value, best_assignment
+        domains = fixpoint(path)
+        if domains is None:
+            return
+        nodes += 1
+        lower, upper = domains
+        unfixed = [vid for vid in ids if lower[vid] < upper[vid]]
+        if not unfixed:
+            best_assignment = Assignment(dict(lower))
+            best_value = evaluate(objective, best_assignment)
+            return
+        vid = unfixed[0]
+        visit(path + [(vid, lower[vid], lower[vid])])
+        visit(path + [(vid, lower[vid] + 1, upper[vid])])
+
+    visit([])
+    if best_value is None:
+        return SolveOutcome("infeasible", None, None, nodes)
+    return SolveOutcome("optimal", best_assignment, best_value, nodes)
+
+
 def infeasible_program():
     """One binary forced both up and down."""
     x = Variable("x", "binary", 0, 1)
     up = Constraint(LinearExpression({"x": 1}, 0), ">=", 2, "force-up")
     return BiObjectiveProgram(
         (x,), (up,), LinearExpression({"x": 1}, 0), LinearExpression({"x": 1}, 0))
+
+
+def desk_configs(count=54):
+    """The acceptance suite's desk-scale scenario configs: sizes 2x1 .. 4x2
+    at T=6 under every EV/charger layout combination, seeds 1000 on."""
+    from evshare.scenario import ScenarioConfig
+
+    sizes = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2))
+    combos = (("uniform", "uniform"), ("uniform", "centralized"),
+              ("clustered", "uniform"), ("clustered", "centralized"))
+    for index in range(count):
+        n_evs, n_chargers = sizes[index % len(sizes)]
+        dist, layout = combos[index % len(combos)]
+        yield ScenarioConfig(
+            ev_distribution=dist,
+            charger_layout=layout,
+            n_evs=n_evs,
+            n_chargers=n_chargers,
+            seed=1000 + index,
+            horizon=6,
+            window_length_h=3,
+            earliest_start_range=(0, 3),
+            demand_intervals=(1, 1 if (n_evs, n_chargers) == (4, 1) else 2),
+            vot_sek_per_hour=(100, 200, 300)[index % 3],
+            rental_fee_sek=(150, 400, 1500)[index % 3],
+        )
 
 
 def certify_limit_instance():

@@ -38,7 +38,9 @@ from evshare.oracle import (
     noncollab_costs,
     schedule_to_assignment,
 )
-from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
+from evshare.scenario import generate_scenario, t1_instance
+
+from helpers import desk_configs
 
 P = CriterionPoint
 
@@ -68,38 +70,11 @@ def scoreboard(request):
 # ---------------------------------------------------------------------------
 # The desk-scale instance suite shared by criteria 1-5 and 10.
 
-SIZES = ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2))
-COMBOS = (("uniform", "uniform"), ("uniform", "centralized"),
-          ("clustered", "uniform"), ("clustered", "centralized"))
-
-
-def suite_configs():
-    index = 0
-    for seed in range(1, 10):
-        for n_evs, n_chargers in SIZES:
-            dist, layout = COMBOS[index % len(COMBOS)]
-            demand_hi = 1 if (n_evs, n_chargers) == (4, 1) else 2
-            yield ScenarioConfig(
-                ev_distribution=dist,
-                charger_layout=layout,
-                n_evs=n_evs,
-                n_chargers=n_chargers,
-                seed=1000 + index,
-                horizon=6,
-                window_length_h=3,
-                earliest_start_range=(0, 3),
-                demand_intervals=(1, demand_hi),
-                vot_sek_per_hour=(100, 200, 300)[index % 3],
-                rental_fee_sek=(150, 400, 1500)[index % 3],
-            )
-            index += 1
-
-
 @pytest.fixture(scope="session")
 def suite():
     records = []
     exact_seconds = 0.0
-    for config in suite_configs():
+    for config in desk_configs():
         instance = generate_scenario(config)
         program = build_charging_program(instance)
 

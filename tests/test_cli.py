@@ -329,6 +329,18 @@ def test_import_solution_rejects_partial_listing(t1_file, tmp_path, capsys):
     assert "outside its bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_import_solution_rejects_non_finite_values(t1_file, tmp_path, capsys, raw):
+    listing = tmp_path / "solution.txt"
+    listing.write_text(f"x_v1_A_1 {raw}")
+    code = run_cli(["import-solution", "--instance", t1_file,
+                    "--solution", str(listing)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite value" in err
+    assert "Traceback" not in err
+
+
 def test_validate_schedule_paths(t1_file, tmp_path, capsys):
     inst = t1_instance()
     good = Schedule(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -17,9 +18,10 @@ from evshare.core import (
     pareto_filter,
     program,
 )
-from evshare.charging import build_charging_program, company_cost, decode_schedule
-from evshare.frontier import Rectangle
-from evshare.scenario import t1_instance
+from evshare import solver
+from evshare.charging import build_charging_program, company_cost, decode_schedule, noncollab_point
+from evshare.frontier import Rectangle, run_method
+from evshare.scenario import generate_scenario, t1_instance
 from evshare.solver import (
     OPEN,
     SolutionParseError,
@@ -32,7 +34,15 @@ from evshare.solver import (
     solve_min,
 )
 
-from helpers import feasible_assignments, infeasible_program, make_point_program, tiny_programs
+from helpers import (
+    desk_configs,
+    feasible_assignments,
+    feasible_tiny_programs,
+    infeasible_program,
+    make_point_program,
+    reference_search,
+    tiny_programs,
+)
 
 
 # Objective bounds around the values tiny programs reach; any side may be open
@@ -152,6 +162,77 @@ def test_solve_min_matches_enumeration(prog, objective_index):
         assert out.value == min(feasible_values)
         assert check_assignment(prog, out.assignment) == []
         assert evaluate(objective, out.assignment) == out.value
+
+
+@given(st.one_of(tiny_programs(), feasible_tiny_programs()), st.sampled_from((1, 2)),
+       objective_bounds)
+@settings(max_examples=300, deadline=None)
+def test_solve_min_matches_the_reference_search(prog, objective_index, bounds):
+    # Same status, value, node count and assignment: the same search tree.
+    expected = reference_search(prog, objective_index, bounds)
+    assert solve_min(prog, objective_index, bounds) == expected  # compiles the program
+    assert solve_min(prog, objective_index, bounds) == expected  # reuses the compiled form
+
+
+def declared_rows(prog):
+    """Every row's declared terms, in the compiled form's row order."""
+    rows = []
+    for con in prog.constraints:
+        for sign in solver._ROW_SIGNS[con.sense]:
+            rows.append({vid: sign * c for vid, c in con.expression.terms.items()})
+    for objective in (prog.objective1, prog.objective2):
+        rows += [{vid: -c for vid, c in objective.terms.items()}, dict(objective.terms)]
+    return rows
+
+
+@given(st.one_of(tiny_programs(), feasible_tiny_programs()))
+@settings(max_examples=200, deadline=None)
+def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
+    compiled = solver._compiled(prog)
+    lower, upper = compiled.lower, compiled.upper
+    index = {vid: i for i, vid in enumerate(compiled.ids)}
+    rows = declared_rows(prog)
+    assert len(rows) == compiled.nrows
+    for r, terms in enumerate(rows):
+        scanned = compiled.row_terms[r]
+        assert sorted((v, c) for v, c, _ in scanned) == sorted(
+            (index[vid], c) for vid, c in terms.items()
+            if c and lower[index[vid]] < upper[index[vid]])
+        spans = [span for _, _, span in scanned]
+        assert spans == [abs(c) * (upper[v] - lower[v]) for v, c, _ in scanned]
+        assert spans == sorted(spans, reverse=True)
+        assert compiled.amin[r] == sum(
+            c * (lower[index[vid]] if c > 0 else upper[index[vid]]) for vid, c in terms.items())
+
+
+# sha256 over every solve_min outcome of bbox, b3m1 at 3% and b3m2 at 3% on
+# the first 12 desk instances: 236 solves, 10,711 nodes.  A change to the
+# search tree, its value or its tie-breaks changes it.
+DESK_TREES = ([236, 10711],
+              "15191a22d9b4cd5a498c67e433a263401c523be0aeb8016b23a8b58440b277f6")
+
+
+def test_desk_search_trees_are_pinned(monkeypatch):
+    digest, counts = hashlib.sha256(), [0, 0]
+    real = solver.solve_min
+
+    def recording(program, objective_index, bounds=OPEN, config=SolverConfig()):
+        out = real(program, objective_index, bounds, config)
+        rendering = out.assignment.rendering() if out.assignment else None
+        digest.update(repr((out.status, out.value, out.nodes_explored, rendering)).encode())
+        counts[0] += 1
+        counts[1] += out.nodes_explored
+        return out
+
+    for config in desk_configs(12):
+        instance = generate_scenario(config)
+        program = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "solve_min", recording)
+            for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
+                run_method(program, participation, method, epsilon)
+    assert (counts, digest.hexdigest()) == DESK_TREES
 
 
 def test_solve_min_leaves_the_recursion_limit_alone():
@@ -302,6 +383,12 @@ def test_parse_external_solution_examples():
         parse_external_solution("x1", prog)
     with pytest.raises(SolutionParseError):
         parse_external_solution("x1 one", prog)
+
+
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_parse_external_solution_rejects_non_finite_values(raw):
+    with pytest.raises(SolutionParseError, match="non-finite value"):
+        parse_external_solution(f"x1 {raw}", knapsack_program())
 
 
 def test_parse_external_solution_defaults_missing_to_zero():
