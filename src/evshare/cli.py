@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import os
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -27,9 +26,6 @@ from . import frontier as _frontier
 from . import oracle as _oracle
 from . import scenario as _scenario
 from . import solver as _solver
-
-SOLVER_ENV = "EVSHARE_SOLVER"
-
 
 class CliError(EvshareError):
     """Domain-level failure of a CLI stage."""
@@ -389,36 +385,20 @@ def _cmd_export_lp(args):
         os.path.dirname(os.path.abspath(args.instance)),
         f"{_stem(args.instance)}-obj{args.objective}.lp")
     _write(out_path, _solver.export_lp(program, args.objective))
-    outputs = {"lp": out_path}
-
-    if args.run:
-        executable = os.environ.get(SOLVER_ENV)
-        if not executable:
-            raise CliError(f"--run requires the {SOLVER_ENV} environment variable "
-                           "to name an external solver executable")
-        solution_path = f"{os.path.splitext(out_path)[0]}.sol"
-        completed = subprocess.run([executable, out_path, solution_path],
-                                   capture_output=True, text=True)
-        if completed.returncode != 0:
-            raise CliError(f"external solver failed ({completed.returncode}): "
-                           f"{completed.stderr.strip()}")
-        outputs["solution"] = solution_path
-        code = _check_imported_solution(instance, program, solution_path)
-        if code != 0:
-            return code
-
     _manifest(
         f"{os.path.splitext(out_path)[0]}-manifest.json", "export-lp",
-        {"instance": args.instance, "objective": args.objective, "run": args.run},
-        outputs,
+        {"instance": args.instance, "objective": args.objective},
+        {"lp": out_path},
         {"total_s": round(time.perf_counter() - started, 6)},
     )
     print(f"wrote {out_path}")
     return 0
 
 
-def _check_imported_solution(instance, program, solution_path):
-    assignment = _solver.parse_external_solution(_read(solution_path), program)
+def _cmd_import_solution(args):
+    instance = _load_instance(args.instance)
+    program = _charging.build_charging_program(instance)
+    assignment = _solver.parse_external_solution(_read(args.solution), program)
     violated = check_assignment(program, assignment)
     if violated:
         raise CliError(f"solution violates {len(violated)} constraints, "
@@ -431,12 +411,6 @@ def _check_imported_solution(instance, program, solution_path):
     z2 = evaluate(program.objective2, assignment)
     print(f"solution feasible: z1={z1} z2={z2}")
     return 0
-
-
-def _cmd_import_solution(args):
-    instance = _load_instance(args.instance)
-    program = _charging.build_charging_program(instance)
-    return _check_imported_solution(instance, program, args.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +498,6 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--objective", type=int, choices=(1, 2), required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--run", action="store_true",
-                   help=f"also run the solver named by ${SOLVER_ENV} and "
-                        "validate its solution")
     p.set_defaults(func=_cmd_export_lp)
 
     p = sub.add_parser("import-solution",

@@ -237,7 +237,7 @@ class _Run:
         """Record the frontier's two endpoints; (z_top, z_bottom) or None.
 
         None means the participation region holds no feasible point, found
-        by the one stage-1 solve of the top search.
+        by the top search.
         """
         top = self.lexmin((1, 2), self.caps)
         if top.status == "infeasible":

@@ -1,17 +1,18 @@
-"""Exact single-objective minimization over BiObjectivePrograms.
+"""Exact single-objective and lexicographic minimization over BiObjectivePrograms.
 
 Reference backend: depth-first branch and bound over the integer variables
 in declaration order (lower value first), with incremental activity-bound
 propagation over rows that all read ``sum(c * x) <= rhs``.  A solve may be
 restricted to an objective-space box, ``bounds = ((lo1, hi1), (lo2, hi2))``
 with None for an open side; each finite bound sets the rhs of one of four
-objective rows, and the minimized objective's upper row doubles as the
-incumbent cutoff.  The search runs on an explicit stack and leaves the
-interpreter's recursion limit alone.  Dependency-free and repeatable: two
+objective rows.  Each incumbent sets a cutoff row to one unit below its
+value: ``solve_min`` uses the minimized objective's upper row.  The search
+runs on an explicit stack and leaves the interpreter's recursion limit
+alone.  Dependency-free and repeatable: two
 runs on identical inputs return identical assignments.
 
 A program is compiled once, on its first solve (``_Compiled``): its rows,
-the four objective rows and its root fixpoint, the domains after
+its six objective rows and its root fixpoint, the domains after
 propagating the constraint rows alone.  Each solve starts from that
 fixpoint and queues only its objective rows.  This is exact because bound
 propagation is monotone, so its fixpoint does not depend on the order rows
@@ -23,12 +24,25 @@ the root.  So every solve explores the same nodes and returns the same
 value and assignment as one that scans every row in full from the
 declared bounds.
 
-Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
-A single-objective solve that would exceed ``SolverConfig.node_limit``
-raises ``SolverError``, so a cut-short search is never read as an answer.
+A lexicographic solve (``lexmin``) is one search over the combined
+objective ``W * z_first + z_second``, whose row doubles as its cutoff.
+``W`` is one more than the range of ``z_second`` over the declared bounds,
+so a unit of ``z_first`` outweighs any difference in ``z_second``: the
+optima of the combined objective are exactly the lexicographic optima.
+The search reaches the feasible leaves in the lexicographic order of their
+variable values and returns the first optimal one: until then its cutoff
+is at least the optimum, so that leaf is never pruned, and after it
+nothing else is accepted.  A two-stage solve (minimize
+``z_first``, then ``z_second`` with ``z_first`` pinned) returns that same
+first leaf, so both give the same status, point and assignment; the
+single search only explores fewer nodes.
 
-Also hosts the two-stage lexicographic solve used by the frontier search,
-an LP-format exporter, and a parser for external solver solutions.
+Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
+A search that would exceed ``SolverConfig.node_limit`` raises
+``SolverError``, so a cut-short search is never read as an answer.
+
+Also hosts an LP-format exporter and a parser for external solver
+solutions.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import Assignment, CriterionPoint, EvshareError, evaluate
+from .core import Assignment, CriterionPoint, EvshareError, criterion_point
 
 
 class SolverError(EvshareError):
@@ -54,8 +68,9 @@ class SolutionValidationError(EvshareError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Search limits: ``node_limit`` caps the nodes of each single-objective
-    solve, None for no cap; a solve that needs more raises SolverError."""
+    """Search limits: ``node_limit`` caps the nodes of each search (one per
+    ``solve_min`` or ``lexmin``), None for no cap; a search that needs more
+    raises SolverError."""
 
     node_limit: int = None
 
@@ -74,13 +89,13 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class LexOutcome:
-    """Result of a two-stage lexicographic minimization."""
+    """Result of a lexicographic minimization."""
 
     status: str               # optimal | infeasible
     assignment: Assignment
     point: CriterionPoint
     nodes_explored: int
-    solves: int = 0           # single-objective solves actually performed
+    solves: int = 0           # branch-and-bound searches performed: one
 
 
 # Objective bounds that leave both objectives unrestricted.
@@ -104,7 +119,12 @@ class _Compiled:
 
     Every row reads ``sum(c * x) <= rhs``: the program's constraints, then
     four objective rows from ``obj_base`` on (z1 lower, z1 upper, z2 lower,
-    z2 upper) whose rhs a solve sets from its bounds; here they are None.
+    z2 upper) whose rhs a solve sets from its bounds, then two lexicographic
+    rows, ``W * z1 + z2`` for order (1, 2) and ``W * z2 + z1`` for (2, 1),
+    which only ``lexmin``'s cutoff sets.  Here every objective rhs is None.
+    ``lex_weights`` holds the two ``W``: one more than the range of the
+    second objective's terms over the declared bounds, so that no
+    difference in it outweighs one unit of the first.
 
     ``lower``/``upper``/``amin`` are the root fixpoint: the domains and
     minimum row activities after propagating the constraint rows alone, or
@@ -148,6 +168,17 @@ class _Compiled:
             row_terms.append([(index[vid], -c) for vid, c in terms.items()])
             row_terms.append([(index[vid], c) for vid, c in terms.items()])
             row_rhs += [None, None]
+        self.lex_weights = []
+        for first, second in ((program.objective1, program.objective2),
+                              (program.objective2, program.objective1)):
+            weight = 1 + sum(abs(c) * (variables[index[vid]].upper - variables[index[vid]].lower)
+                             for vid, c in second.terms.items())
+            terms = {vid: weight * c for vid, c in first.terms.items()}
+            for vid, c in second.terms.items():
+                terms[vid] = terms.get(vid, 0) + c
+            row_terms.append([(index[vid], c) for vid, c in terms.items() if c])
+            row_rhs.append(None)
+            self.lex_weights.append(weight)
         self.row_rhs = row_rhs
         self.nrows = len(row_terms)
 
@@ -289,18 +320,18 @@ class _Search:
         """Depth-first search over an explicit stack, lower value first.
 
         ``rows`` are the objective rows the solve's bounds set.  ``obj_row``
-        is the minimized objective's upper row; its rhs is None while that
-        side is open, and each incumbent lowers it to a cutoff one unit
-        below the incumbent's value.  Each stack entry is
-        (variable, new lower, new upper, lower, upper, amin): the branch to
-        apply and the domains and activities of its parent node to apply it
-        to.  A branching node pushes its second child, ``x_i >= l + 1``,
-        with copies of its state, then its first child, ``x_i = l``, with
-        the state itself, which is popped at once and changed in place.  By
-        the time the second child is popped, its parent's subtree is done
-        and the copies are the only record of the parent's state.  The
-        cutoff is no part of that state: it only falls, so each child
-        re-checks it.
+        is the cutoff row, whose activity plus ``obj_const`` is the value
+        minimized; its rhs is None while that side is open, and each
+        incumbent lowers it to one unit below the incumbent's value.  Each
+        stack entry is (variable, new lower, new upper, lower, upper, amin):
+        the branch to apply and the domains and activities of its parent
+        node to apply it to.  A branching node pushes its second child,
+        ``x_i >= l + 1``, with copies of its state, then its first child,
+        ``x_i = l``, with the state itself, which is popped at once and
+        changed in place.  By the time the second child is popped, its
+        parent's subtree is done and the copies are the only record of the
+        parent's state.  The cutoff is no part of that state: it only
+        falls, so each child re-checks it.
         """
         row_rhs, n = self.rhs, self.compiled.n
         best_value = best_values = None
@@ -340,6 +371,29 @@ class _Search:
         return SolveOutcome("optimal", assignment, best_value, nodes)
 
 
+def _minimize(program, bounds, cutoff_row, constant, config):
+    """Minimize the activity of compiled row ``obj_base + cutoff_row`` plus
+    ``constant`` within ``bounds``, which set the rhs of the four
+    objective-bound rows.  Each incumbent lowers the cutoff row's rhs.
+    """
+    compiled = _compiled(program)
+    rhs = compiled.row_rhs[:]
+    rows = []
+    for k, (lo, hi) in enumerate(bounds, start=1):
+        objective_constant = program.objective(k).constant
+        lower_row = compiled.obj_base + 2 * (k - 1)
+        if lo is not None:
+            rhs[lower_row] = objective_constant - lo
+            rows.append(lower_row)
+        if hi is not None:
+            rhs[lower_row + 1] = hi - objective_constant
+            rows.append(lower_row + 1)
+    if not compiled.feasible:
+        return SolveOutcome("infeasible", None, None, 0)
+    return _Search(compiled, rhs).run(rows, compiled.obj_base + cutoff_row, constant,
+                                      config.node_limit)
+
+
 def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     """Global minimum of one objective over the program within ``bounds``.
 
@@ -353,46 +407,30 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     Returns an ``optimal`` or ``infeasible`` SolveOutcome; raises
     SolverError when the search needs more than ``config.node_limit`` nodes.
     """
-    obj_const = program.objective(objective_index).constant
-    compiled = _compiled(program)
-    rhs = compiled.row_rhs[:]
-    rows = []
-    for k, (lo, hi) in enumerate(bounds, start=1):
-        constant = program.objective(k).constant
-        lower_row = compiled.obj_base + 2 * (k - 1)
-        if lo is not None:
-            rhs[lower_row] = constant - lo
-            rows.append(lower_row)
-        if hi is not None:
-            rhs[lower_row + 1] = hi - constant
-            rows.append(lower_row + 1)
-    if not compiled.feasible:
-        return SolveOutcome("infeasible", None, None, 0)
-    obj_row = compiled.obj_base + (1 if objective_index == 1 else 3)  # its upper row
-    return _Search(compiled, rhs).run(rows, obj_row, obj_const, config.node_limit)
+    constant = program.objective(objective_index).constant
+    return _minimize(program, bounds, 2 * objective_index - 1, constant, config)
 
 
 def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
-    """Two-stage lexicographic minimization inside objective ``bounds``.
+    """Lexicographic minimization inside objective ``bounds``, in one search.
 
-    order is (1, 2) or (2, 1).  Stage one minimizes the first listed
-    objective within ``bounds``; stage two minimizes the other with the
-    first objective's bounds pinned to its optimum, ``(v, v)``.  Only
-    stage one can be infeasible: its optimum satisfies the pin.
+    order is (1, 2) or (2, 1): minimize the first listed objective, then
+    the other among the first's optima.  The search minimizes
+    ``W * z_first + z_second`` over its compiled lexicographic row, with
+    ``W`` larger than the range of ``z_second`` (see ``_Compiled``), and
+    returns the same leaf as a two-stage solve would (see the module
+    docstring).  The point is evaluated on that one assignment.
     """
     first, second = order
     if {first, second} != {1, 2}:
         raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
-    stage1 = solve_min(program, first, bounds, config)
-    if stage1.status == "infeasible":
-        return LexOutcome("infeasible", None, None, stage1.nodes_explored, 1)
-    pinned = list(bounds)
-    pinned[first - 1] = (stage1.value, stage1.value)
-    stage2 = solve_min(program, second, tuple(pinned), config)
-    nodes = stage1.nodes_explored + stage2.nodes_explored
-    point = CriterionPoint(evaluate(program.objective1, stage2.assignment),
-                           evaluate(program.objective2, stage2.assignment))
-    return LexOutcome("optimal", stage2.assignment, point, nodes, 2)
+    weight = _compiled(program).lex_weights[first - 1]
+    constant = weight * program.objective(first).constant + program.objective(second).constant
+    out = _minimize(program, bounds, 3 + first, constant, config)
+    if out.status == "infeasible":
+        return LexOutcome("infeasible", None, None, out.nodes_explored, 1)
+    point = criterion_point(program, out.assignment)
+    return LexOutcome("optimal", out.assignment, point, out.nodes_explored, 1)
 
 
 # ---------------------------------------------------------------------------

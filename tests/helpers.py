@@ -1,6 +1,7 @@
 """Shared test scaffolding: programs with known criterion points, tiny
 general programs with the exhaustive enumerator that is their ground truth,
-a plain reference branch and bound, and the desk-scale scenario configs."""
+a plain reference branch and bound, the two-stage lexicographic solve, and
+the desk-scale scenario configs."""
 
 import itertools
 
@@ -175,6 +176,27 @@ def reference_search(prog, objective_index, bounds=((None, None), (None, None)))
     if best_value is None:
         return SolveOutcome("infeasible", None, None, nodes)
     return SolveOutcome("optimal", best_assignment, best_value, nodes)
+
+
+def two_stage_lexmin(prog, order, bounds=((None, None), (None, None))):
+    """The two-stage lexicographic solve ``lexmin`` must agree with.
+
+    ``solve_min`` minimizes the first listed objective within ``bounds``,
+    then the other with the first pinned to its optimum.  Returns
+    (status, point, assignment rendering), the last two None when
+    infeasible.
+    """
+    from evshare.core import criterion_point
+    from evshare.solver import solve_min
+
+    first, second = order
+    stage1 = solve_min(prog, first, bounds)
+    if stage1.status == "infeasible":
+        return "infeasible", None, None
+    pinned = list(bounds)
+    pinned[first - 1] = (stage1.value, stage1.value)
+    stage2 = solve_min(prog, second, tuple(pinned))
+    return "optimal", criterion_point(prog, stage2.assignment), stage2.assignment.rendering()
 
 
 def infeasible_program():

@@ -1,11 +1,10 @@
 import json
 import os
-import stat
 
 import pytest
 
 from evshare.charging import schedule_to_json
-from evshare.cli import SOLVER_ENV, run_cli
+from evshare.cli import run_cli
 from evshare.scenario import t1_instance
 from evshare.charging import instance_to_json
 from evshare.solver import solve_min
@@ -248,51 +247,10 @@ def test_export_lp_writes_model(t1_file, tmp_path):
     assert text.startswith("Minimize") and "Binaries" in text
 
 
-def fake_solver_script(tmp_path, listing, exit_code=0):
-    script = tmp_path / "fake-solver.py"
-    solution = tmp_path / "solution-payload.txt"
-    solution.write_text(listing)
-    script.write_text(
-        "#!/usr/bin/env python3\n"
-        "import shutil, sys\n"
-        "lp, out = sys.argv[1], sys.argv[2]\n"
-        "open(lp).read()\n"
-        f"shutil.copy({str(solution)!r}, out)\n"
-        f"sys.exit({exit_code})\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    return str(script)
-
-
 def t1_optimal_listing():
     prog = build_charging_program(t1_instance())
     out = solve_min(prog, 1)
     return "\n".join(f"{vid} {val}" for vid, val in out.assignment.rendering())
-
-
-def test_export_lp_run_round_trip(t1_file, tmp_path, monkeypatch, capsys):
-    script = fake_solver_script(tmp_path, t1_optimal_listing())
-    monkeypatch.setenv(SOLVER_ENV, script)
-    code = run_cli(["export-lp", "--instance", t1_file, "--objective", "1",
-                    "--out", str(tmp_path / "model.lp"), "--run"])
-    assert code == 0
-    assert "solution feasible: z1=2100" in capsys.readouterr().out
-
-
-def test_export_lp_run_requires_the_env_var(t1_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(SOLVER_ENV, raising=False)
-    code = run_cli(["export-lp", "--instance", t1_file, "--objective", "1",
-                    "--out", str(tmp_path / "model.lp"), "--run"])
-    assert code == 1
-    assert SOLVER_ENV in capsys.readouterr().err
-
-
-def test_export_lp_run_propagates_solver_failure(t1_file, tmp_path, monkeypatch, capsys):
-    script = fake_solver_script(tmp_path, t1_optimal_listing(), exit_code=3)
-    monkeypatch.setenv(SOLVER_ENV, script)
-    code = run_cli(["export-lp", "--instance", t1_file, "--objective", "1",
-                    "--out", str(tmp_path / "model.lp"), "--run"])
-    assert code == 1
-    assert "external solver failed" in capsys.readouterr().err
 
 
 def test_import_solution_happy_path(t1_file, tmp_path, capsys):

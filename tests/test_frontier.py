@@ -36,7 +36,7 @@ from evshare.charging import (
     infeasibility_diagnostic,
     noncollab_point,
 )
-from evshare.solver import OPEN, SolverConfig, SolverError, solve_min
+from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, solve_min
 
 from helpers import (
     certify_limit_instance,
@@ -152,7 +152,7 @@ def test_initial_box_example():
     prog = make_point_program([(2, 9), (5, 5), (9, 2)])
     z_top, z_bottom, assignments, solves = initial_box(prog, ParticipationPoint(20, 20))
     assert (z_top, z_bottom) == (P(2, 9), P(9, 2))
-    assert solves == 4
+    assert solves == 2  # one search per endpoint
     assert set(assignments) == {P(2, 9), P(9, 2)}
     for point, assignment in assignments.items():
         assert criterion_point(prog, assignment) == point
@@ -194,12 +194,16 @@ def test_bbox_three_point_staircase():
 def test_run_nodes_sum_every_solve(method, monkeypatch):
     solves = []
 
-    def counted(*args):
-        out = solve_min(*args)
-        solves.append(out.nodes_explored)
-        return out
+    def counting(solve):
+        def counted(*args):
+            out = solve(*args)
+            solves.append(out.nodes_explored)
+            return out
+        return counted
 
-    monkeypatch.setattr("evshare.solver.solve_min", counted)
+    # Every branch-and-bound search: certification and lexicographic solves.
+    monkeypatch.setattr("evshare.solver.solve_min", counting(solve_min))
+    monkeypatch.setattr("evshare.solver.lexmin", counting(lexmin))
     prog = make_point_program([(10, 100), (30, 70), (50, 50), (90, 20)])
     result = run_method(prog, None, method, 30)
     assert (result.solver_calls, result.nodes) == (len(solves), sum(solves))
@@ -212,12 +216,13 @@ def test_run_nodes_sum_every_solve(method, monkeypatch):
 def test_engine_solver_call_accounting():
     prog = make_point_program([(1, 3), (3, 1)])
     result = run_method(prog, None, "bbox")
-    # 4 endpoint solves + one rectangle with a 2-solve search on each half
-    assert result.solver_calls == 8
+    # 2 endpoint searches + one rectangle with one lexicographic search on
+    # each half
+    assert result.solver_calls == 4
     assert result.rectangles_processed == 1
     # at zero tolerance b3m2 never reaches certification here: both searches
     # return already-recorded points
-    assert run_method(prog, None, "b3m2", 0).solver_calls == 8
+    assert run_method(prog, None, "b3m2", 0).solver_calls == 4
 
 
 def test_t1_bbox_matches_oracle():
@@ -262,8 +267,8 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
 # (solver calls, branch-and-bound nodes) of each method's run on the long
 # frontiers below: any change to the search tree moves a node total.
 LONG_FRONTIER_COUNTS = {
-    93: {"bbox": (20, 5854), "b3m1": (12, 3705), "b3m2": (11, 3416)},
-    145: {"bbox": (20, 2656), "b3m1": (16, 2206), "b3m2": (16, 2208)},
+    93: {"bbox": (10, 3144), "b3m1": (6, 2066), "b3m2": (8, 2594)},
+    145: {"bbox": (10, 1418), "b3m1": (8, 1189), "b3m2": (12, 1693)},
 }
 
 

@@ -3,11 +3,12 @@ import hashlib
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evshare.core import (
     Constraint,
     CriterionPoint,
+    LinearExpression,
     ProgramError,
     binary,
     check_assignment,
@@ -42,6 +43,7 @@ from helpers import (
     make_point_program,
     reference_search,
     tiny_programs,
+    two_stage_lexmin,
 )
 
 
@@ -119,9 +121,44 @@ def test_lexmin_rejects_bad_order():
 
 
 def test_lexmin_counts_stage_solves():
+    # One search per lexicographic solve, feasible or not.
     prog = make_point_program([(1, 3), (2, 1)])
-    assert lexmin(prog, (1, 2)).solves == 2
+    assert lexmin(prog, (1, 2)).solves == 1
     assert lexmin(infeasible_program(), (1, 2)).solves == 1
+
+
+@st.composite
+def lexmin_programs(draw):
+    """Tiny programs; in some, one objective has no terms."""
+    prog = draw(st.one_of(tiny_programs(), feasible_tiny_programs()))
+    objectives = [prog.objective1, prog.objective2]
+    blank = draw(st.sampled_from((None, 0, 1)))
+    if blank is not None:
+        objectives[blank] = LinearExpression({}, draw(st.integers(min_value=-4, max_value=4)))
+    return program(prog.variables, prog.constraints, *objectives)
+
+
+# General integers with negative bounds, and a second objective with no terms.
+NEGATIVE_BOUNDS_PROGRAM = program(
+    [integer("x0", -3, 0), integer("x1", -2, 1)],
+    [Constraint(expr({"x0": 1, "x1": -1}), "<=", 0, "r0")],
+    expr({"x0": -1, "x1": 2}, 1), LinearExpression({}, 5))
+
+
+@given(lexmin_programs(), st.sampled_from(((1, 2), (2, 1))), objective_bounds)
+@example(NEGATIVE_BOUNDS_PROGRAM, (1, 2), OPEN)
+@example(NEGATIVE_BOUNDS_PROGRAM, (2, 1), ((None, 3), (None, None)))
+@example(make_point_program([(0, 4), (1, 0)]), (1, 2), OPEN)  # needs W > 4
+@example(make_point_program([(4, 0), (0, 1)]), (2, 1), OPEN)
+@settings(max_examples=300, deadline=None)
+def test_lexmin_matches_two_stage_solves(prog, order, bounds):
+    # Status, point and assignment equal the two-stage solve's, on a fresh
+    # program (its first solve compiles it) and on the compiled one.
+    expected = two_stage_lexmin(dataclasses.replace(prog), order, bounds)
+    for _ in range(2):
+        out = lexmin(prog, order, bounds)
+        rendering = out.assignment.rendering() if out.assignment else None
+        assert (out.status, out.point, rendering) == expected
 
 
 @given(point_sets)
@@ -182,6 +219,13 @@ def declared_rows(prog):
             rows.append({vid: sign * c for vid, c in con.expression.terms.items()})
     for objective in (prog.objective1, prog.objective2):
         rows += [{vid: -c for vid, c in objective.terms.items()}, dict(objective.terms)]
+    variables = prog.variable_map()
+    for first, second in ((prog.objective1, prog.objective2), (prog.objective2, prog.objective1)):
+        # W * z_first + z_second, W one more than z_second's declared range.
+        weight = 1 + sum(abs(c) * (variables[vid].upper - variables[vid].lower)
+                         for vid, c in second.terms.items())
+        rows.append({vid: weight * first.terms.get(vid, 0) + second.terms.get(vid, 0)
+                     for vid in {**first.terms, **second.terms}})
     return rows
 
 
@@ -205,31 +249,41 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
             c * (lower[index[vid]] if c > 0 else upper[index[vid]]) for vid, c in terms.items())
 
 
-# sha256 over every solve_min outcome of bbox, b3m1 at 3% and b3m2 at 3% on
-# the first 12 desk instances: 236 solves, 10,711 nodes.  A change to the
-# search tree, its value or its tie-breaks changes it.
-DESK_TREES = ([236, 10711],
-              "15191a22d9b4cd5a498c67e433a263401c523be0aeb8016b23a8b58440b277f6")
+# sha256 over every solve_min and lexmin outcome of bbox, b3m1 at 3% and
+# b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
+# each: 4 certification solves and 122 lexicographic solves.  A change to
+# the search tree, its value or its tie-breaks changes it.
+DESK_TREES = ({"solve_min": [4, 146], "lexmin": [122, 6288]},
+              "e32f757e9b50e63a983dfee9045d4456f2617ea56971fb6779107c68030d61c6")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
-    digest, counts = hashlib.sha256(), [0, 0]
-    real = solver.solve_min
+    digest = hashlib.sha256()
+    counts = {"solve_min": [0, 0], "lexmin": [0, 0]}
+    real_solve_min, real_lexmin = solver.solve_min, solver.lexmin
 
-    def recording(program, objective_index, bounds=OPEN, config=SolverConfig()):
-        out = real(program, objective_index, bounds, config)
+    def record(name, out, value):
         rendering = out.assignment.rendering() if out.assignment else None
-        digest.update(repr((out.status, out.value, out.nodes_explored, rendering)).encode())
-        counts[0] += 1
-        counts[1] += out.nodes_explored
+        digest.update(repr((name, out.status, value, out.nodes_explored, rendering)).encode())
+        counts[name][0] += 1
+        counts[name][1] += out.nodes_explored
         return out
+
+    def recording_solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
+        out = real_solve_min(program, objective_index, bounds, config)
+        return record("solve_min", out, out.value)
+
+    def recording_lexmin(program, order, bounds=OPEN, config=SolverConfig()):
+        out = real_lexmin(program, order, bounds, config)
+        return record("lexmin", out, out.point)
 
     for config in desk_configs(12):
         instance = generate_scenario(config)
         program = build_charging_program(instance)
         participation = noncollab_point(instance)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "solve_min", recording)
+            patch.setattr(solver, "solve_min", recording_solve_min)
+            patch.setattr(solver, "lexmin", recording_lexmin)
             for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
                 run_method(program, participation, method, epsilon)
     assert (counts, digest.hexdigest()) == DESK_TREES
