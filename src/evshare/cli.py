@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import EvshareError, check_assignment, evaluate
+from .core import EvshareError, evaluate
 from . import bargaining as _bargaining
 from . import charging as _charging
 from . import frontier as _frontier
@@ -140,9 +140,9 @@ def _frontier_paths(out_dir, stem, method, eps_text):
 def _cmd_frontier(args):
     started = time.perf_counter()
     instance = _load_instance(args.instance)
-    participation = _charging.noncollab_point(instance)
-    program = _charging.build_charging_program(instance)
     config = _solver.SolverConfig(node_limit=args.node_limit)
+    participation = _charging.noncollab_point(instance, config)
+    program = _charging.build_charging_program(instance)
     result = _frontier.run_method(program, participation, args.method,
                                   args.epsilon, config)
 
@@ -399,10 +399,6 @@ def _cmd_import_solution(args):
     instance = _load_instance(args.instance)
     program = _charging.build_charging_program(instance)
     assignment = _solver.parse_external_solution(_read(args.solution), program)
-    violated = check_assignment(program, assignment)
-    if violated:
-        raise CliError(f"solution violates {len(violated)} constraints, "
-                       f"first: {violated[0]}")
     schedule = _charging.decode_schedule(assignment, instance, program)
     problems = _charging.validate_schedule(schedule, instance)
     if problems:

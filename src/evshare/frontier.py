@@ -60,9 +60,6 @@ class Rectangle:
                 f"invalid rectangle corners {self.top_left.as_tuple()} .. "
                 f"{self.bottom_right.as_tuple()}")
 
-    def z2_extent(self):
-        return self.top_left.z2 - self.bottom_right.z2
-
     def bounds(self):
         """The box as solver bounds: ((z1 lo, z1 hi), (z2 lo, z2 hi))."""
         return ((self.top_left.z1, self.bottom_right.z1),
@@ -73,14 +70,11 @@ class Rectangle:
 class ClosenessMargins:
     """Distance thresholds below which two points count as interchangeable.
 
-    ``sigma1``/``sigma2`` are fixed-point integer distances along z1/z2;
-    ``epsilon`` keeps the originating tolerance (a Fraction, e.g. 3/100)
-    for reporting.
+    ``sigma1``/``sigma2`` are fixed-point integer distances along z1/z2.
     """
 
     sigma1: int
     sigma2: int
-    epsilon: Fraction
 
     def __post_init__(self):
         if self.sigma1 < 0 or self.sigma2 < 0:
@@ -139,7 +133,7 @@ def compute_margins(epsilon, z_top, z_bottom):
         raise FrontierError(f"closeness tolerance must be >= 0, got {epsilon!r}")
     sigma1 = _half_up(eps * z_top.z1)
     sigma2 = _half_up(eps * z_bottom.z2)
-    return ClosenessMargins(sigma1, sigma2, eps)
+    return ClosenessMargins(sigma1, sigma2)
 
 
 def strictly_close(point, others, margins):
@@ -151,22 +145,6 @@ def strictly_close(point, others, margins):
 
 # ---------------------------------------------------------------------------
 # Rectangle surgery.
-
-
-def split_rectangle(rect):
-    """Split at the floor midpoint of the z2 range.
-
-    Returns (top, bottom) sharing the mid line, or None when the rectangle
-    has no z2 extent to split.
-    """
-    if rect.z2_extent() <= 0:
-        return None
-    mid = (rect.top_left.z2 + rect.bottom_right.z2) // 2
-    top = Rectangle(rect.top_left,
-                    CriterionPoint(rect.bottom_right.z1, mid))
-    bottom = Rectangle(CriterionPoint(rect.top_left.z1, mid),
-                       rect.bottom_right)
-    return top, bottom
 
 
 def shrink_rectangle(rect, margins):
@@ -185,7 +163,7 @@ def shrink_rectangle(rect, margins):
 
 
 # ---------------------------------------------------------------------------
-# Participation bounds and the initial box.
+# Participation bounds.
 
 
 def participation_caps(participation):
@@ -193,21 +171,6 @@ def participation_caps(participation):
     if participation is None:
         return _solver.OPEN
     return ((None, participation.z1_non), (None, participation.z2_non))
-
-
-def initial_box(program, participation=None, config=_solver.SolverConfig()):
-    """Locate the frontier's endpoints inside the participation region.
-
-    Returns (z_top, z_bottom, assignments, solves) where assignments maps
-    each endpoint to a witness.  Returns None when the participation region
-    contains no feasible point at all -- collaboration cannot make both
-    parties at least as well off as standing alone.
-    """
-    run = _Run(program, participation, config)
-    endpoints = run.endpoints()
-    if endpoints is None:
-        return None
-    return (*endpoints, dict(run.recorded), run.solver_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +183,6 @@ class _Run:
     def __init__(self, program, participation, config):
         self.program = program
         self.config = config
-        self.margins = None       # set once the endpoints are known
         self.caps = participation_caps(participation)
         self.recorded = {}
         self.solver_calls = 0
@@ -248,9 +210,6 @@ class _Run:
         self.recorded.setdefault(bottom.point, bottom.assignment)
         return top.point, bottom.point
 
-    def record(self, point, assignment):
-        self.recorded[point] = assignment
-
     def certify_nondominated(self, point):
         """Check nothing in the participation region dominates ``point``.
 
@@ -273,8 +232,16 @@ class _Run:
         return out
 
 
-def _run_rectangles(method, run, z_top, z_bottom):
-    """FIFO rectangle subdivision between the two frontier endpoints."""
+def _run_rectangles(method, run, margins, z_top, z_bottom):
+    """FIFO rectangle subdivision between the two frontier endpoints.
+
+    Each rectangle's search box (for b3m2 the rectangle shrunk by the
+    margins) is split at the floor midpoint of its z2 range: one
+    lexicographic search finds the leftmost point of the bottom half, one
+    the lowest point above the mid line and left of it.  Rectangles span
+    two distinct non-dominated points, so the split never meets a flat
+    bbox/b3m1 box; a flat shrunk b3m2 box is its own bottom half.
+    """
     queue = deque()
     if z_top != z_bottom:
         queue.append(Rectangle(z_top, z_bottom))
@@ -284,33 +251,28 @@ def _run_rectangles(method, run, z_top, z_bottom):
 
         search_box = rect
         if method == "b3m2":
-            search_box = shrink_rectangle(rect, run.margins)
+            search_box = shrink_rectangle(rect, margins)
             if search_box is None:
                 continue
-        halves = split_rectangle(search_box)
-        if halves is not None:
-            bottom_half = halves[1]
-        elif method == "b3m2":
-            bottom_half = search_box  # shrunk to a single z2 line
-        else:
-            continue
-        mid = bottom_half.top_left.z2
+        mid = (search_box.top_left.z2 + search_box.bottom_right.z2) // 2
 
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None          # newly recorded point, if any
         top_z1_cap = search_box.bottom_right.z1
+        bottom_half = Rectangle(CriterionPoint(search_box.top_left.z1, mid),
+                                search_box.bottom_right)
         bottom = run.lexmin((1, 2), bottom_half.bounds())
         if bottom.status != "infeasible":
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
             if candidate not in run.recorded:
                 if method == "b3m1" and strictly_close(
-                        candidate, (rect.bottom_right,), run.margins):
+                        candidate, (rect.bottom_right,), margins):
                     pass  # prune: interchangeable with the retained corner
                 elif method == "b3m2" and not run.certify_nondominated(candidate):
                     pass  # dominated outside the shrunk box; keep the cap
                 else:
-                    run.record(candidate, bottom.assignment)
+                    run.recorded[candidate] = bottom.assignment
                     found_bottom = candidate
                     queue.append(Rectangle(candidate, rect.bottom_right))
 
@@ -318,8 +280,8 @@ def _run_rectangles(method, run, z_top, z_bottom):
         if method == "b3m2" and found_bottom is not None:
             # Re-anchor on the recorded point, stepping a full margin left
             # (at least one unit) and a margin up, never below the mid line.
-            top_z1_cap = found_bottom.z1 - max(run.margins.sigma1, 1)
-            top_floor = max(found_bottom.z2 + run.margins.sigma2, mid)
+            top_z1_cap = found_bottom.z1 - max(margins.sigma1, 1)
+            top_floor = max(found_bottom.z2 + margins.sigma2, mid)
         else:
             top_floor = mid
         if top_z1_cap < search_box.top_left.z1 or top_floor > search_box.top_left.z2:
@@ -337,16 +299,16 @@ def _run_rectangles(method, run, z_top, z_bottom):
             anchors = [rect.top_left]
             anchors.append(found_bottom if found_bottom is not None
                            else rect.bottom_right)
-            if strictly_close(candidate, anchors, run.margins):
+            if strictly_close(candidate, anchors, margins):
                 if found_bottom is not None and strictly_close(
-                        candidate, (found_bottom,), run.margins):
+                        candidate, (found_bottom,), margins):
                     # The pruned point may hide others between it and the
                     # freshly recorded one: re-queue the enlarged top part.
                     queue.append(Rectangle(rect.top_left, found_bottom))
                 continue
         if method == "b3m2" and not run.certify_nondominated(candidate):
             continue
-        run.record(candidate, top.assignment)
+        run.recorded[candidate] = top.assignment
         queue.append(Rectangle(rect.top_left, candidate))
 
 
@@ -369,17 +331,15 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
     start = time.perf_counter()
     run = _Run(program, participation, config)
     endpoints = run.endpoints()
-    if endpoints is None:
-        return FrontierResult(method, eps_pct, (), run.solver_calls,
-                              time.perf_counter() - start, 0, "no-collaboration", run.nodes)
-    z_top, z_bottom = endpoints
-    run.margins = compute_margins(eps_pct / 100, z_top, z_bottom)
-
-    _run_rectangles(method, run, z_top, z_bottom)
+    if endpoints is not None:
+        z_top, z_bottom = endpoints
+        margins = compute_margins(eps_pct / 100, z_top, z_bottom)
+        _run_rectangles(method, run, margins, z_top, z_bottom)
 
     ordered = tuple(sorted(run.recorded.items(), key=lambda item: item[0].as_tuple()))
     return FrontierResult(method, eps_pct, ordered, run.solver_calls,
-                          time.perf_counter() - start, run.rectangles, "ok", run.nodes)
+                          time.perf_counter() - start, run.rectangles,
+                          "ok" if ordered else "no-collaboration", run.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -453,30 +413,41 @@ def frontier_to_csv(result):
     return out.getvalue()
 
 
-def frontier_from_csv(text):
-    """Parse frontier CSV back into (method, epsilon, [(point, ref), ...])."""
+def _read_rows(text, header, kind, parse):
+    """``parse`` applied to each non-blank data row of a CSV with ``header``.
+
+    A wrong header, a row of the wrong width or a row ``parse`` refuses
+    (ValueError or EvshareError) raises FrontierError naming the row.
+    """
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != FRONTIER_HEADER:
-        raise FrontierError(f"bad frontier CSV header: {rows[0] if rows else 'empty file'!r}")
-    method = None
-    epsilon = None
-    points = []
+    if not rows or tuple(rows[0]) != header:
+        raise FrontierError(f"bad {kind} CSV header: {rows[0] if rows else 'empty file'!r}")
+    parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(FRONTIER_HEADER):
-            raise FrontierError(f"frontier CSV row {lineno}: expected "
-                                f"{len(FRONTIER_HEADER)} fields, got {len(row)}")
         try:
-            point = CriterionPoint(int(row[3]), int(row[4]))
-        except ValueError as exc:
-            raise FrontierError(f"frontier CSV row {lineno}: {exc}") from None
-        if method is None:
-            method, epsilon = row[0], _exact(row[1])
-        elif row[0] != method:
-            raise FrontierError(f"frontier CSV row {lineno}: mixed methods")
-        points.append((point, row[5]))
-    return method, epsilon, points
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            parsed.append(parse(row))
+        except (ValueError, EvshareError) as exc:
+            raise FrontierError(f"{kind} CSV row {lineno}: {exc}") from None
+    return parsed
+
+
+def frontier_from_csv(text):
+    """Parse frontier CSV back into (method, epsilon, [(point, ref), ...]).
+
+    Every row must come from one run: one method at one epsilon.
+    """
+    rows = _read_rows(text, FRONTIER_HEADER, "frontier", lambda row: (
+        (row[0], _exact(row[1])), (CriterionPoint(int(row[3]), int(row[4])), row[5])))
+    runs = sorted({run for run, _ in rows})
+    if len(runs) > 1:
+        raise FrontierError("frontier CSV mixes runs: " + ", ".join(
+            f"{method} at epsilon {_epsilon_text(eps)}" for method, eps in runs))
+    method, epsilon = runs[0] if runs else (None, None)
+    return method, epsilon, [point for _, point in rows]
 
 
 def stats_to_csv(rows):
@@ -506,29 +477,15 @@ def _wall_ms(text):
 
 
 def stats_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != STATS_HEADER:
-        raise FrontierError(f"bad stats CSV header: {rows[0] if rows else 'empty file'!r}")
-    parsed = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(STATS_HEADER):
-            raise FrontierError(f"stats CSV row {lineno}: expected "
-                                f"{len(STATS_HEADER)} fields, got {len(row)}")
-        try:
-            parsed.append({
-                "method": row[0],
-                "epsilon": _exact(row[1]),
-                "ndp": int(row[2]),
-                "solver_calls": int(row[3]),
-                "wall_ms": _wall_ms(row[4]),
-                "gap_pct": float(row[5]) if row[5] else None,
-                "cts_pct": float(row[6]) if row[6] else None,
-            })
-        except (ValueError, EvshareError) as exc:
-            raise FrontierError(f"stats CSV row {lineno}: {exc}") from None
-    return parsed
+    return _read_rows(text, STATS_HEADER, "stats", lambda row: {
+        "method": row[0],
+        "epsilon": _exact(row[1]),
+        "ndp": int(row[2]),
+        "solver_calls": int(row[3]),
+        "wall_ms": _wall_ms(row[4]),
+        "gap_pct": float(row[5]) if row[5] else None,
+        "cts_pct": float(row[6]) if row[6] else None,
+    })
 
 
 def stats_row(result, gap_pct=None, cts_pct=None):

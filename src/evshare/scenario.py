@@ -31,7 +31,6 @@ class PriceSeries:
     """24 hourly energy prices in minor units per energy unit."""
 
     prices: tuple
-    source: str = ""
 
     def __post_init__(self):
         if len(self.prices) != 24:
@@ -40,7 +39,7 @@ class PriceSeries:
             raise PriceFormatError("negative price")
 
 
-def load_price_series(csv_text, source="csv"):
+def load_price_series(csv_text):
     """Parse `hour,price` rows (price in SEK) into a PriceSeries in minor units."""
     seen = {}
     rows = csv_text.strip().splitlines()
@@ -69,16 +68,14 @@ def load_price_series(csv_text, source="csv"):
     missing = [h for h in range(24) if h not in seen]
     if missing:
         raise PriceFormatError(f"missing hour {missing[0]}")
-    return PriceSeries(tuple(seen[h] for h in range(24)), source)
+    return PriceSeries(tuple(seen[h] for h in range(24)))
 
 
 # A synthetic-but-plausible Nordic day-ahead shape (SEK/kWh in minor units):
 # cheap overnight, morning and evening peaks.
 DEFAULT_PRICES = PriceSeries(
     (42, 39, 37, 36, 38, 45, 62, 84, 95, 88, 79, 74,
-     70, 68, 66, 69, 78, 92, 104, 98, 86, 71, 58, 48),
-    source="synthetic-default",
-)
+     70, 68, 66, 69, 78, 92, 104, 98, 86, 71, 58, 48))
 
 
 def energy_cost_matrix(ev_locations, charger_locations, sek_per_km):

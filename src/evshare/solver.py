@@ -470,11 +470,10 @@ def export_lp(program, objective_index):
         obj_terms += f" {sign} {abs(objective.constant)}"
     lines.append(f" obj: {obj_terms}")
     lines.append("Subject To")
-    sense_text = {"<=": "<=", ">=": ">=", "=": "="}
     for idx, con in enumerate(program.constraints):
         label = re.sub(r"[^A-Za-z0-9_]", "_", con.name) if con.name else "row"
         rhs = con.rhs - con.expression.constant
-        lines.append(f" c{idx}_{label}: {_lp_terms(con.expression)} {sense_text[con.sense]} {rhs}")
+        lines.append(f" c{idx}_{label}: {_lp_terms(con.expression)} {con.sense} {rhs}")
     binaries = [v.id for v in program.variables if v.kind == "binary"]
     generals = [v.id for v in program.variables if v.kind != "binary"]
     if generals:
@@ -497,8 +496,9 @@ def export_lp(program, objective_index):
 def parse_external_solution(text, program):
     """Parse a whitespace-separated `variable value` listing into an Assignment.
 
-    Values must sit within 1e-6 of an integer; variables missing from the
-    listing default to zero when zero is inside their bounds.
+    Values must sit within 1e-6 of an integer and each variable may appear
+    once; variables missing from the listing default to zero when zero is
+    inside their bounds.
     """
     tokens = text.split()
     if len(tokens) % 2 != 0:
@@ -508,6 +508,8 @@ def parse_external_solution(text, program):
     for name, raw in zip(tokens[::2], tokens[1::2]):
         if name not in var_map:
             raise SolutionParseError(f"unknown variable {name!r}")
+        if name in values:
+            raise SolutionParseError(f"variable {name} listed twice")
         try:
             x = float(raw)
         except ValueError:

@@ -5,12 +5,12 @@ import pytest
 
 from evshare.charging import schedule_to_json
 from evshare.cli import run_cli
-from evshare.scenario import t1_instance
+from evshare.scenario import generate_scenario, t1_instance
 from evshare.charging import instance_to_json
 from evshare.solver import solve_min
 from evshare.charging import build_charging_program, Schedule
 
-from helpers import certify_limit_instance
+from helpers import certify_limit_instance, desk_configs
 
 
 @pytest.fixture
@@ -107,6 +107,18 @@ def test_frontier_node_limit_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: node limit 40 exhausted\n"
     assert not list(tmp_path.glob("seed1001-*"))
+
+
+def test_frontier_node_limit_caps_the_standalone_solves(tmp_path, capsys):
+    # On desk seed 1002 a standalone search takes 21 nodes and every
+    # frontier search at most 18.
+    path = tmp_path / "desk1002.json"
+    path.write_text(instance_to_json(generate_scenario(list(desk_configs(3))[2])))
+    argv = ["frontier", "--instance", str(path), "--method", "bbox", "--out-dir", str(tmp_path)]
+    assert run_cli(argv + ["--node-limit", "20"]) == 1
+    assert capsys.readouterr().err == "error: node limit 20 exhausted\n"
+    assert not list(tmp_path.glob("desk1002-*"))
+    assert run_cli(argv + ["--node-limit", "21"]) == 0
 
 
 def test_frontier_bbox_forces_epsilon_zero(t1_file, tmp_path):
@@ -276,6 +288,15 @@ def test_import_solution_rejects_invalid_listing(t1_file, tmp_path, capsys):
                     "--solution", str(listing)])
     assert code == 1
     assert "violates" in capsys.readouterr().err
+
+
+def test_import_solution_refuses_a_repeated_variable(t1_file, tmp_path, capsys):
+    listing = tmp_path / "solution.txt"
+    listing.write_text("y_A_k1 1 y_A_k1 0 tf_v1 2 tf_v2 2")
+    code = run_cli(["import-solution", "--instance", t1_file,
+                    "--solution", str(listing)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: variable y_A_k1 listed twice\n"
 
 
 def test_import_solution_rejects_partial_listing(t1_file, tmp_path, capsys):

@@ -18,11 +18,9 @@ from evshare.frontier import (
     frontier_from_csv,
     frontier_to_csv,
     gap_metric,
-    initial_box,
     participation_caps,
     run_method,
     shrink_rectangle,
-    split_rectangle,
     stats_from_csv,
     stats_row,
     stats_to_csv,
@@ -92,11 +90,11 @@ def test_compute_margins_rejects_negative_tolerance():
     with pytest.raises(FrontierError):
         compute_margins(-1, P(1, 1), P(1, 1))
     with pytest.raises(FrontierError):
-        ClosenessMargins(-1, 0, Fraction(0))
+        ClosenessMargins(-1, 0)
 
 
 def test_strictly_close_examples():
-    m = ClosenessMargins(5, 10, Fraction(1))
+    m = ClosenessMargins(5, 10)
     anchor = (P(100, 200),)
     assert strictly_close(P(103, 195), anchor, m)
     assert not strictly_close(P(103, 215), anchor, m)
@@ -115,27 +113,16 @@ def test_rectangle_validation():
         Rectangle(P(5, 3), P(1, 3))
     with pytest.raises(FrontierError):
         Rectangle(P(1, 3), P(2, 4))
-    assert Rectangle(P(10, 100), P(90, 20)).z2_extent() == 80
-
-
-def test_split_rectangle_examples():
-    top, bottom = split_rectangle(Rectangle(P(10, 100), P(90, 20)))
-    assert top == Rectangle(P(10, 100), P(90, 60))
-    assert bottom == Rectangle(P(10, 60), P(90, 20))
-    top, bottom = split_rectangle(Rectangle(P(0, 5), P(4, 0)))
-    assert top.bottom_right.z2 == 2 and bottom.top_left.z2 == 2
-    assert split_rectangle(Rectangle(P(1, 3), P(1, 3))) is None
-    assert split_rectangle(Rectangle(P(1, 3), P(9, 3))) is None
 
 
 def test_shrink_rectangle_examples():
-    m = ClosenessMargins(300, 150, Fraction(3, 100))
+    m = ClosenessMargins(300, 150)
     got = shrink_rectangle(Rectangle(P(1000, 10000), P(9000, 2000)), m)
     assert got == Rectangle(P(1300, 9850), P(8700, 2150))
-    zero = ClosenessMargins(0, 0, Fraction(0))
+    zero = ClosenessMargins(0, 0)
     rect = Rectangle(P(10, 30), P(12, 28))
     assert shrink_rectangle(rect, zero) == rect
-    assert shrink_rectangle(rect, ClosenessMargins(3, 3, Fraction(1))) is None
+    assert shrink_rectangle(rect, ClosenessMargins(3, 3)) is None
 
 
 # -- participation and endpoints ----------------------------------------------
@@ -148,31 +135,66 @@ def test_participation_caps():
     assert solve_min(prog, 2, participation_caps(ParticipationPoint(5, 4))).value == 4
 
 
-def test_initial_box_example():
+def lexmin_calls(monkeypatch):
+    """Record (order, bounds, point) of every lexicographic search a run makes."""
+    calls = []
+
+    def recording(program, order, bounds, config):
+        out = lexmin(program, order, bounds, config)
+        calls.append((order, bounds, out.point))
+        return out
+
+    monkeypatch.setattr("evshare.solver.lexmin", recording)
+    return calls
+
+
+def test_initial_box_example(monkeypatch):
+    calls = lexmin_calls(monkeypatch)
     prog = make_point_program([(2, 9), (5, 5), (9, 2)])
-    z_top, z_bottom, assignments, solves = initial_box(prog, ParticipationPoint(20, 20))
-    assert (z_top, z_bottom) == (P(2, 9), P(9, 2))
-    assert solves == 2  # one search per endpoint
-    assert set(assignments) == {P(2, 9), P(9, 2)}
-    for point, assignment in assignments.items():
+    result = run_method(prog, ParticipationPoint(20, 20), "bbox")
+    caps = ((None, 20), (None, 20))
+    # One search per endpoint inside the participation region, then the
+    # bottom half of the box between them.
+    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), caps, P(9, 2)),
+                         ((1, 2), ((2, 9), (2, 5)), P(5, 5))]
+    for point, assignment in result.points:
         assert criterion_point(prog, assignment) == point
 
 
 def test_initial_box_empty_region():
     prog = make_point_program([(5, 5)])
-    assert initial_box(prog, ParticipationPoint(4, 4)) is None
-    # one cap slack, the other binding: still empty
-    assert initial_box(prog, ParticipationPoint(9, 4)) is None
+    # the second region has one cap slack, the other binding: still empty
+    for participation in (ParticipationPoint(4, 4), ParticipationPoint(9, 4)):
+        got = run_method(prog, participation)
+        assert (got.status, got.points, got.solver_calls) == ("no-collaboration", (), 1)
 
 
 def test_initial_box_singleton():
-    prog = make_point_program([(5, 5)])
-    z_top, z_bottom, assignments, _ = initial_box(prog)
-    assert z_top == z_bottom == P(5, 5)
-    assert len(assignments) == 1
+    got = run_method(make_point_program([(5, 5)]))
+    assert got.criterion_points() == (P(5, 5),)
+    # both endpoint searches meet at one point: no rectangle to search
+    assert (got.solver_calls, got.rectangles_processed) == (2, 0)
 
 
 # -- the rectangle engine ----------------------------------------------------
+
+@pytest.mark.parametrize("method, epsilon, points, searches", [
+    # bottom half at or below the mid line, then the top half above it and
+    # left of the bottom point
+    ("bbox", 0, [(10, 100), (90, 20)],
+     [((10, 90), (20, 60)), ((10, 89), (60, 100))]),
+    ("bbox", 0, [(0, 5), (4, 0)],
+     [((0, 4), (0, 2)), ((0, 3), (2, 5))]),  # floor of the midpoint 2.5
+    # margins (5, 5) shrink the box to the line z2 = 15, its own bottom half;
+    # the top search would start a margin above the point found there
+    ("b3m2", 50, [(10, 20), (20, 15), (30, 10)],
+     [((15, 25), (15, 15))]),
+], ids=["even-extent", "odd-extent", "flat-shrunk-box"])
+def test_rectangles_split_at_the_floor_midpoint(monkeypatch, method, epsilon, points, searches):
+    calls = lexmin_calls(monkeypatch)
+    run_method(make_point_program(points), None, method, epsilon)
+    assert [bounds for _, bounds, _ in calls[2:2 + len(searches)]] == searches
+
 
 def run_points(prog, method, epsilon=0, participation=None):
     return set(run_method(prog, participation, method, epsilon).criterion_points())
@@ -580,6 +602,10 @@ def test_frontier_csv_rejects_garbage():
         frontier_from_csv(good + "b3m1,5,1,ninety,20,b3m1-1\n")
     with pytest.raises(FrontierError):
         frontier_from_csv(good + "b3m1,5,1,90\n")
+    with pytest.raises(FrontierError, match="mixes runs: b3m1 at epsilon 3, b3m1 at epsilon 5"):
+        frontier_from_csv(good + "b3m1,3,1,90,20,b3m1-1\n")
+    # the same epsilon written another way is one run
+    assert frontier_from_csv(good + "b3m1,5.0,1,90,20,b3m1-1\n")[:2] == ("b3m1", 5)
 
 
 def test_stats_csv_wall_ms_keeps_microseconds():

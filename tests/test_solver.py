@@ -437,6 +437,8 @@ def test_parse_external_solution_examples():
         parse_external_solution("x1", prog)
     with pytest.raises(SolutionParseError):
         parse_external_solution("x1 one", prog)
+    with pytest.raises(SolutionParseError, match="variable x1 listed twice"):
+        parse_external_solution("x1 1 x2 0 x1 0", prog)
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e400"])
