@@ -204,8 +204,10 @@ class _Run:
         top = self.lexmin((1, 2), self.caps)
         if top.status == "infeasible":
             return None
-        # Same region as the top search, which found a point: always optimal.
-        bottom = self.lexmin((2, 1), self.caps)
+        # top.z1 is the least z1 in the region, so the bottom endpoint lies in
+        # the box the top point leaves, as does the top point: always optimal.
+        (_, z1_cap), _ = self.caps
+        bottom = self.lexmin((2, 1), ((top.point.z1, z1_cap), (None, top.point.z2)))
         self.recorded[top.point] = top.assignment
         self.recorded.setdefault(bottom.point, bottom.assignment)
         return top.point, bottom.point

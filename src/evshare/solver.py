@@ -24,6 +24,21 @@ the root.  So every solve explores the same nodes and returns the same
 value and assignment as one that scans every row in full from the
 declared bounds.
 
+Each objective row is compiled shifted over the program's partition rows:
+disjoint ``=`` rows whose unit coefficients over 0/1 variables sum to 1,
+such as each EV's single-start and single-end rows in the charging model.
+The rows of z1, z2 and the two lexicographic combinations below are each
+shifted on their own.  Where an objective's least coefficient ``m`` over a
+partition's variables (0 for one it lacks) is positive, the row reads
+``m + sum((c - m) * x)`` over them: exactly one of them is 1 at every
+feasible point, so every feasible value is unchanged, while the minimum
+activity counts the partition's cheapest option before the search fixes
+any of its variables.
+At a fixpoint of the partition row the shifted row is never weaker than
+the declared one (a negative ``m`` could be: its option may be ruled out
+below the root), so a solve explores no more nodes and returns the same
+first optimal leaf.  The program itself keeps its declared objectives.
+
 A lexicographic solve (``lexmin``) is one search over the combined
 objective ``W * z_first + z_second``, whose row doubles as its cutoff.
 ``W`` is one more than the range of ``z_second`` over the declared bounds,
@@ -51,7 +66,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from .core import Assignment, CriterionPoint, EvshareError, criterion_point
+from .core import (
+    Assignment, CriterionPoint, EvshareError, LinearExpression, ProgramError, criterion_point)
 
 
 class SolverError(EvshareError):
@@ -114,6 +130,54 @@ def _nonzero(terms):
     return terms if 0 not in terms.values() else {v: c for v, c in terms.items() if c}
 
 
+def _partitions(program):
+    """The program's partition rows, as lists of variable ids.
+
+    A partition row is an ``=`` row whose nonzero coefficients are all 1,
+    over variables declared in [0, 1], with rhs minus constant 1: every
+    feasible point sets exactly one of its variables to 1.  Rows are taken
+    in declaration order; a row that shares a variable with one already
+    taken is skipped, so the partitions are disjoint.
+    """
+    zero_one = {v.id for v in program.variables if (v.lower, v.upper) == (0, 1)}
+    taken, partitions = set(), []
+    for con in program.constraints:
+        terms = _nonzero(con.expression.terms)
+        if (con.sense == "=" and terms and con.rhs - con.expression.constant == 1
+                and all(c == 1 and vid in zero_one for vid, c in terms.items())
+                and taken.isdisjoint(terms)):
+            taken.update(terms)
+            partitions.append(list(terms))
+    return partitions
+
+
+def _shift(objective, partitions):
+    """``objective`` as (terms, constant), with each partition's least
+    coefficient, an absent variable counting as 0, moved into the constant.
+    Its value is unchanged wherever one variable of each partition is 1."""
+    terms = dict(_nonzero(objective.terms))
+    constant = objective.constant
+    for partition in partitions:
+        least = min(terms.get(vid, 0) for vid in partition)
+        if least > 0:
+            constant += least
+            for vid in partition:
+                terms[vid] = terms.get(vid, 0) - least
+    return _nonzero(terms), constant
+
+
+def _lexicographic(first, second, variables):
+    """``W * first + second``, with ``W`` one more than the range of
+    ``second``'s terms over the declared bounds: no difference in ``second``
+    outweighs one unit of ``first``."""
+    width = {v.id: v.upper - v.lower for v in variables}
+    weight = 1 + sum(abs(c) * width[vid] for vid, c in second.terms.items())
+    terms = {vid: weight * c for vid, c in first.terms.items()}
+    for vid, c in second.terms.items():
+        terms[vid] = terms.get(vid, 0) + c
+    return LinearExpression(terms, weight * first.constant + second.constant)
+
+
 class _Compiled:
     """A program's row system and root fixpoint, built once on its first solve.
 
@@ -122,9 +186,13 @@ class _Compiled:
     z2 upper) whose rhs a solve sets from its bounds, then two lexicographic
     rows, ``W * z1 + z2`` for order (1, 2) and ``W * z2 + z1`` for (2, 1),
     which only ``lexmin``'s cutoff sets.  Here every objective rhs is None.
-    ``lex_weights`` holds the two ``W``: one more than the range of the
-    second objective's terms over the declared bounds, so that no
-    difference in it outweighs one unit of the first.
+    Each ``W`` is one more than the range of the second objective's terms
+    over the declared bounds, so that no difference in it outweighs one
+    unit of the first.  The objective rows read z1, z2 and the two
+    combinations shifted over the partition rows (see the module
+    docstring); ``constants`` holds the four constants after the shift, in
+    that order, and a row's activity plus its constant is the objective's
+    value at every feasible point.
 
     ``lower``/``upper``/``amin`` are the root fixpoint: the domains and
     minimum row activities after propagating the constraint rows alone, or
@@ -163,22 +231,18 @@ class _Compiled:
                 row_terms.append([(index[vid], sign * c) for vid, c in terms.items()])
                 row_rhs.append(sign * rhs)
         self.obj_base = len(row_terms)
-        for objective in (program.objective1, program.objective2):
-            terms = _nonzero(objective.terms)
+        z1, z2 = program.objective1, program.objective2
+        objectives = (z1, z2, _lexicographic(z1, z2, variables), _lexicographic(z2, z1, variables))
+        partitions = _partitions(program)
+        shifted = [_shift(objective, partitions) for objective in objectives]
+        self.constants = [constant for _, constant in shifted]
+        for terms, _ in shifted[:2]:
             row_terms.append([(index[vid], -c) for vid, c in terms.items()])
             row_terms.append([(index[vid], c) for vid, c in terms.items()])
             row_rhs += [None, None]
-        self.lex_weights = []
-        for first, second in ((program.objective1, program.objective2),
-                              (program.objective2, program.objective1)):
-            weight = 1 + sum(abs(c) * (variables[index[vid]].upper - variables[index[vid]].lower)
-                             for vid, c in second.terms.items())
-            terms = {vid: weight * c for vid, c in first.terms.items()}
-            for vid, c in second.terms.items():
-                terms[vid] = terms.get(vid, 0) + c
-            row_terms.append([(index[vid], c) for vid, c in terms.items() if c])
+        for terms, _ in shifted[2:]:
+            row_terms.append([(index[vid], c) for vid, c in terms.items()])
             row_rhs.append(None)
-            self.lex_weights.append(weight)
         self.row_rhs = row_rhs
         self.nrows = len(row_terms)
 
@@ -201,6 +265,12 @@ class _Compiled:
             sorted(((v, c, abs(c) * (upper[v] - lower[v])) for v, c in terms
                     if lower[v] < upper[v]), key=lambda term: -term[2])
             for terms in row_terms]
+
+    def constant(self, k):
+        """Objective k's constant after the shift."""
+        if k not in (1, 2):
+            raise ProgramError(f"objective index must be 1 or 2, got {k!r}")
+        return self.constants[k - 1]
 
 
 def _compiled(program):
@@ -380,7 +450,7 @@ def _minimize(program, bounds, cutoff_row, constant, config):
     rhs = compiled.row_rhs[:]
     rows = []
     for k, (lo, hi) in enumerate(bounds, start=1):
-        objective_constant = program.objective(k).constant
+        objective_constant = compiled.constant(k)
         lower_row = compiled.obj_base + 2 * (k - 1)
         if lo is not None:
             rhs[lower_row] = objective_constant - lo
@@ -407,7 +477,7 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     Returns an ``optimal`` or ``infeasible`` SolveOutcome; raises
     SolverError when the search needs more than ``config.node_limit`` nodes.
     """
-    constant = program.objective(objective_index).constant
+    constant = _compiled(program).constant(objective_index)
     return _minimize(program, bounds, 2 * objective_index - 1, constant, config)
 
 
@@ -424,8 +494,7 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
     first, second = order
     if {first, second} != {1, 2}:
         raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
-    weight = _compiled(program).lex_weights[first - 1]
-    constant = weight * program.objective(first).constant + program.objective(second).constant
+    constant = _compiled(program).constants[1 + first]
     out = _minimize(program, bounds, 3 + first, constant, config)
     if out.status == "infeasible":
         return LexOutcome("infeasible", None, None, out.nodes_explored, 1)

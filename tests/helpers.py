@@ -90,6 +90,35 @@ def feasible_tiny_programs(draw):
     return program(variables, rows, tiny_linear(draw, variables), tiny_linear(draw, variables))
 
 
+@st.composite
+def partitioned_programs(draw):
+    """Tiny programs with one or two disjoint ``= 1`` rows planted over two
+    or three fresh binaries each, placed anywhere among the variables and
+    rows.  On each planted row every objective's coefficients differ and
+    are mostly positive, so the solver's shift moves most of them; zero and
+    negative ones occur."""
+    groups = [[binary(f"p{g}_{i}") for i in range(draw(st.integers(min_value=2, max_value=3)))]
+              for g in range(draw(st.integers(min_value=1, max_value=2)))]
+    variables = draw(st.permutations(tiny_variables(draw) + [v for group in groups for v in group]))
+    rows = [Constraint(tiny_linear(draw, variables), draw(st.sampled_from(SENSES)),
+                       draw(st.integers(min_value=-6, max_value=6)), f"r{k}")
+            for k in range(draw(st.integers(min_value=0, max_value=2)))]
+    for g, group in enumerate(groups):
+        offset = draw(SMALL)
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), Constraint(
+            LinearExpression({v.id: 1 for v in group}, offset), "=", 1 + offset, f"pick{g}"))
+    objectives = []
+    for _ in range(2):
+        objective = tiny_linear(draw, variables)
+        terms = dict(objective.terms)
+        for group in groups:
+            unequal = st.lists(st.integers(min_value=-1, max_value=6),
+                               min_size=len(group), max_size=len(group), unique=True)
+            terms.update(zip((v.id for v in group), draw(unequal)))
+        objectives.append(LinearExpression(terms, objective.constant))
+    return program(variables, rows, *objectives)
+
+
 def feasible_assignments(prog):
     """Every assignment within the variable bounds that satisfies all rows."""
     ids = [v.id for v in prog.variables]
@@ -99,7 +128,34 @@ def feasible_assignments(prog):
             yield candidate
 
 
-def reference_search(prog, objective_index, bounds=((None, None), (None, None))):
+def shifted(prog, expression):
+    """``expression`` shifted over the partition rows of ``prog``.
+
+    A partition row is an ``=`` row over variables declared in [0, 1] whose
+    nonzero coefficients are all 1 and whose rhs less its constant is 1;
+    rows sharing a variable with an earlier partition row are passed over.
+    For each partition whose least coefficient in ``expression`` (0 for a
+    variable it lacks) is positive, that least is taken from each of its
+    variables and added to the constant.  Exactly one variable of a
+    partition is 1 on any feasible point, so every feasible value is
+    unchanged.
+    """
+    zero_one = {v.id for v in prog.variables if (v.lower, v.upper) == (0, 1)}
+    terms, constant, seen = dict(expression.terms), expression.constant, set()
+    for con in prog.constraints:
+        members = [vid for vid, c in con.expression.terms.items() if c]
+        if (con.sense == "=" and members and con.rhs - con.expression.constant == 1
+                and all(con.expression.terms[vid] == 1 and vid in zero_one for vid in members)
+                and seen.isdisjoint(members)):
+            seen.update(members)
+            least = max(0, min(terms.get(vid, 0) for vid in members))
+            constant += least
+            for vid in members:
+                terms[vid] = terms.get(vid, 0) - least
+    return LinearExpression({vid: c for vid, c in terms.items() if c}, constant)
+
+
+def reference_search(prog, objective_index, bounds=((None, None), (None, None)), shift=True):
     """The search ``solve_min`` must reproduce, written plainly.
 
     Depth-first branch and bound on the first unfixed variable in
@@ -107,10 +163,14 @@ def reference_search(prog, objective_index, bounds=((None, None), (None, None)))
     incumbent.  Every node starts from the declared bounds narrowed by the
     branches on its path and scans every row in full until nothing
     tightens; a node counts when that propagation finds no violated row.
-    Returns a SolveOutcome.
+    The objective rows read the ``shifted`` objectives, or the declared ones
+    when ``shift`` is False.  Returns a SolveOutcome.
     """
     from evshare.solver import SolveOutcome
 
+    if shift:
+        prog = program(prog.variables, prog.constraints,
+                       shifted(prog, prog.objective1), shifted(prog, prog.objective2))
     rows = []  # (terms, rhs) reading sum(c * x) <= rhs
     for con in prog.constraints:
         terms = [(vid, c) for vid, c in con.expression.terms.items() if c]
@@ -234,17 +294,19 @@ def desk_configs(count=54):
 
 
 def certify_limit_instance():
-    """Desk instance (seed 1001) whose b3m2 run at 3% has three points.
+    """Desk instance (seed 1021) whose b3m2 run at 3% has three points.
 
-    Under a 40-node limit, its endpoint and rectangle solves finish but a
-    certification solve does not.
+    Its endpoint and rectangle searches take at most 28 nodes before the
+    first certification solve, which takes 35, and its standalone solves
+    take 19 and 9.  So under a 30-node limit the run raises in that
+    certification solve.
     """
     from evshare.scenario import ScenarioConfig, generate_scenario
 
     return generate_scenario(ScenarioConfig(
-        ev_distribution="uniform", charger_layout="centralized", n_evs=2, n_chargers=2,
-        seed=1001, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
-        demand_intervals=(1, 2), vot_sek_per_hour=200, rental_fee_sek=400))
+        ev_distribution="uniform", charger_layout="centralized", n_evs=3, n_chargers=2,
+        seed=1021, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
+        demand_intervals=(1, 2), vot_sek_per_hour=100, rental_fee_sek=150))
 
 
 def selected_point(program, assignment):

@@ -100,13 +100,13 @@ def test_frontier_artifacts(t1_file, tmp_path, capsys):
 
 
 def test_frontier_node_limit_exits_1(tmp_path, capsys):
-    path = tmp_path / "seed1001.json"
+    path = tmp_path / "seed1021.json"
     path.write_text(instance_to_json(certify_limit_instance()))
     code = run_cli(["frontier", "--instance", str(path), "--method", "b3m2",
-                    "--epsilon", "3", "--node-limit", "40", "--out-dir", str(tmp_path)])
+                    "--epsilon", "3", "--node-limit", "30", "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err == "error: node limit 40 exhausted\n"
-    assert not list(tmp_path.glob("seed1001-*"))
+    assert capsys.readouterr().err == "error: node limit 30 exhausted\n"
+    assert not list(tmp_path.glob("seed1021-*"))
 
 
 def test_frontier_node_limit_caps_the_standalone_solves(tmp_path, capsys):

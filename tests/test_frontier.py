@@ -153,9 +153,10 @@ def test_initial_box_example(monkeypatch):
     prog = make_point_program([(2, 9), (5, 5), (9, 2)])
     result = run_method(prog, ParticipationPoint(20, 20), "bbox")
     caps = ((None, 20), (None, 20))
-    # One search per endpoint inside the participation region, then the
-    # bottom half of the box between them.
-    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), caps, P(9, 2)),
+    # The top endpoint inside the participation region, the bottom one in
+    # the box the top point leaves, then the bottom half of the box between
+    # them.
+    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), ((2, 20), (None, 9)), P(9, 2)),
                          ((1, 2), ((2, 9), (2, 5)), P(5, 5))]
     for point, assignment in result.points:
         assert criterion_point(prog, assignment) == point
@@ -289,8 +290,8 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
 # (solver calls, branch-and-bound nodes) of each method's run on the long
 # frontiers below: any change to the search tree moves a node total.
 LONG_FRONTIER_COUNTS = {
-    93: {"bbox": (10, 3144), "b3m1": (6, 2066), "b3m2": (8, 2594)},
-    145: {"bbox": (10, 1418), "b3m1": (8, 1189), "b3m2": (12, 1693)},
+    93: {"bbox": (10, 1489), "b3m1": (6, 1026), "b3m2": (8, 1263)},
+    145: {"bbox": (10, 1006), "b3m1": (8, 840), "b3m2": (12, 1225)},
 }
 
 
@@ -419,8 +420,8 @@ def test_b3m2_node_limit_during_certification_raises():
     prog = build_charging_program(inst)
     participation = noncollab_point(inst)
     assert len(run_method(prog, participation, "b3m2", 3).points) == 3
-    with pytest.raises(SolverError, match="node limit 40 exhausted"):
-        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=40))
+    with pytest.raises(SolverError, match="node limit 30 exhausted"):
+        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=30))
 
 
 def test_result_points_are_sorted_and_nondominated():

@@ -41,7 +41,9 @@ from helpers import (
     feasible_tiny_programs,
     infeasible_program,
     make_point_program,
+    partitioned_programs,
     reference_search,
+    shifted,
     tiny_programs,
     two_stage_lexmin,
 )
@@ -211,21 +213,81 @@ def test_solve_min_matches_the_reference_search(prog, objective_index, bounds):
     assert solve_min(prog, objective_index, bounds) == expected  # reuses the compiled form
 
 
+def without_partitions(prog):
+    """``prog`` with each ``=`` row written as a ``<=`` and a ``>=`` row: the
+    same compiled constraint rows, and no partition rows to shift over."""
+    rows = []
+    for con in prog.constraints:
+        senses = ("<=", ">=") if con.sense == "=" else (con.sense,)
+        rows += [dataclasses.replace(con, sense=sense) for sense in senses]
+    return program(prog.variables, rows, prog.objective1, prog.objective2)
+
+
+@given(partitioned_programs(), st.sampled_from((1, 2)), objective_bounds)
+@settings(max_examples=200, deadline=None)
+def test_the_shift_changes_no_answer_and_adds_no_node(prog, k, bounds):
+    # Against the searches over the declared objectives: the same answers,
+    # never more nodes.
+    unshifted = reference_search(prog, k, bounds, shift=False)
+    out = solve_min(prog, k, bounds)
+    assert (out.status, out.value, out.assignment) == (
+        unshifted.status, unshifted.value, unshifted.assignment)
+    assert out.nodes_explored <= unshifted.nodes_explored
+    order = (k, 3 - k)
+    lex = lexmin(prog, order, bounds)
+    rendering = lex.assignment.rendering() if lex.assignment else None
+    assert (lex.status, lex.point, rendering) == two_stage_lexmin(prog, order, bounds)
+    assert lex.nodes_explored <= lexmin(without_partitions(prog), order, bounds).nodes_explored
+    # The compiled constant plus the compiled objective row, read from its
+    # root activity, is the declared objective on every feasible point.
+    compiled = solver._compiled(prog)
+    for assignment in feasible_assignments(prog):
+        x = [assignment.values[vid] for vid in compiled.ids]
+        for j in (1, 2):
+            r = compiled.obj_base + 2 * j - 1
+            activity = compiled.amin[r] + sum(
+                c * (x[v] - (compiled.lower[v] if c > 0 else compiled.upper[v]))
+                for v, c, _ in compiled.row_terms[r])
+            assert compiled.constant(j) + activity == evaluate(prog.objective(j), assignment)
+
+
+def test_partition_rows_are_disjoint_unit_equalities_over_zero_one_variables():
+    a, b, c, e, h = (binary(vid) for vid in "abceh")
+    d, g = integer("d", 0, 1), integer("g", 0, 2)
+    rows = [Constraint(expr({"a": 1, "b": 1}), "=", 1, "partition"),
+            Constraint(expr({"b": 1, "c": 1}), "=", 1, "shares b"),
+            Constraint(expr({"c": 1, "d": 1}, 5), "=", 6, "partition, rhs less constant 1"),
+            Constraint(expr({"e": 1, "g": 1}), "=", 1, "g is not 0/1"),
+            Constraint(expr({"h": 1, "e": 2}), "=", 1, "not unit"),
+            Constraint(expr({"e": 1}), "<=", 1, "not an equality")]
+    prog = program([a, b, c, d, e, g, h], rows,
+                   expr({"a": 3, "b": 5, "c": 2, "d": 4, "e": 7, "g": 7, "h": 5}, 1),
+                   expr({"a": -1, "b": 2, "c": 4}))
+    # Objective 1 gains 3 from {a, b} and 2 from {c, d}; objective 2's least
+    # coefficients there, -1 and 0 (d is absent), move nothing.
+    compiled = solver._compiled(prog)
+    assert (compiled.constant(1), compiled.constant(2)) == (6, 0)
+    assert declared_rows(prog)[compiled.obj_base + 1] == {"b": 2, "d": 2, "e": 7, "g": 7, "h": 5}
+
+
 def declared_rows(prog):
-    """Every row's declared terms, in the compiled form's row order."""
+    """Every row's declared terms, in the compiled form's row order; the
+    objective and lexicographic rows are ``shifted``."""
     rows = []
     for con in prog.constraints:
         for sign in solver._ROW_SIGNS[con.sense]:
             rows.append({vid: sign * c for vid, c in con.expression.terms.items()})
     for objective in (prog.objective1, prog.objective2):
-        rows += [{vid: -c for vid, c in objective.terms.items()}, dict(objective.terms)]
+        terms = shifted(prog, objective).terms
+        rows += [{vid: -c for vid, c in terms.items()}, terms]
     variables = prog.variable_map()
     for first, second in ((prog.objective1, prog.objective2), (prog.objective2, prog.objective1)):
         # W * z_first + z_second, W one more than z_second's declared range.
         weight = 1 + sum(abs(c) * (variables[vid].upper - variables[vid].lower)
                          for vid, c in second.terms.items())
-        rows.append({vid: weight * first.terms.get(vid, 0) + second.terms.get(vid, 0)
-                     for vid in {**first.terms, **second.terms}})
+        combined = {vid: weight * first.terms.get(vid, 0) + second.terms.get(vid, 0)
+                    for vid in {**first.terms, **second.terms}}
+        rows.append(shifted(prog, LinearExpression(combined)).terms)
     return rows
 
 
@@ -253,8 +315,8 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 # b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
 # each: 4 certification solves and 122 lexicographic solves.  A change to
 # the search tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [4, 146], "lexmin": [122, 6288]},
-              "e32f757e9b50e63a983dfee9045d4456f2617ea56971fb6779107c68030d61c6")
+DESK_TREES = ({"solve_min": [4, 119], "lexmin": [122, 4715]},
+              "dc4d0cfca9dec54e345904bf0de3fc5e9e785427f79168b77854a2b5f45b27a1")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
