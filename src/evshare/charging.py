@@ -13,7 +13,7 @@ All money is in integer minor units (0.01 SEK).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import core, solver
 from .core import Constraint, EvshareError, binary, expr, integer
@@ -148,18 +148,32 @@ def var_tfinish(i):
     return f"tf_{i}"
 
 
-def build_charging_program(instance):
+def build_charging_program(instance, renters=None):
     """Build the bi-objective program for a two-company charging instance.
 
     Variables: x (EV charges at charger in interval), xs/xe (session
     start/end indicators), y (company rents charger), u = x*y linearized,
     ts/tf (integer start/finish times).  Objective k is company k's cost.
 
+    ``renters`` names the companies that may rent chargers, both by
+    default.  With a single renter r, rented-only forces y_{j,r} = 1
+    wherever x = 1, so x*y_{j,r} = x: the program declares no y for the
+    other company and no u, and charges each EV's energy on x, at the own
+    tariff when r owns the EV and the collaborative one otherwise.
+    ``noncollab_point`` builds each company's standalone program this way.
+
     The builder is total: demand/window conflicts build fine and surface as
     infeasibility at solve time (see infeasibility_diagnostic).
     """
     ins = instance
     T = ins.horizon
+    if renters is None:
+        renters = ins.companies
+    elif not renters or not set(renters) <= set(ins.companies):
+        raise InstanceError(f"renters must be companies of the instance, got {renters!r}")
+    else:
+        renters = tuple(k for k in ins.companies if k in renters)
+    shared = len(renters) == 2
     variables = []
     constraints = []
 
@@ -167,7 +181,7 @@ def build_charging_program(instance):
     # first, then each EV's interval pattern; everything after is forced by
     # propagation once x and y are fixed.
     for j in ins.chargers:
-        for k in ins.companies:
+        for k in renters:
             variables.append(binary(var_rent(j, k)))
     for i in ins.evs:
         for j in ins.chargers:
@@ -178,11 +192,12 @@ def build_charging_program(instance):
             for t in ins.intervals():
                 variables.append(binary(var_start(i, j, t)))
                 variables.append(binary(var_end(i, j, t)))
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                for k in ins.companies:
-                    variables.append(binary(var_both(i, j, t, k)))
+    if shared:
+        for i in ins.evs:
+            for j in ins.chargers:
+                for t in ins.intervals():
+                    for k in renters:
+                        variables.append(binary(var_both(i, j, t, k)))
     for i in ins.evs:
         variables.append(integer(var_tstart(i), 0, T - 1))
         variables.append(integer(var_tfinish(i), 1, T))
@@ -237,43 +252,51 @@ def build_charging_program(instance):
         add(Constraint(expr(energy), "<=", hi, f"demand-upper:{i}"))
 
     for j in ins.chargers:
-        add(Constraint(expr({var_rent(j, k): 1 for k in ins.companies}),
-                       "<=", 1, f"rental-exclusive:{j}"))
+        if shared:
+            add(Constraint(expr({var_rent(j, k): 1 for k in renters}),
+                           "<=", 1, f"rental-exclusive:{j}"))
         for i in ins.evs:
             for t in ins.intervals():
                 add(Constraint(expr({var_x(i, j, t): 1,
-                                     **{var_rent(j, k): -1 for k in ins.companies}}),
+                                     **{var_rent(j, k): -1 for k in renters}}),
                                "<=", 0, f"rented-only:{i}:{j}:{t}"))
 
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                for k in ins.companies:
-                    u = var_both(i, j, t, k)
-                    add(Constraint(expr({u: 1, var_x(i, j, t): -1}), "<=", 0,
-                                   f"product-le-x:{i}:{j}:{t}:{k}"))
-                    add(Constraint(expr({u: 1, var_rent(j, k): -1}), "<=", 0,
-                                   f"product-le-y:{i}:{j}:{t}:{k}"))
-                    add(Constraint(expr({u: 1, var_x(i, j, t): -1, var_rent(j, k): -1}), ">=", -1,
-                                   f"product-lb:{i}:{j}:{t}:{k}"))
+    if shared:
+        for i in ins.evs:
+            for j in ins.chargers:
+                for t in ins.intervals():
+                    for k in renters:
+                        u = var_both(i, j, t, k)
+                        add(Constraint(expr({u: 1, var_x(i, j, t): -1}), "<=", 0,
+                                       f"product-le-x:{i}:{j}:{t}:{k}"))
+                        add(Constraint(expr({u: 1, var_rent(j, k): -1}), "<=", 0,
+                                       f"product-le-y:{i}:{j}:{t}:{k}"))
+                        add(Constraint(expr({u: 1, var_x(i, j, t): -1, var_rent(j, k): -1}), ">=", -1,
+                                       f"product-lb:{i}:{j}:{t}:{k}"))
 
     objectives = []
     for k in ins.companies:
         other = ins.other_company(k)
         terms = {}
         constant = 0
-        for j in ins.chargers:
-            terms[var_rent(j, k)] = ins.rental_fee[j, k]
+        if k in renters:
+            for j in ins.chargers:
+                terms[var_rent(j, k)] = ins.rental_fee[j, k]
+        # With a single renter, k's EVs pay the own tariff when k is it.
+        sole_fee = ins.energy_fee_own if renters == (k,) else ins.energy_fee_collab
         for i in ins.company_evs(k):
             for j in ins.chargers:
                 rate = ins.charge_rate[i, j]
                 for t in ins.intervals():
-                    # Own tariff where company k rented, collaborative tariff
-                    # where the other company rented.
-                    terms[var_both(i, j, t, k)] = terms.get(var_both(i, j, t, k), 0) + \
-                        ins.energy_fee_own[j, t] * rate
-                    terms[var_both(i, j, t, other)] = terms.get(var_both(i, j, t, other), 0) + \
-                        ins.energy_fee_collab[j, t] * rate
+                    if shared:
+                        # Own tariff where company k rented, collaborative
+                        # tariff where the other company rented.
+                        terms[var_both(i, j, t, k)] = terms.get(var_both(i, j, t, k), 0) + \
+                            ins.energy_fee_own[j, t] * rate
+                        terms[var_both(i, j, t, other)] = terms.get(var_both(i, j, t, other), 0) + \
+                            ins.energy_fee_collab[j, t] * rate
+                    else:
+                        terms[var_x(i, j, t)] = sole_fee[j, t] * rate
                 for t in ins.intervals():
                     terms[var_start(i, j, t)] = terms.get(var_start(i, j, t), 0) + ins.travel_cost[i, j]
             terms[var_tstart(i)] = terms.get(var_tstart(i), 0) + ins.vot[i]
@@ -345,7 +368,7 @@ def decode_schedule(assignment, instance, program=None):
     values = assignment.values
     rentals = {}
     for j in instance.chargers:
-        renter = [k for k in instance.companies if values[var_rent(j, k)] == 1]
+        renter = [k for k in instance.companies if values.get(var_rent(j, k)) == 1]
         rentals[j] = renter[0] if renter else None
     sessions = {}
     for i in instance.evs:
@@ -433,7 +456,13 @@ def standalone_instance(instance, k):
 
 
 def noncollab_point(instance, config=None):
-    """Each company's optimal standalone cost (no shared access): (z1Non, z2Non)."""
+    """Each company's optimal standalone cost (no shared access): (z1Non, z2Non).
+
+    Company k's standalone program covers k's own fleet with k as the only
+    renter (``build_charging_program(..., renters=(k,))``), so it has no
+    rental variable for the other company and no product variables.  A
+    company with no EVs costs 0.
+    """
     cfg = config if config is not None else solver.SolverConfig()
     costs = []
     for index, k in enumerate(instance.companies, start=1):
@@ -441,11 +470,7 @@ def noncollab_point(instance, config=None):
         if not sub.evs:
             costs.append(0)
             continue
-        prog = build_charging_program(sub)
-        other = instance.other_company(k)
-        pins = [Constraint(expr({var_rent(j, other): 1}), "=", 0, f"no-foreign-rental:{j}")
-                for j in sub.chargers]
-        prog = replace(prog, constraints=prog.constraints + tuple(pins))
+        prog = build_charging_program(sub, renters=(k,))
         outcome = solver.solve_min(prog, index, config=cfg)
         if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)

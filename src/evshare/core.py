@@ -79,8 +79,8 @@ class LinearExpression:
 
 def expr(terms=None, constant=0):
     """Build a LinearExpression: coefficients coerced to int, zeros dropped."""
-    terms = {vid: int(coef) for vid, coef in (terms or {}).items()}
-    return LinearExpression({v: c for v, c in terms.items() if c != 0}, int(constant))
+    return LinearExpression({vid: c for vid, coef in (terms or {}).items() if (c := int(coef))},
+                            int(constant))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ runs on an explicit stack and leaves the interpreter's recursion limit
 alone.  Dependency-free and repeatable: two
 runs on identical inputs return identical assignments.
 
-A program is compiled once, on its first solve (``_Compiled``): its rows,
-its six objective rows and its root fixpoint, the domains after
-propagating the constraint rows alone.  Each solve starts from that
+A program is compiled once (``_Compiled``), by its first solve or by an
+earlier ``compile_program`` call: its rows, its six objective rows and its
+root fixpoint, the domains after propagating the constraint rows alone.
+``frontier.run_method`` compiles before it starts its clock, so a run's
+wall time is its search alone.  Each solve starts from that
 fixpoint and queues only its objective rows.  This is exact because bound
 propagation is monotone, so its fixpoint does not depend on the order rows
 are processed in.  The compiled rows keep only the terms still unfixed at
@@ -214,6 +216,10 @@ class _Compiled:
 
     ``lower_rows[v]`` lists the (row, c) pairs with ``c > 0``, whose minimum
     activity reads v's lower bound; ``upper_rows[v]`` those with ``c < 0``.
+    One pass over each row's terms builds its root-pass terms, its minimum
+    activity over the declared bounds and its ``lower_rows``/``upper_rows``
+    entries; the root pass then settles the constraint rows, and the
+    search's ``row_terms`` are sorted from the result.
     A solve never writes into this object.
     """
 
@@ -223,46 +229,48 @@ class _Compiled:
         self.n = len(variables)
         index = {vid: i for i, vid in enumerate(self.ids)}
 
-        row_terms, row_rhs = [], []
-        for con in program.constraints:
-            terms = _nonzero(con.expression.terms)
-            rhs = con.rhs - con.expression.constant
-            for sign in _ROW_SIGNS[con.sense]:
-                row_terms.append([(index[vid], sign * c) for vid, c in terms.items()])
-                row_rhs.append(sign * rhs)
-        self.obj_base = len(row_terms)
+        rows = [(_nonzero(con.expression.terms), sign, sign * (con.rhs - con.expression.constant))
+                for con in program.constraints for sign in _ROW_SIGNS[con.sense]]
+        self.obj_base = len(rows)
         z1, z2 = program.objective1, program.objective2
         objectives = (z1, z2, _lexicographic(z1, z2, variables), _lexicographic(z2, z1, variables))
         partitions = _partitions(program)
         shifted = [_shift(objective, partitions) for objective in objectives]
         self.constants = [constant for _, constant in shifted]
         for terms, _ in shifted[:2]:
-            row_terms.append([(index[vid], -c) for vid, c in terms.items()])
-            row_terms.append([(index[vid], c) for vid, c in terms.items()])
-            row_rhs += [None, None]
-        for terms, _ in shifted[2:]:
-            row_terms.append([(index[vid], c) for vid, c in terms.items()])
-            row_rhs.append(None)
-        self.row_rhs = row_rhs
-        self.nrows = len(row_terms)
+            rows += [(terms, -1, None), (terms, 1, None)]
+        rows += [(terms, 1, None) for terms, _ in shifted[2:]]
+        self.nrows = len(rows)
 
-        self.lower_rows = [[] for _ in range(self.n)]
-        self.upper_rows = [[] for _ in range(self.n)]
-        for r, terms in enumerate(row_terms):
-            for v, c in terms:
-                (self.lower_rows if c > 0 else self.upper_rows)[v].append((r, c))
+        lower = [v.lower for v in variables]
+        upper = [v.upper for v in variables]
+        lower_rows = [[] for _ in range(self.n)]
+        upper_rows = [[] for _ in range(self.n)]
+        row_terms, self.row_rhs, amin = [], [], []
+        for r, (terms, sign, rhs) in enumerate(rows):
+            row, activity = [], 0
+            for vid, c in terms.items():
+                v = index[vid]
+                c *= sign
+                row.append((v, c, math.inf))
+                if c > 0:
+                    activity += c * lower[v]
+                    lower_rows[v].append((r, c))
+                else:
+                    activity += c * upper[v]
+                    upper_rows[v].append((r, c))
+            row_terms.append(row)
+            self.row_rhs.append(rhs)
+            amin.append(activity)
+        self.lower_rows, self.upper_rows = lower_rows, upper_rows
+        self.lower, self.upper, self.amin, self.row_terms = lower, upper, amin, row_terms
 
-        self.lower = [v.lower for v in variables]
-        self.upper = [v.upper for v in variables]
-        self.amin = [sum(c * (self.lower[v] if c > 0 else self.upper[v]) for v, c in terms)
-                     for terms in row_terms]
-        self.row_terms = [[(v, c, math.inf) for v, c in terms] for terms in row_terms]
-        root = _Search(self, row_rhs[:])
+        root = _Search(self, self.row_rhs[:])
         self.feasible = root.settle(range(self.obj_base))
-        self.lower, self.upper, self.amin = root.lower, root.upper, root.amin
-        lower, upper = self.lower, self.upper
+        lower, upper = root.lower, root.upper
+        self.lower, self.upper, self.amin = lower, upper, root.amin
         self.row_terms = [
-            sorted(((v, c, abs(c) * (upper[v] - lower[v])) for v, c in terms
+            sorted(((v, c, abs(c) * (upper[v] - lower[v])) for v, c, _ in terms
                     if lower[v] < upper[v]), key=lambda term: -term[2])
             for terms in row_terms]
 
@@ -273,8 +281,11 @@ class _Compiled:
         return self.constants[k - 1]
 
 
-def _compiled(program):
-    """The program's compiled form, built on its first solve and kept on it."""
+def compile_program(program):
+    """The program's compiled form, built on the first call and kept on it.
+
+    Every solve calls it; ``frontier.run_method`` calls it before starting
+    its clock, so a run's wall time is its search alone."""
     compiled = program._compiled
     if compiled is None:
         compiled = _Compiled(program)
@@ -446,7 +457,7 @@ def _minimize(program, bounds, cutoff_row, constant, config):
     ``constant`` within ``bounds``, which set the rhs of the four
     objective-bound rows.  Each incumbent lowers the cutoff row's rhs.
     """
-    compiled = _compiled(program)
+    compiled = compile_program(program)
     rhs = compiled.row_rhs[:]
     rows = []
     for k, (lo, hi) in enumerate(bounds, start=1):
@@ -477,7 +488,7 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     Returns an ``optimal`` or ``infeasible`` SolveOutcome; raises
     SolverError when the search needs more than ``config.node_limit`` nodes.
     """
-    constant = _compiled(program).constant(objective_index)
+    constant = compile_program(program).constant(objective_index)
     return _minimize(program, bounds, 2 * objective_index - 1, constant, config)
 
 
@@ -494,7 +505,7 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
     first, second = order
     if {first, second} != {1, 2}:
         raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
-    constant = _compiled(program).constants[1 + first]
+    constant = compile_program(program).constants[1 + first]
     out = _minimize(program, bounds, 3 + first, constant, config)
     if out.status == "infeasible":
         return LexOutcome("infeasible", None, None, out.nodes_explored, 1)

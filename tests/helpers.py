@@ -1,11 +1,11 @@
 """Shared test scaffolding: programs with known criterion points, tiny
 general programs with the exhaustive enumerator that is their ground truth,
-a plain reference branch and bound, the two-stage lexicographic solve, and
-the desk-scale scenario configs."""
+a plain reference branch and bound, the two-stage lexicographic solve, the
+first standalone formulation, and the desk-scale scenario configs."""
 
 import itertools
 
-from hypothesis import strategies as st
+from hypothesis import reject, strategies as st
 
 from evshare.core import (
     SENSES,
@@ -314,3 +314,68 @@ def selected_point(program, assignment):
     from evshare.core import criterion_point
 
     return criterion_point(program, assignment)
+
+
+def reference_noncollab(instance):
+    """The standalone costs as first formulated, and the outcome of each solve.
+
+    Company k's standalone program was the two-renter program of k's own
+    fleet with every rental by the other company pinned to 0 (one
+    ``no-foreign-rental`` row per charger).  Returns ((z1Non, z2Non), the
+    SolveOutcome of each solve made), or the InfeasibleError text in place
+    of the costs when a company has no feasible standalone schedule.
+    """
+    from evshare.charging import (
+        build_charging_program, infeasibility_diagnostic, standalone_instance, var_rent)
+    from evshare.core import expr
+    from evshare.solver import solve_min
+
+    costs, outcomes = [], []
+    for index, k in enumerate(instance.companies, start=1):
+        sub = standalone_instance(instance, k)
+        if not sub.evs:
+            costs.append(0)
+            continue
+        prog = build_charging_program(sub)
+        other = instance.other_company(k)
+        pins = [Constraint(expr({var_rent(j, other): 1}), "=", 0, f"no-foreign-rental:{j}")
+                for j in sub.chargers]
+        outcome = solve_min(program(prog.variables, prog.constraints + tuple(pins),
+                                    prog.objective1, prog.objective2), index)
+        outcomes.append(outcome)
+        if outcome.status == "infeasible":
+            hint = infeasibility_diagnostic(sub)
+            detail = f" ({hint})" if hint else ""
+            return f"standalone problem infeasible for company {k}{detail}", outcomes
+        costs.append(outcome.value)
+    return tuple(costs), outcomes
+
+
+@st.composite
+def edited_desk_instances(draw):
+    """Desk-scale generated instances in which each EV may be edited to need
+    no energy (optionally with an empty window) or to get a window one
+    interval shorter than its demand."""
+    import dataclasses
+
+    from evshare.scenario import ScenarioError, generate_scenario
+
+    config = draw(st.sampled_from(list(desk_configs(6))))
+    try:
+        instance = generate_scenario(dataclasses.replace(
+            config, seed=draw(st.integers(min_value=0, max_value=10**6))))
+    except ScenarioError:
+        reject()
+    window, demand = dict(instance.window), dict(instance.demand)
+    for i in instance.evs:
+        edit = draw(st.sampled_from(("keep", "keep", "zero-demand", "empty-window", "short-window")))
+        e, l = window[i]
+        if edit == "zero-demand":
+            demand[i] = (0, draw(st.sampled_from((0, demand[i][1]))))
+        elif edit == "empty-window":
+            demand[i] = (0, 0)
+            window[i] = (e, e)
+        elif edit == "short-window":
+            need = max(-(-demand[i][0] // instance.charge_rate[i, j]) for j in instance.chargers)
+            window[i] = (e, e + need - 1)
+    return dataclasses.replace(instance, window=window, demand=demand)

@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from evshare.charging import (
     ChargingInstance,
     DecodeError,
+    InfeasibleError,
     InstanceError,
     Schedule,
     build_charging_program,
@@ -22,8 +26,11 @@ from evshare.charging import (
 )
 from evshare.core import Assignment, evaluate
 from evshare.oracle import schedule_to_assignment
-from evshare.scenario import t1_instance
-from evshare.solver import SolverConfig, SolverError, solve_min
+from evshare import solver
+from evshare.scenario import generate_scenario, t1_instance
+from evshare.solver import SolverConfig, SolverError, export_lp, solve_min
+
+from helpers import desk_configs, edited_desk_instances, reference_noncollab
 
 
 def shared_at_a_schedule():
@@ -90,6 +97,69 @@ def test_noncollab_empty_fleet_costs_zero():
     point = noncollab_point(single)
     assert point.z2_non == 0
     assert point.z1_non == 2100
+
+
+def noncollab_solves(instance):
+    """``noncollab_point``'s costs, or its InfeasibleError text, and the
+    outcome of each solve it made."""
+    outcomes = []
+    real_solve_min = solver.solve_min
+
+    def recording(*args, **kwargs):
+        outcomes.append(real_solve_min(*args, **kwargs))
+        return outcomes[-1]
+
+    with mock.patch.object(solver, "solve_min", recording):
+        try:
+            point = noncollab_point(instance)
+        except InfeasibleError as exc:
+            return str(exc), outcomes
+    return (point.z1_non, point.z2_non), outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(edited_desk_instances())
+def test_single_renter_standalone_matches_the_pinned_two_renter_program(instance):
+    got, outcomes = noncollab_solves(instance)
+    want, reference = reference_noncollab(instance)
+    assert got == want
+    assert len(outcomes) == len(reference)
+    for out, ref in zip(outcomes, reference):
+        assert out.nodes_explored <= ref.nodes_explored
+
+
+def test_standalone_program_has_one_renter_and_no_products():
+    inst = t1_instance()
+    sub = standalone_instance(inst, "k2")
+    prog = build_charging_program(sub, renters=("k2",))
+    ids = {v.id for v in prog.variables}
+    assert {"y_A_k2", "y_B_k2"} <= ids
+    assert not any(vid.startswith("y_") and vid.endswith("_k1") for vid in ids)
+    assert not any(vid.startswith("u_") for vid in ids)
+    assert not any(con.name.startswith(("product-", "rental-exclusive"))
+                   for con in prog.constraints)
+    out = solve_min(prog, 2)
+    schedule = decode_schedule(out.assignment, sub, prog)
+    assert validate_schedule(schedule, sub) == []
+    assert company_cost(schedule, sub, "k2") == out.value == 2100
+
+
+@pytest.mark.parametrize("renters", [(), ("k3",), ("k1", "k3")])
+def test_renters_must_be_companies_of_the_instance(renters):
+    with pytest.raises(InstanceError, match="renters"):
+        build_charging_program(t1_instance(), renters=renters)
+
+
+# sha256 of export_lp for objectives 1 and 2 of the 4x2 desk instance (seed
+# 1005), taken before the builder learned single-renter programs: the
+# two-renter program must not move.
+COLLABORATIVE_LP = "1347f6c77e079563bf3c1edd40b44ccbf2fa23c5e257b0fe93209ada230b2396"
+
+
+def test_collaborative_program_is_pinned():
+    prog = build_charging_program(generate_scenario(list(desk_configs(6))[-1]))
+    text = export_lp(prog, 1) + export_lp(prog, 2)
+    assert hashlib.sha256(text.encode()).hexdigest() == COLLABORATIVE_LP
 
 
 def test_rental_doubling_moves_only_the_rental_component():

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from evshare import frontier, solver
 from evshare.core import CriterionPoint, check_assignment, criterion_point, pareto_filter
 from evshare.frontier import (
     METHODS,
@@ -620,6 +622,27 @@ def test_stats_csv_wall_ms_keeps_microseconds():
     assert stats_from_csv(header + "bbox,0,2,8,23,,\n")[0]["wall_ms"] == 23  # whole ms
     with pytest.raises(FrontierError, match="row 2"):
         stats_from_csv(header + "bbox,0,2,8,nan,,\n")
+
+
+def test_wall_time_leaves_out_the_compile(monkeypatch):
+    """A fake clock that jumps 1000 s whenever a program is compiled: the
+    first run on a fresh program compiles it before its clock starts, so
+    its wall time, like the second run's, sees none of the jump."""
+    clock = [0.0]
+
+    class SlowCompiled(solver._Compiled):
+        def __init__(self, program):
+            super().__init__(program)
+            clock[0] += 1000.0
+
+    monkeypatch.setattr(solver, "_Compiled", SlowCompiled)
+    monkeypatch.setattr(frontier, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    prog = make_point_program([(10, 100), (50, 50), (90, 20)])
+    first = run_method(prog, None, "bbox")
+    second = run_method(prog, None, "b3m2", 5)
+    assert clock[0] == 1000.0
+    assert (first.wall_time, second.wall_time) == (0.0, 0.0)
+    assert len(first.points) == 3
 
 
 def test_stats_csv_round_trip():

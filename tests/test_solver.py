@@ -240,7 +240,7 @@ def test_the_shift_changes_no_answer_and_adds_no_node(prog, k, bounds):
     assert lex.nodes_explored <= lexmin(without_partitions(prog), order, bounds).nodes_explored
     # The compiled constant plus the compiled objective row, read from its
     # root activity, is the declared objective on every feasible point.
-    compiled = solver._compiled(prog)
+    compiled = solver.compile_program(prog)
     for assignment in feasible_assignments(prog):
         x = [assignment.values[vid] for vid in compiled.ids]
         for j in (1, 2):
@@ -265,7 +265,7 @@ def test_partition_rows_are_disjoint_unit_equalities_over_zero_one_variables():
                    expr({"a": -1, "b": 2, "c": 4}))
     # Objective 1 gains 3 from {a, b} and 2 from {c, d}; objective 2's least
     # coefficients there, -1 and 0 (d is absent), move nothing.
-    compiled = solver._compiled(prog)
+    compiled = solver.compile_program(prog)
     assert (compiled.constant(1), compiled.constant(2)) == (6, 0)
     assert declared_rows(prog)[compiled.obj_base + 1] == {"b": 2, "d": 2, "e": 7, "g": 7, "h": 5}
 
@@ -294,7 +294,7 @@ def declared_rows(prog):
 @given(st.one_of(tiny_programs(), feasible_tiny_programs()))
 @settings(max_examples=200, deadline=None)
 def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
-    compiled = solver._compiled(prog)
+    compiled = solver.compile_program(prog)
     lower, upper = compiled.lower, compiled.upper
     index = {vid: i for i, vid in enumerate(compiled.ids)}
     rows = declared_rows(prog)
