@@ -5,12 +5,21 @@ exact configuration, the seed (when randomness is involved), the tool
 version, every emitted file, and wall times.  Re-running with identical
 inputs reproduces every artifact byte-for-byte except the wall-time fields.
 
+Each command does only its own work.  ``frontier`` and ``oracle`` record the
+standalone costs (the disagreement point) in their ``-assignments.json``
+together with the sha256 of the instance they solved; ``bargain`` reads them
+from there and solves the standalone problems itself only when the frontier
+has no such file.  The argument parser is built on a process's first
+``run_cli`` call and reused by every later one.
+
 Exit codes: 0 success, 1 domain error (bad data, infeasible model, missing
 artifact), 2 usage error (unknown flags or subcommands).
 """
 
 import argparse
 import csv
+import functools
+import hashlib
 import io
 import json
 import os
@@ -73,13 +82,29 @@ def _manifest(path, command, config, outputs, wall_times, seed=None):
     _write(path, _json_text(data))
 
 
-def _points_payload(result):
-    """{ref: {z1, z2, values}} for every point of a frontier result."""
-    return {
-        ref: {"z1": point.z1, "z2": point.z2,
-              "values": {vid: value for vid, value in assignment.rendering() if value != 0}}
-        for ref, (point, assignment) in zip(_frontier.assignment_refs(result), result.points)
-    }
+def _instance_sha256(instance):
+    return hashlib.sha256(_charging.instance_to_json(instance).encode()).hexdigest()
+
+
+def _assignments_text(instance, result, participation):
+    """The ``-assignments.json`` of a frontier or oracle run: the instance's
+    digest, its standalone costs and {ref: {z1, z2, values}} for every point."""
+    return _json_text({
+        "instance": instance.name,
+        "instance_sha256": _instance_sha256(instance),
+        "method": result.method,
+        "epsilon": _frontier._epsilon_text(result.epsilon),
+        "status": result.status,
+        "participation": {"z1_non": participation.z1_non,
+                          "z2_non": participation.z2_non},
+        "points": {
+            ref: {"z1": point.z1, "z2": point.z2,
+                  "values": {vid: value for vid, value in assignment.rendering()
+                             if value != 0}}
+            for ref, (point, assignment) in zip(_frontier.assignment_refs(result),
+                                                result.points)
+        },
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +177,7 @@ def _cmd_frontier(args):
 
     _write(paths["frontier_csv"], _frontier.frontier_to_csv(result))
     _write(paths["stats_csv"], _frontier.stats_to_csv([_frontier.stats_row(result)]))
-    _write(paths["assignments_json"], _json_text({
-        "instance": instance.name,
-        "method": result.method,
-        "epsilon": eps_text,
-        "status": result.status,
-        "participation": {"z1_non": participation.z1_non,
-                          "z2_non": participation.z2_non},
-        "points": _points_payload(result),
-    }))
+    _write(paths["assignments_json"], _assignments_text(instance, result, participation))
     _manifest(
         paths["manifest"], "frontier",
         {"instance": args.instance, "method": args.method,
@@ -179,6 +196,35 @@ def _cmd_frontier(args):
 # bargain
 
 
+def _frontier_base(frontier_csv):
+    """The path a frontier CSV's sibling artifacts extend: ``X-frontier.csv``
+    and ``X.csv`` both give ``X``."""
+    if frontier_csv.endswith("-frontier.csv"):
+        return frontier_csv[:-len("-frontier.csv")]
+    return os.path.splitext(frontier_csv)[0]
+
+
+def _disagreement(args, instance):
+    """The standalone costs recorded beside the frontier for this instance,
+    solved afresh only when the frontier has no ``-assignments.json``."""
+    sidecar = f"{_frontier_base(args.frontier)}-assignments.json"
+    if not os.path.exists(sidecar):
+        participation = _charging.noncollab_point(instance)
+        return _frontier.CriterionPoint(participation.z1_non, participation.z2_non)
+    try:
+        doc = json.loads(_read(sidecar))
+        digest = doc.get("instance_sha256")
+        z1_non, z2_non = (doc["participation"][key] for key in ("z1_non", "z2_non"))
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise CliError(f"{sidecar}: malformed assignments JSON") from None
+    if digest != _instance_sha256(instance):
+        raise CliError(f"{sidecar} does not record the instance_sha256 of {args.instance}; "
+                       "it was written for another instance or before the digest existed")
+    if not all(type(z) is int for z in (z1_non, z2_non)):
+        raise CliError(f"{sidecar}: participation costs must be integers")
+    return _frontier.CriterionPoint(z1_non, z2_non)
+
+
 def _cmd_bargain(args):
     started = time.perf_counter()
     method, _, rows = _frontier.frontier_from_csv(_read(args.frontier))
@@ -186,9 +232,7 @@ def _cmd_bargain(args):
         raise CliError(f"frontier {args.frontier} holds no points; "
                        "collaboration is not mutually beneficial")
     instance = _load_instance(args.instance)
-    participation = _charging.noncollab_point(instance)
-    disagreement = _frontier.CriterionPoint(participation.z1_non,
-                                            participation.z2_non)
+    disagreement = _disagreement(args, instance)
     points = [point for point, _ in rows]
     # Every method retains both frontier endpoints, so the per-objective
     # minima over the CSV equal the true ideal point.
@@ -204,12 +248,7 @@ def _cmd_bargain(args):
         parameter = {"alpha": args.alpha}
 
     ref = next(r for point, r in rows if point == selected)
-    base = args.frontier
-    if base.endswith("-frontier.csv"):
-        base = base[:-len("-frontier.csv")]
-    else:
-        base = os.path.splitext(base)[0]
-    out_path = args.out or f"{base}-bargain.json"
+    out_path = args.out or f"{_frontier_base(args.frontier)}-bargain.json"
     _write(out_path, _json_text({
         "instance": instance.name,
         "frontier": args.frontier,
@@ -241,6 +280,7 @@ def _cmd_oracle(args):
     instance = _load_instance(args.instance)
     budget = _oracle.OracleBudget(args.budget)
     noncollab = _oracle.noncollab_costs(instance, budget)
+    participation = _frontier.ParticipationPoint(*noncollab)
     exact = _oracle.charging_frontier(instance, participation=noncollab,
                                       budget=budget)
     ordered = tuple(sorted(exact.items(), key=lambda item: item[0].as_tuple()))
@@ -253,12 +293,7 @@ def _cmd_oracle(args):
     assignments_path = f"{base}-assignments.json"
 
     _write(csv_path, _frontier.frontier_to_csv(result))
-    _write(assignments_path, _json_text({
-        "instance": instance.name,
-        "method": "oracle",
-        "noncollab": {"z1_non": noncollab[0], "z2_non": noncollab[1]},
-        "points": _points_payload(result),
-    }))
+    _write(assignments_path, _assignments_text(instance, result, participation))
     _manifest(
         f"{base}-manifest.json", "oracle",
         {"instance": args.instance, "budget": args.budget},
@@ -510,10 +545,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use: ``parse_args`` leaves it unchanged and
+    returns a fresh namespace, so one serves every call in a process."""
+    return build_parser()
+
+
 def run_cli(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse already printed usage or help
         return int(exc.code or 0)
     try:

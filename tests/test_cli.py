@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+import evshare.charging
 from evshare.charging import schedule_to_json
 from evshare.cli import run_cli
 from evshare.scenario import generate_scenario, t1_instance
@@ -119,6 +121,12 @@ def test_frontier_node_limit_caps_the_standalone_solves(tmp_path, capsys):
     assert capsys.readouterr().err == "error: node limit 20 exhausted\n"
     assert not list(tmp_path.glob("desk1002-*"))
     assert run_cli(argv + ["--node-limit", "21"]) == 0
+    # the parser is reused within a process: neither the limit of an earlier
+    # call nor a usage error carries over into the next command
+    assert run_cli(argv + ["--node-limit", "many"]) == 2
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    assert read_json(tmp_path / "desk1002-bbox-eps0-manifest.json")["config"]["node_limit"] is None
 
 
 def test_frontier_bbox_forces_epsilon_zero(t1_file, tmp_path):
@@ -186,15 +194,113 @@ def test_bargain_before_frontier_names_the_missing_artifact(t1_file, tmp_path, c
     assert missing in capsys.readouterr().err
 
 
-def test_oracle_artifacts(t1_file, tmp_path):
+def test_oracle_artifacts(t1_file, tmp_path, monkeypatch):
     code = run_cli(["oracle", "--instance", t1_file, "--out-dir", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "T1-oracle.csv").read_text().splitlines()
     assert lines[0] == "method,epsilon,index,z1,z2,assignment_ref"
     assert lines[1] == "oracle,0,0,2100,2100,oracle-0"
     payload = read_json(tmp_path / "T1-oracle-assignments.json")
-    assert payload["noncollab"] == {"z1_non": 2100, "z2_non": 2100}
+    assert payload["participation"] == {"z1_non": 2100, "z2_non": 2100}
+    assert payload["instance_sha256"] == hashlib.sha256(
+        instance_to_json(t1_instance()).encode()).hexdigest()
     assert "oracle-0" in payload["points"]
+    # bargain finds the oracle's standalone costs by the same naming rule
+    monkeypatch.setattr(evshare.charging, "noncollab_point", refuse_standalone_solve)
+    assert run_cli(["bargain", "--frontier", str(tmp_path / "T1-oracle.csv"),
+                    "--instance", t1_file, "--mode", "gnb"]) == 0
+    assert read_json(tmp_path / "T1-oracle-bargain.json")["disagreement"] == {
+        "z1": 2100, "z2": 2100}
+
+
+def refuse_standalone_solve(*args, **kwargs):
+    raise AssertionError("bargain solved the standalone problems")
+
+
+def bargain_outcome(capsys, frontier_csv, instance_path, mode, out):
+    """(exit code, stderr, bytes of the bargain JSON or None)."""
+    code = run_cli(["bargain", "--frontier", frontier_csv, "--instance", instance_path,
+                    "--mode", mode, "--out", str(out)])
+    written = out.read_bytes() if out.exists() else None
+    return code, capsys.readouterr().err, written
+
+
+@pytest.mark.parametrize("mode", ["gnb", "dist"])
+@pytest.mark.parametrize("source", ["T1", "desk1001"])
+def test_bargain_reads_the_frontier_runs_standalone_costs(source, mode, tmp_path,
+                                                           monkeypatch, capsys):
+    if source == "T1":
+        instance = t1_instance()
+    else:
+        instance = generate_scenario(list(desk_configs(2))[1])   # a 3-point b3m2 frontier
+    instance_path = tmp_path / f"{source}.json"
+    instance_path.write_text(instance_to_json(instance))
+    assert run_cli(["frontier", "--instance", str(instance_path), "--method", "b3m2",
+                    "--epsilon", "3", "--out-dir", str(tmp_path)]) == 0
+    frontier_csv = str(tmp_path / f"{source}-b3m2-eps3-frontier.csv")
+    capsys.readouterr()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evshare.charging, "noncollab_point", refuse_standalone_solve)
+        from_sidecar = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
+                                       tmp_path / "sidecar.json")
+    os.remove(tmp_path / f"{source}-b3m2-eps3-assignments.json")
+    solved = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
+                             tmp_path / "solved.json")
+    assert from_sidecar == solved
+    # T1's one point is its disagreement point, so `dist` refuses it on both paths
+    assert (solved[0] == 0) == (source != "T1" or mode == "gnb")
+
+
+def test_bargain_refuses_a_sidecar_of_another_instance(tmp_path, capsys):
+    argv = ["generate", "--ev-dist", "uniform", "--charger-layout", "uniform",
+            "--n-evs", "2", "--n-chargers", "2", "--seed", "1", "--horizon", "6",
+            "--window", "3", "--earliest", "0", "3", "--demand", "1", "2"]
+    assert run_cli(argv + ["--vot", "100", "--out-dir", str(tmp_path / "a")]) == 0
+    assert run_cli(argv + ["--vot", "300", "--out-dir", str(tmp_path / "b")]) == 0
+    name = "UniEV-UniChar-2-2-seed1"
+    assert read_json(tmp_path / "a" / f"{name}.json")["name"] == name
+    assert read_json(tmp_path / "b" / f"{name}.json")["name"] == name
+    instance_a = str(tmp_path / "a" / f"{name}.json")
+    assert run_cli(["frontier", "--instance", instance_a, "--method", "bbox"]) == 0
+    capsys.readouterr()
+
+    sidecar = tmp_path / "a" / f"{name}-bbox-eps0-assignments.json"
+    frontier_csv = str(tmp_path / "a" / f"{name}-bbox-eps0-frontier.csv")
+    instance_b = str(tmp_path / "b" / f"{name}.json")
+    assert run_cli(["bargain", "--frontier", frontier_csv, "--instance", instance_b,
+                    "--mode", "gnb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(sidecar) in err and instance_b in err
+
+    payload = read_json(sidecar)
+    del payload["instance_sha256"]
+    sidecar.write_text(json.dumps(payload))
+    assert run_cli(["bargain", "--frontier", frontier_csv, "--instance", instance_a,
+                    "--mode", "gnb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(sidecar) in err and instance_a in err
+    assert not list(tmp_path.glob("*/*-bargain*.json"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "{not json",
+    lambda text: text.replace('"participation"', '"noncollab"'),
+    lambda text: text.replace('"z1_non": 2100', '"z1_non": "2100"'),
+], ids=["not-json", "no-participation", "string-cost"])
+def test_bargain_refuses_a_malformed_sidecar(edit, t1_file, tmp_path, capsys):
+    assert run_cli(["frontier", "--instance", t1_file, "--method", "bbox",
+                    "--out-dir", str(tmp_path)]) == 0
+    sidecar = tmp_path / "T1-bbox-eps0-assignments.json"
+    sidecar.write_text(edit(sidecar.read_text()))
+    capsys.readouterr()
+    assert run_cli(["bargain", "--frontier", str(tmp_path / "T1-bbox-eps0-frontier.csv"),
+                    "--instance", t1_file, "--mode", "gnb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(sidecar) in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*-bargain*.json"))
 
 
 def test_report_aggregates_a_batch(t1_file, tmp_path, capsys):
