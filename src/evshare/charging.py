@@ -148,32 +148,22 @@ def var_tfinish(i):
     return f"tf_{i}"
 
 
-def build_charging_program(instance, renters=None):
+def var_session(i, j, s, d):
+    return f"w_{i}_{j}_{s}_{d}"
+
+
+def build_charging_program(instance):
     """Build the bi-objective program for a two-company charging instance.
 
     Variables: x (EV charges at charger in interval), xs/xe (session
     start/end indicators), y (company rents charger), u = x*y linearized,
     ts/tf (integer start/finish times).  Objective k is company k's cost.
 
-    ``renters`` names the companies that may rent chargers, both by
-    default.  With a single renter r, rented-only forces y_{j,r} = 1
-    wherever x = 1, so x*y_{j,r} = x: the program declares no y for the
-    other company and no u, and charges each EV's energy on x, at the own
-    tariff when r owns the EV and the collaborative one otherwise.
-    ``noncollab_point`` builds each company's standalone program this way.
-
     The builder is total: demand/window conflicts build fine and surface as
     infeasibility at solve time (see infeasibility_diagnostic).
     """
     ins = instance
     T = ins.horizon
-    if renters is None:
-        renters = ins.companies
-    elif not renters or not set(renters) <= set(ins.companies):
-        raise InstanceError(f"renters must be companies of the instance, got {renters!r}")
-    else:
-        renters = tuple(k for k in ins.companies if k in renters)
-    shared = len(renters) == 2
     variables = []
     constraints = []
 
@@ -181,7 +171,7 @@ def build_charging_program(instance, renters=None):
     # first, then each EV's interval pattern; everything after is forced by
     # propagation once x and y are fixed.
     for j in ins.chargers:
-        for k in renters:
+        for k in ins.companies:
             variables.append(binary(var_rent(j, k)))
     for i in ins.evs:
         for j in ins.chargers:
@@ -192,12 +182,11 @@ def build_charging_program(instance, renters=None):
             for t in ins.intervals():
                 variables.append(binary(var_start(i, j, t)))
                 variables.append(binary(var_end(i, j, t)))
-    if shared:
-        for i in ins.evs:
-            for j in ins.chargers:
-                for t in ins.intervals():
-                    for k in renters:
-                        variables.append(binary(var_both(i, j, t, k)))
+    for i in ins.evs:
+        for j in ins.chargers:
+            for t in ins.intervals():
+                for k in ins.companies:
+                    variables.append(binary(var_both(i, j, t, k)))
     for i in ins.evs:
         variables.append(integer(var_tstart(i), 0, T - 1))
         variables.append(integer(var_tfinish(i), 1, T))
@@ -252,51 +241,43 @@ def build_charging_program(instance, renters=None):
         add(Constraint(expr(energy), "<=", hi, f"demand-upper:{i}"))
 
     for j in ins.chargers:
-        if shared:
-            add(Constraint(expr({var_rent(j, k): 1 for k in renters}),
-                           "<=", 1, f"rental-exclusive:{j}"))
+        add(Constraint(expr({var_rent(j, k): 1 for k in ins.companies}),
+                       "<=", 1, f"rental-exclusive:{j}"))
         for i in ins.evs:
             for t in ins.intervals():
                 add(Constraint(expr({var_x(i, j, t): 1,
-                                     **{var_rent(j, k): -1 for k in renters}}),
+                                     **{var_rent(j, k): -1 for k in ins.companies}}),
                                "<=", 0, f"rented-only:{i}:{j}:{t}"))
 
-    if shared:
-        for i in ins.evs:
-            for j in ins.chargers:
-                for t in ins.intervals():
-                    for k in renters:
-                        u = var_both(i, j, t, k)
-                        add(Constraint(expr({u: 1, var_x(i, j, t): -1}), "<=", 0,
-                                       f"product-le-x:{i}:{j}:{t}:{k}"))
-                        add(Constraint(expr({u: 1, var_rent(j, k): -1}), "<=", 0,
-                                       f"product-le-y:{i}:{j}:{t}:{k}"))
-                        add(Constraint(expr({u: 1, var_x(i, j, t): -1, var_rent(j, k): -1}), ">=", -1,
-                                       f"product-lb:{i}:{j}:{t}:{k}"))
+    for i in ins.evs:
+        for j in ins.chargers:
+            for t in ins.intervals():
+                for k in ins.companies:
+                    u = var_both(i, j, t, k)
+                    add(Constraint(expr({u: 1, var_x(i, j, t): -1}), "<=", 0,
+                                   f"product-le-x:{i}:{j}:{t}:{k}"))
+                    add(Constraint(expr({u: 1, var_rent(j, k): -1}), "<=", 0,
+                                   f"product-le-y:{i}:{j}:{t}:{k}"))
+                    add(Constraint(expr({u: 1, var_x(i, j, t): -1, var_rent(j, k): -1}), ">=", -1,
+                                   f"product-lb:{i}:{j}:{t}:{k}"))
 
     objectives = []
     for k in ins.companies:
         other = ins.other_company(k)
         terms = {}
         constant = 0
-        if k in renters:
-            for j in ins.chargers:
-                terms[var_rent(j, k)] = ins.rental_fee[j, k]
-        # With a single renter, k's EVs pay the own tariff when k is it.
-        sole_fee = ins.energy_fee_own if renters == (k,) else ins.energy_fee_collab
+        for j in ins.chargers:
+            terms[var_rent(j, k)] = ins.rental_fee[j, k]
         for i in ins.company_evs(k):
             for j in ins.chargers:
                 rate = ins.charge_rate[i, j]
                 for t in ins.intervals():
-                    if shared:
-                        # Own tariff where company k rented, collaborative
-                        # tariff where the other company rented.
-                        terms[var_both(i, j, t, k)] = terms.get(var_both(i, j, t, k), 0) + \
-                            ins.energy_fee_own[j, t] * rate
-                        terms[var_both(i, j, t, other)] = terms.get(var_both(i, j, t, other), 0) + \
-                            ins.energy_fee_collab[j, t] * rate
-                    else:
-                        terms[var_x(i, j, t)] = sole_fee[j, t] * rate
+                    # Own tariff where company k rented, collaborative
+                    # tariff where the other company rented.
+                    terms[var_both(i, j, t, k)] = terms.get(var_both(i, j, t, k), 0) + \
+                        ins.energy_fee_own[j, t] * rate
+                    terms[var_both(i, j, t, other)] = terms.get(var_both(i, j, t, other), 0) + \
+                        ins.energy_fee_collab[j, t] * rate
                 for t in ins.intervals():
                     terms[var_start(i, j, t)] = terms.get(var_start(i, j, t), 0) + ins.travel_cost[i, j]
             terms[var_tstart(i)] = terms.get(var_tstart(i), 0) + ins.vot[i]
@@ -306,31 +287,69 @@ def build_charging_program(instance, renters=None):
     return core.program(variables, constraints, objectives[0], objectives[1])
 
 
+def session_options(instance, i):
+    """The (charger, start, duration) sessions EV i can run, ignoring occupancy.
+
+    A session of duration d >= 1 starting at boundary s charges in
+    intervals s+1 .. s+d inside the window (e <= s, s + d <= l) and
+    delivers rate * d energy units within the demand bounds.  An EV that
+    needs no energy may instead visit a charger without charging: a
+    zero-duration session at an inner boundary max(e, 1) .. min(l, T-1),
+    where the charging program's start and end indicators can pair up.
+    Sessions are listed per charger, by duration then start, the
+    zero-duration ones last.
+    """
+    e, l = instance.window[i]
+    lo, hi = instance.demand[i]
+    options = []
+    for j in instance.chargers:
+        rate = instance.charge_rate[i, j]
+        for d in range(1, l - e + 1):
+            if lo <= rate * d <= hi:
+                options += [(j, s, d) for s in range(e, l - d + 1)]
+        if lo == 0:
+            options += [(j, s, 0) for s in range(max(e, 1), min(l, instance.horizon - 1) + 1)]
+    return options
+
+
+def standalone_program(instance, k):
+    """Company k's standalone program over an instance whose EVs are all k's.
+
+    One binary per rental ``y_{j,k}``, then one per session option of each
+    EV (``session_options``), picked by one ``= 1`` row per EV.  One row
+    per (charger, interval) that some session covers bounds the sessions
+    covering it by ``y_{j,k}``: capacity and rented-only at once.  Each
+    session's own-tariff energy, travel and waiting cost is a constant, so
+    objective k is linear in the binaries; the other objective is empty.
+    A zero-duration session covers no interval and needs no rental.
+    """
+    ins = instance
+    variables = [binary(var_rent(j, k)) for j in ins.chargers]
+    objective = {var_rent(j, k): ins.rental_fee[j, k] for j in ins.chargers}
+    picks, covers = [], {}
+    for i in ins.evs:
+        e = ins.window[i][0]
+        options = {}
+        for j, s, d in session_options(ins, i):
+            w = var_session(i, j, s, d)
+            variables.append(binary(w))
+            options[w] = 1
+            occupied = range(s + 1, s + d + 1)
+            objective[w] = (sum(ins.energy_fee_own[j, t] for t in occupied) * ins.charge_rate[i, j]
+                            + ins.travel_cost[i, j] + ins.vot[i] * (s - e))
+            for t in occupied:
+                covers.setdefault((j, t), {})[w] = 1
+        picks.append(Constraint(expr(options), "=", 1, f"single-session:{i}"))
+    capacity = [Constraint(expr({**covers[j, t], var_rent(j, k): -1}), "<=", 0,
+                           f"charger-capacity:{j}:{t}")
+                for j in ins.chargers for t in ins.intervals() if (j, t) in covers]
+    objectives = [expr(objective) if c == k else expr() for c in ins.companies]
+    return core.program(variables, picks + capacity, *objectives)
+
+
 def infeasibility_diagnostic(instance):
-    """Name EVs that can never meet demand inside their window, or None."""
-    bad = []
-    for i in instance.evs:
-        e, l = instance.window[i]
-        span = l - e
-        best = max((instance.charge_rate[i, j] for j in instance.chargers), default=0)
-        lo, hi = instance.demand[i]
-        if lo > best * span:
-            bad.append(i)
-            continue
-        # Demand floor must be reachable without overshooting the cap.  A
-        # zero-length session sits at a boundary s, max(e,1) <= s <= min(l,T-1).
-        shortest = 0 if max(e, 1) <= min(l, instance.horizon - 1) else 1
-        feasible_duration = False
-        for j in instance.chargers:
-            rate = instance.charge_rate[i, j]
-            for d in range(shortest, span + 1):
-                if lo <= rate * d <= hi:
-                    feasible_duration = True
-                    break
-            if feasible_duration:
-                break
-        if not feasible_duration:
-            bad.append(i)
+    """Name EVs that have no session option (``session_options``), or None."""
+    bad = [i for i in instance.evs if not session_options(instance, i)]
     if bad:
         return "no feasible session for EV " + ", ".join(bad)
     return None
@@ -368,7 +387,7 @@ def decode_schedule(assignment, instance, program=None):
     values = assignment.values
     rentals = {}
     for j in instance.chargers:
-        renter = [k for k in instance.companies if values.get(var_rent(j, k)) == 1]
+        renter = [k for k in instance.companies if values[var_rent(j, k)] == 1]
         rentals[j] = renter[0] if renter else None
     sessions = {}
     for i in instance.evs:
@@ -459,9 +478,7 @@ def noncollab_point(instance, config=None):
     """Each company's optimal standalone cost (no shared access): (z1Non, z2Non).
 
     Company k's standalone program covers k's own fleet with k as the only
-    renter (``build_charging_program(..., renters=(k,))``), so it has no
-    rental variable for the other company and no product variables.  A
-    company with no EVs costs 0.
+    renter (``standalone_program``).  A company with no EVs costs 0.
     """
     cfg = config if config is not None else solver.SolverConfig()
     costs = []
@@ -470,8 +487,7 @@ def noncollab_point(instance, config=None):
         if not sub.evs:
             costs.append(0)
             continue
-        prog = build_charging_program(sub, renters=(k,))
-        outcome = solver.solve_min(prog, index, config=cfg)
+        outcome = solver.solve_min(standalone_program(sub, k), index, config=cfg)
         if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""

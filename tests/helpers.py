@@ -1,7 +1,8 @@
 """Shared test scaffolding: programs with known criterion points, tiny
 general programs with the exhaustive enumerator that is their ground truth,
 a plain reference branch and bound, the two-stage lexicographic solve, the
-first standalone formulation, and the desk-scale scenario configs."""
+first standalone formulation and infeasibility diagnostic, and the
+desk-scale scenario configs."""
 
 import itertools
 
@@ -298,7 +299,7 @@ def certify_limit_instance():
 
     Its endpoint and rectangle searches take at most 28 nodes before the
     first certification solve, which takes 35, and its standalone solves
-    take 19 and 9.  So under a 30-node limit the run raises in that
+    take 9 and 8.  So under a 30-node limit the run raises in that
     certification solve.
     """
     from evshare.scenario import ScenarioConfig, generate_scenario
@@ -325,8 +326,7 @@ def reference_noncollab(instance):
     SolveOutcome of each solve made), or the InfeasibleError text in place
     of the costs when a company has no feasible standalone schedule.
     """
-    from evshare.charging import (
-        build_charging_program, infeasibility_diagnostic, standalone_instance, var_rent)
+    from evshare.charging import build_charging_program, standalone_instance, var_rent
     from evshare.core import expr
     from evshare.solver import solve_min
 
@@ -344,18 +344,41 @@ def reference_noncollab(instance):
                                     prog.objective1, prog.objective2), index)
         outcomes.append(outcome)
         if outcome.status == "infeasible":
-            hint = infeasibility_diagnostic(sub)
+            hint = reference_infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""
             return f"standalone problem infeasible for company {k}{detail}", outcomes
         costs.append(outcome.value)
     return tuple(costs), outcomes
 
 
+def reference_infeasibility_diagnostic(instance):
+    """The first infeasibility diagnostic: EVs for which no charger and no
+    duration inside the window meets the demand bounds, or None.  A
+    zero-length session needs an inner boundary max(e,1) <= s <= min(l,T-1)."""
+    bad = []
+    for i in instance.evs:
+        e, l = instance.window[i]
+        span = l - e
+        best = max((instance.charge_rate[i, j] for j in instance.chargers), default=0)
+        lo, hi = instance.demand[i]
+        if lo > best * span:
+            bad.append(i)
+            continue
+        shortest = 0 if max(e, 1) <= min(l, instance.horizon - 1) else 1
+        if not any(lo <= instance.charge_rate[i, j] * d <= hi
+                   for j in instance.chargers for d in range(shortest, span + 1)):
+            bad.append(i)
+    if bad:
+        return "no feasible session for EV " + ", ".join(bad)
+    return None
+
+
 @st.composite
 def edited_desk_instances(draw):
     """Desk-scale generated instances in which each EV may be edited to need
-    no energy (optionally with an empty window) or to get a window one
-    interval shorter than its demand."""
+    no energy (optionally with an empty window), to get a window one
+    interval shorter than its demand, or to charge at rate 0 at some
+    chargers."""
     import dataclasses
 
     from evshare.scenario import ScenarioError, generate_scenario
@@ -366,9 +389,10 @@ def edited_desk_instances(draw):
             config, seed=draw(st.integers(min_value=0, max_value=10**6))))
     except ScenarioError:
         reject()
-    window, demand = dict(instance.window), dict(instance.demand)
+    window, demand, rate = dict(instance.window), dict(instance.demand), dict(instance.charge_rate)
     for i in instance.evs:
-        edit = draw(st.sampled_from(("keep", "keep", "zero-demand", "empty-window", "short-window")))
+        edit = draw(st.sampled_from(
+            ("keep", "keep", "zero-demand", "empty-window", "short-window", "zero-rate")))
         e, l = window[i]
         if edit == "zero-demand":
             demand[i] = (0, draw(st.sampled_from((0, demand[i][1]))))
@@ -378,4 +402,7 @@ def edited_desk_instances(draw):
         elif edit == "short-window":
             need = max(-(-demand[i][0] // instance.charge_rate[i, j]) for j in instance.chargers)
             window[i] = (e, e + need - 1)
-    return dataclasses.replace(instance, window=window, demand=demand)
+        elif edit == "zero-rate":
+            for j in draw(st.sets(st.sampled_from(instance.chargers), min_size=1)):
+                rate[i, j] = 0
+    return dataclasses.replace(instance, window=window, demand=demand, charge_rate=rate)

@@ -4,7 +4,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
     ChargingInstance,
@@ -21,16 +21,25 @@ from evshare.charging import (
     noncollab_point,
     schedule_from_json,
     schedule_to_json,
+    session_options,
     standalone_instance,
+    standalone_program,
     validate_schedule,
+    var_rent,
+    var_session,
 )
 from evshare.core import Assignment, evaluate
-from evshare.oracle import schedule_to_assignment
+from evshare.oracle import _session_options, schedule_to_assignment
 from evshare import solver
-from evshare.scenario import generate_scenario, t1_instance
+from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
 from evshare.solver import SolverConfig, SolverError, export_lp, solve_min
 
-from helpers import desk_configs, edited_desk_instances, reference_noncollab
+from helpers import (
+    desk_configs,
+    edited_desk_instances,
+    reference_infeasibility_diagnostic,
+    reference_noncollab,
+)
 
 
 def shared_at_a_schedule():
@@ -124,30 +133,80 @@ def test_single_renter_standalone_matches_the_pinned_two_renter_program(instance
     want, reference = reference_noncollab(instance)
     assert got == want
     assert len(outcomes) == len(reference)
-    for out, ref in zip(outcomes, reference):
-        assert out.nodes_explored <= ref.nodes_explored
+
+
+@pytest.mark.parametrize("base, nodes", [(1000, 799), (5000, 816)])
+def test_standalone_node_totals_are_pinned(base, nodes):
+    total = 0
+    for config in desk_configs():
+        instance = generate_scenario(dataclasses.replace(config, seed=config.seed - 1000 + base))
+        total += sum(out.nodes_explored for out in noncollab_solves(instance)[1])
+    assert total == nodes
+
+
+@pytest.mark.parametrize("seed, costs", [
+    (1, (406364, 233452)), (2, (436793, 413457)), (3, (192585, 344505))])
+def test_paper_default_standalone_costs_are_pinned(seed, costs):
+    # 10 EVs x 5 chargers x 24 intervals; values from the indicator model.
+    point = noncollab_point(generate_scenario(ScenarioConfig(seed=seed)))
+    assert (point.z1_non, point.z2_non) == costs
 
 
 def test_standalone_program_has_one_renter_and_no_products():
-    inst = t1_instance()
-    sub = standalone_instance(inst, "k2")
-    prog = build_charging_program(sub, renters=("k2",))
-    ids = {v.id for v in prog.variables}
-    assert {"y_A_k2", "y_B_k2"} <= ids
-    assert not any(vid.startswith("y_") and vid.endswith("_k1") for vid in ids)
-    assert not any(vid.startswith("u_") for vid in ids)
-    assert not any(con.name.startswith(("product-", "rental-exclusive"))
-                   for con in prog.constraints)
+    sub = standalone_instance(t1_instance(), "k2")
+    prog = standalone_program(sub, "k2")
+    sessions = {var_session(i, *option): (i, option)
+                for i in sub.evs for option in session_options(sub, i)}
+    rentals = [var_rent(j, "k2") for j in sub.chargers]
+    assert [v.id for v in prog.variables] == rentals + list(sessions)
+    picks = [con for con in prog.constraints if con.sense == "="]
+    assert [(con.expression.terms, con.rhs) for con in picks] == [
+        ({vid: 1 for vid, (i, _) in sessions.items() if i == ev}, 1) for ev in sub.evs]
+    assert not prog.objective1.terms and prog.objective1.constant == 0
     out = solve_min(prog, 2)
-    schedule = decode_schedule(out.assignment, sub, prog)
+    values = out.assignment.values
+    chosen = [sessions[vid] for vid in sessions if values[vid] == 1]
+    schedule = Schedule.from_sessions(
+        sub, {j: "k2" if values[var_rent(j, "k2")] else None for j in sub.chargers},
+        {i: (j, s, s + d) for i, (j, s, d) in chosen})
     assert validate_schedule(schedule, sub) == []
     assert company_cost(schedule, sub, "k2") == out.value == 2100
 
 
-@pytest.mark.parametrize("renters", [(), ("k3",), ("k1", "k3")])
-def test_renters_must_be_companies_of_the_instance(renters):
-    with pytest.raises(InstanceError, match="renters"):
-        build_charging_program(t1_instance(), renters=renters)
+@st.composite
+def one_ev_instances(draw):
+    """One EV with any window, demand and charge rates over one to three
+    chargers: zero demand, empty and short windows and zero rates occur."""
+    horizon = draw(st.integers(min_value=1, max_value=6))
+    chargers = ("A", "B", "C")[:draw(st.integers(min_value=1, max_value=3))]
+    latest = draw(st.integers(min_value=0, max_value=horizon))
+    earliest = draw(st.integers(min_value=0, max_value=latest))
+    lo = draw(st.integers(min_value=0, max_value=12))
+    hi = draw(st.integers(min_value=lo, max_value=15))
+    zero = {(j, t): 0 for j in chargers for t in range(1, horizon + 1)}
+    return ChargingInstance(
+        name="one-ev", companies=("k1", "k2"), evs=("v",), owner={"v": "k1"},
+        chargers=chargers, horizon=horizon,
+        rental_fee={(j, k): 0 for j in chargers for k in ("k1", "k2")},
+        energy_fee_own=zero, energy_fee_collab=zero,
+        charge_rate={("v", j): draw(st.integers(min_value=0, max_value=5)) for j in chargers},
+        travel_cost={("v", j): 0 for j in chargers}, vot={"v": 0},
+        window={"v": (earliest, latest)}, demand={"v": (lo, hi)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(one_ev_instances(), edited_desk_instances()))
+def test_session_options_match_the_oracles(instance):
+    for i in instance.evs:
+        got = session_options(instance, i)
+        assert len(got) == len(set(got))
+        assert set(got) == set(_session_options(instance, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edited_desk_instances())
+def test_diagnostic_names_the_reference_diagnostics_evs(instance):
+    assert infeasibility_diagnostic(instance) == reference_infeasibility_diagnostic(instance)
 
 
 # sha256 of export_lp for objectives 1 and 2 of the 4x2 desk instance (seed

@@ -112,21 +112,21 @@ def test_frontier_node_limit_exits_1(tmp_path, capsys):
 
 
 def test_frontier_node_limit_caps_the_standalone_solves(tmp_path, capsys):
-    # On desk seed 1002 a standalone search takes 21 nodes and every
-    # frontier search at most 18.
-    path = tmp_path / "desk1002.json"
-    path.write_text(instance_to_json(generate_scenario(list(desk_configs(3))[2])))
+    # On desk seed 1016 a standalone search takes 12 nodes and every
+    # frontier search at most 10.
+    path = tmp_path / "desk1016.json"
+    path.write_text(instance_to_json(generate_scenario(list(desk_configs(17))[16])))
     argv = ["frontier", "--instance", str(path), "--method", "bbox", "--out-dir", str(tmp_path)]
-    assert run_cli(argv + ["--node-limit", "20"]) == 1
-    assert capsys.readouterr().err == "error: node limit 20 exhausted\n"
-    assert not list(tmp_path.glob("desk1002-*"))
-    assert run_cli(argv + ["--node-limit", "21"]) == 0
+    assert run_cli(argv + ["--node-limit", "11"]) == 1
+    assert capsys.readouterr().err == "error: node limit 11 exhausted\n"
+    assert not list(tmp_path.glob("desk1016-*"))
+    assert run_cli(argv + ["--node-limit", "12"]) == 0
     # the parser is reused within a process: neither the limit of an earlier
     # call nor a usage error carries over into the next command
     assert run_cli(argv + ["--node-limit", "many"]) == 2
     capsys.readouterr()
     assert run_cli(argv) == 0
-    assert read_json(tmp_path / "desk1002-bbox-eps0-manifest.json")["config"]["node_limit"] is None
+    assert read_json(tmp_path / "desk1016-bbox-eps0-manifest.json")["config"]["node_limit"] is None
 
 
 def test_frontier_bbox_forces_epsilon_zero(t1_file, tmp_path):
