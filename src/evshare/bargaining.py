@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CriterionPoint, EvshareError, _exact
-from .frontier import participation_caps
+from .frontier import endpoints
 from . import solver as _solver
 
 INFINITY = math.inf
@@ -55,17 +55,17 @@ class ReferencePoints:
 
 
 def reference_points(program, participation, config=_solver.SolverConfig()):
-    """Ideal point from two single-objective solves; disagreement verbatim.
+    """Ideal point from the frontier's two endpoints; disagreement verbatim.
 
-    Both solves run inside the participation region so the ideal can never
-    fall outside the disagreement box; an empty region fails the first.
+    The endpoint searches (``frontier.endpoints``) run inside the
+    participation region, so the ideal, (top z1, bottom z2), can never fall
+    outside the disagreement box; an empty region has no endpoints.
     """
-    caps = participation_caps(participation)
-    best1 = _solver.solve_min(program, 1, caps, config)
-    if best1.status == "infeasible":
+    ends = endpoints(program, participation, config)
+    if ends is None:
         raise BargainError("participation region is empty: no collaboration")
-    best2 = _solver.solve_min(program, 2, caps, config)
-    ideal = CriterionPoint(best1.value, best2.value)
+    z_top, z_bottom = ends
+    ideal = CriterionPoint(z_top.z1, z_bottom.z2)
     disagreement = CriterionPoint(participation.z1_non, participation.z2_non)
     return ReferencePoints(ideal, disagreement)
 

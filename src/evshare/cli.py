@@ -204,12 +204,22 @@ def _frontier_base(frontier_csv):
     return os.path.splitext(frontier_csv)[0]
 
 
-def _disagreement(args, instance):
+def _disagreement(args, instance, points):
     """The standalone costs recorded beside the frontier for this instance,
-    solved afresh only when the frontier has no ``-assignments.json``."""
+    solved afresh only when the frontier has no ``-assignments.json``.
+
+    Without that file nothing ties the CSV to the instance but its
+    ``points``: one outside the instance's participation region is refused.
+    """
     sidecar = f"{_frontier_base(args.frontier)}-assignments.json"
     if not os.path.exists(sidecar):
         participation = _charging.noncollab_point(instance)
+        for point in points:
+            if point.z1 > participation.z1_non or point.z2 > participation.z2_non:
+                raise CliError(
+                    f"{args.frontier}: point ({point.z1}, {point.z2}) lies outside the "
+                    f"participation region of {args.instance}, which caps each company "
+                    f"at ({participation.z1_non}, {participation.z2_non})")
         return _frontier.CriterionPoint(participation.z1_non, participation.z2_non)
     try:
         doc = json.loads(_read(sidecar))
@@ -232,8 +242,8 @@ def _cmd_bargain(args):
         raise CliError(f"frontier {args.frontier} holds no points; "
                        "collaboration is not mutually beneficial")
     instance = _load_instance(args.instance)
-    disagreement = _disagreement(args, instance)
     points = [point for point, _ in rows]
+    disagreement = _disagreement(args, instance, points)
     # Every method retains both frontier endpoints, so the per-objective
     # minima over the CSV equal the true ideal point.
     ideal = _frontier.CriterionPoint(min(p.z1 for p in points),

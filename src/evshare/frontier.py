@@ -15,11 +15,17 @@ same branch-and-bound backend:
     recorded.
 
 Every solve is restricted in objective space only through the solver's
-``bounds``: a rectangle (``Rectangle.bounds``), the participation region
-(``participation_caps``) or a certification cap, each side an inclusive
-integer or None when open.  All objective values are fixed-point integers
-(minor currency units), so an open bound becomes a closed one by stepping
-one minor unit.
+``bounds``: a search box, the participation region (``participation_caps``)
+or a certification box, each side an inclusive integer or None when open.
+All objective values are fixed-point integers (minor currency units), so an
+open bound becomes a closed one by stepping one minor unit.  No search box
+holds a point the run already knows: the non-dominated points not yet
+found lie strictly inside each bbox/b3m1 rectangle and strictly right of
+and below the top endpoint, and a certification asks whether any point
+other than the candidate lies in the box that dominates it.  A box so cut
+loses only leaves that cannot be its search's optimum, so every search
+returns the status, point and witness it returned with the known points
+included, in no more nodes.
 """
 
 import csv
@@ -199,33 +205,38 @@ class _Run:
         """Record the frontier's two endpoints; (z_top, z_bottom) or None.
 
         None means the participation region holds no feasible point, found
-        by the top search.
+        by the top search.  The top endpoint is the (z1, z2) minimum of the
+        region.  Every other frontier point has a larger z1 (the top point
+        has the least) and a smaller z2 (else the top point dominates it),
+        so the bottom search, the (z2, z1) minimum, runs in the region's
+        part with z1 >= top.z1 + 1 and z2 <= top.z2 - 1.  That part is
+        empty exactly when the frontier is the top point alone, and then
+        both endpoints are the top point.
         """
         top = self.lexmin((1, 2), self.caps)
         if top.status == "infeasible":
             return None
-        # top.z1 is the least z1 in the region, so the bottom endpoint lies in
-        # the box the top point leaves, as does the top point: always optimal.
-        (_, z1_cap), _ = self.caps
-        bottom = self.lexmin((2, 1), ((top.point.z1, z1_cap), (None, top.point.z2)))
         self.recorded[top.point] = top.assignment
-        self.recorded.setdefault(bottom.point, bottom.assignment)
+        (_, z1_cap), _ = self.caps
+        bottom = self.lexmin((2, 1), ((top.point.z1 + 1, z1_cap), (None, top.point.z2 - 1)))
+        if bottom.status == "infeasible":
+            return top.point, top.point
+        self.recorded[bottom.point] = bottom.assignment
         return top.point, bottom.point
 
     def certify_nondominated(self, point):
         """Check nothing in the participation region dominates ``point``.
 
-        Two single-objective solves: the best z2 subject to z1 <= point.z1
-        must be point.z2, and symmetrically for z1.  Needed only for
-        candidates from shrunk rectangles, whose box bounds no longer
-        guarantee non-dominance.  The point lies inside the participation
-        region, so its own coordinate is the tighter of the two caps, and
-        its own assignment keeps both solves feasible.
+        Two infeasibility questions, each one search whose status alone is
+        read: no point may lie in z1 <= point.z1, z2 <= point.z2 - 1, nor in
+        z1 <= point.z1 - 1, z2 <= point.z2.  Needed only for candidates from
+        shrunk rectangles, whose box bounds no longer guarantee
+        non-dominance.  The point lies inside the participation region, so
+        both boxes lie inside it too.
         """
-        z1_caps, z2_caps = self.caps
-        if self._solve_min(2, ((None, point.z1), z2_caps)).value < point.z2:
+        if self._solve_min(2, ((None, point.z1), (None, point.z2 - 1))).status != "infeasible":
             return False
-        return self._solve_min(1, (z1_caps, (None, point.z2))).value >= point.z1
+        return self._solve_min(1, ((None, point.z1 - 1), (None, point.z2))).status == "infeasible"
 
     def _solve_min(self, objective_index, bounds):
         out = _solver.solve_min(self.program, objective_index, bounds, self.config)
@@ -234,16 +245,36 @@ class _Run:
         return out
 
 
+def endpoints(program, participation=None, config=_solver.SolverConfig()):
+    """The two endpoints of the frontier inside the participation region.
+
+    Returns (z_top, z_bottom), the same point twice for a one-point
+    frontier, or None when the region is empty.  These are the two
+    searches every ``run_method`` run starts with.
+    """
+    return _Run(program, participation, config).endpoints()
+
+
 def _run_rectangles(method, run, margins, z_top, z_bottom):
     """FIFO rectangle subdivision between the two frontier endpoints.
 
-    Each rectangle's search box (for b3m2 the rectangle shrunk by the
-    margins) is split at the floor midpoint of its z2 range: one
-    lexicographic search finds the leftmost point of the bottom half, one
-    the lowest point above the mid line and left of it.  Rectangles span
-    two distinct non-dominated points, so the split never meets a flat
+    Each rectangle's search box is split at the floor midpoint of its z2
+    range: one lexicographic search finds the leftmost point of the bottom
+    half, one the lowest point above the mid line and left of it.  For
+    bbox and b3m1 the search box is the rectangle itself, open: both
+    corners are recorded non-dominated points, so every point not yet found
+    lies strictly inside, and each search leaves out the corners' rows and
+    columns (z1 from tl.z1 + 1, z2 up to tl.z2 - 1, and in the bottom half
+    z1 up to br.z1 - 1 and z2 from br.z2 + 1).  A bottom half that holds no
+    point then caps the top search at br.z1 - 1, as finding br would, and a
+    top search that finds nothing means only tl was there.  For b3m2 the
+    search box is the rectangle shrunk by the margins, whose corners are no
+    recorded points, so its boxes stay closed.  Rectangles span two
+    distinct non-dominated points, so the split never meets a flat
     bbox/b3m1 box; a flat shrunk b3m2 box is its own bottom half.
     """
+    # One unit in from each side of an open search box, none for a closed one.
+    inset = 0 if method == "b3m2" else 1
     queue = deque()
     if z_top != z_bottom:
         queue.append(Rectangle(z_top, z_bottom))
@@ -256,14 +287,13 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
             search_box = shrink_rectangle(rect, margins)
             if search_box is None:
                 continue
-        mid = (search_box.top_left.z2 + search_box.bottom_right.z2) // 2
+        tl, br = search_box.top_left, search_box.bottom_right
+        mid = (tl.z2 + br.z2) // 2
 
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None          # newly recorded point, if any
-        top_z1_cap = search_box.bottom_right.z1
-        bottom_half = Rectangle(CriterionPoint(search_box.top_left.z1, mid),
-                                search_box.bottom_right)
-        bottom = run.lexmin((1, 2), bottom_half.bounds())
+        top_z1_cap = br.z1 - inset
+        bottom = run.lexmin((1, 2), ((tl.z1 + inset, br.z1 - inset), (br.z2 + inset, mid)))
         if bottom.status != "infeasible":
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
@@ -286,12 +316,9 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
             top_floor = max(found_bottom.z2 + margins.sigma2, mid)
         else:
             top_floor = mid
-        if top_z1_cap < search_box.top_left.z1 or top_floor > search_box.top_left.z2:
+        if top_z1_cap < tl.z1 or top_floor > tl.z2:
             continue
-        top_box = Rectangle(search_box.top_left,
-                            CriterionPoint(top_z1_cap, top_floor))
-
-        top = run.lexmin((2, 1), top_box.bounds())
+        top = run.lexmin((2, 1), ((tl.z1 + inset, top_z1_cap), (top_floor, tl.z2 - inset)))
         if top.status == "infeasible":
             continue
         candidate = top.point

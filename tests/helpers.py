@@ -295,19 +295,19 @@ def desk_configs(count=54):
 
 
 def certify_limit_instance():
-    """Desk instance (seed 1021) whose b3m2 run at 3% has three points.
+    """Desk-shaped instance (seed 493) whose b3m2 run at 3% has three points.
 
-    Its endpoint and rectangle searches take at most 28 nodes before the
-    first certification solve, which takes 35, and its standalone solves
-    take 9 and 8.  So under a 30-node limit the run raises in that
+    Its endpoint and rectangle searches take at most 31 nodes before the
+    first certification solve, which takes 33, and its standalone solves
+    take 7 and 5.  So under a 32-node limit the run raises in that
     certification solve.
     """
     from evshare.scenario import ScenarioConfig, generate_scenario
 
     return generate_scenario(ScenarioConfig(
-        ev_distribution="uniform", charger_layout="centralized", n_evs=3, n_chargers=2,
-        seed=1021, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
-        demand_intervals=(1, 2), vot_sek_per_hour=100, rental_fee_sek=150))
+        ev_distribution="clustered", charger_layout="centralized", n_evs=2, n_chargers=2,
+        seed=493, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
+        demand_intervals=(1, 2), vot_sek_per_hour=200, rental_fee_sek=400))
 
 
 def selected_point(program, assignment):

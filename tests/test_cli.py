@@ -102,13 +102,13 @@ def test_frontier_artifacts(t1_file, tmp_path, capsys):
 
 
 def test_frontier_node_limit_exits_1(tmp_path, capsys):
-    path = tmp_path / "seed1021.json"
+    path = tmp_path / "seed493.json"
     path.write_text(instance_to_json(certify_limit_instance()))
     code = run_cli(["frontier", "--instance", str(path), "--method", "b3m2",
-                    "--epsilon", "3", "--node-limit", "30", "--out-dir", str(tmp_path)])
+                    "--epsilon", "3", "--node-limit", "32", "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err == "error: node limit 30 exhausted\n"
-    assert not list(tmp_path.glob("seed1021-*"))
+    assert capsys.readouterr().err == "error: node limit 32 exhausted\n"
+    assert not list(tmp_path.glob("seed493-*"))
 
 
 def test_frontier_node_limit_caps_the_standalone_solves(tmp_path, capsys):
@@ -283,6 +283,22 @@ def test_bargain_refuses_a_sidecar_of_another_instance(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert str(sidecar) in err and instance_a in err
     assert not list(tmp_path.glob("*/*-bargain*.json"))
+
+
+def test_bargain_refuses_a_sidecarless_point_outside_the_region(t1_file, tmp_path, capsys):
+    # T1's standalone costs are (2100, 2100); the second point exceeds the first.
+    frontier_csv = tmp_path / "T1-b3m1-eps0-frontier.csv"
+    frontier_csv.write_text(
+        "method,epsilon,index,z1,z2,assignment_ref\n"
+        "b3m1,0,0,4,8,b3m1-0\n"
+        "b3m1,0,1,2101,4,b3m1-1\n")
+    for mode in ("gnb", "dist"):
+        assert run_cli(["bargain", "--frontier", str(frontier_csv), "--instance", t1_file,
+                        "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "(2101, 4)" in err and str(frontier_csv) in err and t1_file in err
+    assert not list(tmp_path.glob("*-bargain*.json"))
 
 
 @pytest.mark.parametrize("edit", [

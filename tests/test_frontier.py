@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import types
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from evshare import frontier, solver
+from evshare.bargaining import BargainError, reference_points
 from evshare.core import CriterionPoint, check_assignment, criterion_point, pareto_filter
 from evshare.frontier import (
     METHODS,
@@ -40,9 +42,11 @@ from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, solve_min
 
 from helpers import (
     certify_limit_instance,
+    desk_configs,
     feasible_assignments,
     feasible_tiny_programs,
     make_point_program,
+    tiny_programs,
 )
 
 P = CriterionPoint
@@ -156,10 +160,10 @@ def test_initial_box_example(monkeypatch):
     result = run_method(prog, ParticipationPoint(20, 20), "bbox")
     caps = ((None, 20), (None, 20))
     # The top endpoint inside the participation region, the bottom one in
-    # the box the top point leaves, then the bottom half of the box between
-    # them.
-    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), ((2, 20), (None, 9)), P(9, 2)),
-                         ((1, 2), ((2, 9), (2, 5)), P(5, 5))]
+    # the region's part strictly right of and below it, then the bottom half
+    # of the rectangle between them, without its corners' rows and columns.
+    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), ((3, 20), (None, 8)), P(9, 2)),
+                         ((1, 2), ((3, 8), (3, 5)), P(5, 5))]
     for point, assignment in result.points:
         assert criterion_point(prog, assignment) == point
 
@@ -183,11 +187,11 @@ def test_initial_box_singleton():
 
 @pytest.mark.parametrize("method, epsilon, points, searches", [
     # bottom half at or below the mid line, then the top half above it and
-    # left of the bottom point
+    # left of the bottom corner, both inside the open rectangle
     ("bbox", 0, [(10, 100), (90, 20)],
-     [((10, 90), (20, 60)), ((10, 89), (60, 100))]),
+     [((11, 89), (21, 60)), ((11, 89), (60, 99))]),
     ("bbox", 0, [(0, 5), (4, 0)],
-     [((0, 4), (0, 2)), ((0, 3), (2, 5))]),  # floor of the midpoint 2.5
+     [((1, 3), (1, 2)), ((1, 3), (2, 4))]),  # floor of the midpoint 2.5
     # margins (5, 5) shrink the box to the line z2 = 15, its own bottom half;
     # the top search would start a margin above the point found there
     ("b3m2", 50, [(10, 20), (20, 15), (30, 10)],
@@ -292,8 +296,8 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
 # (solver calls, branch-and-bound nodes) of each method's run on the long
 # frontiers below: any change to the search tree moves a node total.
 LONG_FRONTIER_COUNTS = {
-    93: {"bbox": (10, 1489), "b3m1": (6, 1026), "b3m2": (8, 1263)},
-    145: {"bbox": (10, 1006), "b3m1": (8, 840), "b3m2": (12, 1225)},
+    93: {"bbox": (10, 1457), "b3m1": (6, 1022), "b3m2": (8, 1143)},
+    145: {"bbox": (10, 930), "b3m1": (8, 792), "b3m2": (12, 1123)},
 }
 
 
@@ -311,6 +315,27 @@ def test_long_frontiers_match_the_oracle(seed, costs):
     assert len(exact) == 5
     assert {method: (run.solver_calls, run.nodes)
             for method, run in runs.items()} == LONG_FRONTIER_COUNTS[seed]
+
+
+# sha256 over each run's status, solver calls, rectangles, points and witness
+# renderings: bbox, b3m1 at 3% and b3m2 at 3% on the first 12 desk instances.
+# It pins what a run returns, not how its searches get there, so it holds
+# for any search boxes that are exact.
+DESK_OUTCOMES = "7dc85f9255685f2d0eb1aa5eeeb99e4c62b028ba8b82ab38f0b53fdf088947bc"
+
+
+def test_desk_frontier_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for config in desk_configs(12):
+        instance = generate_scenario(config)
+        program = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
+            run = run_method(program, participation, method, epsilon)
+            digest.update(repr((method, run.status, run.solver_calls, run.rectangles_processed,
+                                [(point.as_tuple(), assignment.rendering())
+                                 for point, assignment in run.points])).encode())
+    assert digest.hexdigest() == DESK_OUTCOMES
 
 
 def t1_variant(**changes):
@@ -422,8 +447,9 @@ def test_b3m2_node_limit_during_certification_raises():
     prog = build_charging_program(inst)
     participation = noncollab_point(inst)
     assert len(run_method(prog, participation, "b3m2", 3).points) == 3
-    with pytest.raises(SolverError, match="node limit 30 exhausted"):
-        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=30))
+    with pytest.raises(SolverError, match="node limit 32 exhausted") as raised:
+        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=32))
+    assert "certify_nondominated" in {entry.name for entry in raised.traceback}
 
 
 def test_result_points_are_sorted_and_nondominated():
@@ -499,6 +525,53 @@ def test_frontiers_match_enumeration_on_general_programs(case, node_limit):
         reduced = run_with_limit(prog, participation, method, 3, node_limit)
         assert {z_top, z_bottom} <= set(reduced.criterion_points()) <= exact
         assert_witnesses(prog, reduced)
+
+
+@st.composite
+def programs_with_caps(draw):
+    """A tiny program (infeasible ones occur), its enumerated criterion
+    points, and participation caps: mostly near one of those points, else
+    drawn freely."""
+    prog = draw(st.one_of(tiny_programs(), feasible_tiny_programs()))
+    points = [criterion_point(prog, a) for a in feasible_assignments(prog)]
+    shift = st.integers(min_value=-1, max_value=4)
+    if points and draw(st.integers(min_value=0, max_value=3)):
+        near = draw(st.sampled_from(points))
+        return prog, points, ParticipationPoint(near.z1 + draw(shift), near.z2 + draw(shift))
+    small = st.integers(min_value=-20, max_value=20)
+    return prog, points, ParticipationPoint(draw(small), draw(small))
+
+
+def two_value_certificate(prog, caps, point):
+    """Non-dominance as two optimal values: the least z2 with z1 <= point.z1,
+    and the least z1 with z2 <= point.z2, each inside the caps, must be the
+    point's own coordinates."""
+    z1_caps, z2_caps = caps
+    if solve_min(prog, 2, ((None, point.z1), z2_caps)).value < point.z2:
+        return False
+    return solve_min(prog, 1, (z1_caps, (None, point.z2))).value >= point.z1
+
+
+@given(programs_with_caps())
+@settings(max_examples=200, deadline=None)
+def test_searches_that_exclude_known_points_answer_as_before(case):
+    prog, points, participation = case
+    caps = participation_caps(participation)
+    region = [p for p in points
+              if p.z1 <= participation.z1_non and p.z2 <= participation.z2_non]
+    if not region:
+        assert frontier.endpoints(prog, participation) is None
+        with pytest.raises(BargainError, match="participation region is empty"):
+            reference_points(prog, participation)
+        return
+    z_top, z_bottom = min(region), min(region, key=lambda p: (p.z2, p.z1))
+    assert frontier.endpoints(prog, participation) == (z_top, z_bottom)
+    assert reference_points(prog, participation).ideal == P(
+        solve_min(prog, 1, caps).value, solve_min(prog, 2, caps).value)
+    nondominated = pareto_filter(region)
+    for point in set(region):
+        certified = frontier._Run(prog, participation, SolverConfig()).certify_nondominated(point)
+        assert certified == two_value_certificate(prog, caps, point) == (point in nondominated)
 
 
 @given(point_sets, st.sampled_from([0, 2, 5, 10, 25]))

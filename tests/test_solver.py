@@ -315,8 +315,8 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 # b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
 # each: 4 certification solves and 122 lexicographic solves.  A change to
 # the search tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [4, 119], "lexmin": [122, 4715]},
-              "dc4d0cfca9dec54e345904bf0de3fc5e9e785427f79168b77854a2b5f45b27a1")
+DESK_TREES = ({"solve_min": [4, 60], "lexmin": [122, 4183]},
+              "d6c56ad043c74d4cda2c4c31930596662e05fd91e54a9ed157cde3e4852d4917")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
