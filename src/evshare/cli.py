@@ -204,23 +204,11 @@ def _frontier_base(frontier_csv):
     return os.path.splitext(frontier_csv)[0]
 
 
-def _disagreement(args, instance, points):
-    """The standalone costs recorded beside the frontier for this instance,
-    solved afresh only when the frontier has no ``-assignments.json``.
-
-    Without that file nothing ties the CSV to the instance but its
-    ``points``: one outside the instance's participation region is refused.
-    """
+def _disagreement(args, instance):
+    """The standalone costs the frontier run recorded for this instance in
+    its ``-assignments.json``.  A frontier without that file is refused as
+    a missing artifact: nothing else ties its points to the instance."""
     sidecar = f"{_frontier_base(args.frontier)}-assignments.json"
-    if not os.path.exists(sidecar):
-        participation = _charging.noncollab_point(instance)
-        for point in points:
-            if point.z1 > participation.z1_non or point.z2 > participation.z2_non:
-                raise CliError(
-                    f"{args.frontier}: point ({point.z1}, {point.z2}) lies outside the "
-                    f"participation region of {args.instance}, which caps each company "
-                    f"at ({participation.z1_non}, {participation.z2_non})")
-        return _frontier.CriterionPoint(participation.z1_non, participation.z2_non)
     try:
         doc = json.loads(_read(sidecar))
         digest = doc.get("instance_sha256")
@@ -243,7 +231,7 @@ def _cmd_bargain(args):
                        "collaboration is not mutually beneficial")
     instance = _load_instance(args.instance)
     points = [point for point, _ in rows]
-    disagreement = _disagreement(args, instance, points)
+    disagreement = _disagreement(args, instance)
     # Every method retains both frontier endpoints, so the per-objective
     # minima over the CSV equal the true ideal point.
     ideal = _frontier.CriterionPoint(min(p.z1 for p in points),

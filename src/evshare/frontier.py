@@ -8,11 +8,11 @@ same branch-and-bound backend:
   * ``b3m1``  -- same exploration, but a freshly found point that lies
     within the closeness margins of an already retained point is dropped,
     pruning near-duplicate points (and their child rectangles).
-  * ``b3m2``  -- rectangles are shrunk by the margins before they are
+  * ``b3m2``  -- rectangles are pulled in by the margins before they are
     searched, skipping whole regions that cannot contain a point farther
-    than the margins from the retained corners.  Candidates from a shrunk
-    box are certified non-dominated with two extra solves before being
-    recorded.
+    than the margins from the retained corners.  Candidates from a
+    pulled-in box are certified non-dominated with two extra solves before
+    being recorded.
 
 Every solve is restricted in objective space only through the solver's
 ``bounds``: a search box, the participation region (``participation_caps``)
@@ -20,12 +20,12 @@ or a certification box, each side an inclusive integer or None when open.
 All objective values are fixed-point integers (minor currency units), so an
 open bound becomes a closed one by stepping one minor unit.  No search box
 holds a point the run already knows: the non-dominated points not yet
-found lie strictly inside each bbox/b3m1 rectangle and strictly right of
-and below the top endpoint, and a certification asks whether any point
-other than the candidate lies in the box that dominates it.  A box so cut
-loses only leaves that cannot be its search's optimum, so every search
-returns the status, point and witness it returned with the known points
-included, in no more nodes.
+found lie strictly inside each rectangle and strictly right of and below
+the top endpoint, and a certification asks whether any point other than
+the candidate lies in the box that dominates it.  A box so cut loses only
+leaves that cannot be its search's optimum, so every search returns the
+status, point and witness it returned with the known points included, in
+no more nodes.  A box left empty is not searched at all.
 """
 
 import csv
@@ -196,10 +196,18 @@ class _Run:
         self.rectangles = 0
 
     def lexmin(self, order, bounds):
+        """One lexicographic search in ``bounds``; its outcome, or None.
+
+        None when the box holds no point: either its bounds cross (a lower
+        side above the upper one, then no search runs and no call is
+        counted) or the search finds it infeasible.
+        """
+        if any(lo is not None and hi is not None and lo > hi for lo, hi in bounds):
+            return None
         out = _solver.lexmin(self.program, order, bounds, self.config)
         self.solver_calls += out.solves
         self.nodes += out.nodes_explored
-        return out
+        return out if out.status != "infeasible" else None
 
     def endpoints(self):
         """Record the frontier's two endpoints; (z_top, z_bottom) or None.
@@ -214,12 +222,12 @@ class _Run:
         both endpoints are the top point.
         """
         top = self.lexmin((1, 2), self.caps)
-        if top.status == "infeasible":
+        if top is None:
             return None
         self.recorded[top.point] = top.assignment
         (_, z1_cap), _ = self.caps
         bottom = self.lexmin((2, 1), ((top.point.z1 + 1, z1_cap), (None, top.point.z2 - 1)))
-        if bottom.status == "infeasible":
+        if bottom is None:
             return top.point, top.point
         self.recorded[bottom.point] = bottom.assignment
         return top.point, bottom.point
@@ -258,87 +266,69 @@ def endpoints(program, participation=None, config=_solver.SolverConfig()):
 def _run_rectangles(method, run, margins, z_top, z_bottom):
     """FIFO rectangle subdivision between the two frontier endpoints.
 
-    Each rectangle's search box is split at the floor midpoint of its z2
-    range: one lexicographic search finds the leftmost point of the bottom
-    half, one the lowest point above the mid line and left of it.  For
-    bbox and b3m1 the search box is the rectangle itself, open: both
-    corners are recorded non-dominated points, so every point not yet found
-    lies strictly inside, and each search leaves out the corners' rows and
-    columns (z1 from tl.z1 + 1, z2 up to tl.z2 - 1, and in the bottom half
-    z1 up to br.z1 - 1 and z2 from br.z2 + 1).  A bottom half that holds no
-    point then caps the top search at br.z1 - 1, as finding br would, and a
-    top search that finds nothing means only tl was there.  For b3m2 the
-    search box is the rectangle shrunk by the margins, whose corners are no
-    recorded points, so its boxes stay closed.  Rectangles span two
-    distinct non-dominated points, so the split never meets a flat
-    bbox/b3m1 box; a flat shrunk b3m2 box is its own bottom half.
+    Each rectangle is searched in its box pulled in by ``pull``: one unit
+    on each side for bbox and b3m1, the margins (at least one unit) for
+    b3m2.  Both corners are recorded points, so a side pulled in by one
+    unit leaves out only a corner's row or column, which holds the corner
+    and points it dominates.  The box is split at the floor midpoint of
+    its z2 range: one lexicographic search finds the leftmost point of the
+    bottom half, one the lowest point above the mid line and left of the
+    bottom point.  After a kept bottom point c the top box ends at
+    c.z1 - pull.sigma1 and starts at max(c.z2 + pull.sigma2, mid); after
+    any other bottom point it ends at c.z1 - 1, and with no bottom point
+    at the box's right side.  A box the pull or a cap leaves empty is not
+    searched.  ``keep`` says which candidates each method records.
     """
-    # One unit in from each side of an open search box, none for a closed one.
-    inset = 0 if method == "b3m2" else 1
+    pull = ClosenessMargins(1, 1)
+    if method == "b3m2":
+        pull = ClosenessMargins(max(margins.sigma1, 1), max(margins.sigma2, 1))
+
+    def keep(candidate, anchors):
+        if method == "b3m1":  # drop a point interchangeable with an anchor
+            return not strictly_close(candidate, anchors, margins)
+        if method == "b3m2":  # a pulled-in box no longer proves non-dominance
+            return run.certify_nondominated(candidate)
+        return True
+
     queue = deque()
     if z_top != z_bottom:
         queue.append(Rectangle(z_top, z_bottom))
     while queue:
         rect = queue.popleft()
         run.rectangles += 1
-
-        search_box = rect
-        if method == "b3m2":
-            search_box = shrink_rectangle(rect, margins)
-            if search_box is None:
-                continue
-        tl, br = search_box.top_left, search_box.bottom_right
+        box = shrink_rectangle(rect, pull)
+        if box is None:
+            continue
+        tl, br = box.top_left, box.bottom_right
         mid = (tl.z2 + br.z2) // 2
 
         # --- bottom search: leftmost point with z2 at or below the mid line.
-        found_bottom = None          # newly recorded point, if any
-        top_z1_cap = br.z1 - inset
-        bottom = run.lexmin((1, 2), ((tl.z1 + inset, br.z1 - inset), (br.z2 + inset, mid)))
-        if bottom.status != "infeasible":
+        found_bottom = None
+        top_z1_cap, top_floor = br.z1, mid
+        bottom = run.lexmin((1, 2), ((tl.z1, br.z1), (br.z2, mid)))
+        if bottom is not None:
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
-            if candidate not in run.recorded:
-                if method == "b3m1" and strictly_close(
-                        candidate, (rect.bottom_right,), margins):
-                    pass  # prune: interchangeable with the retained corner
-                elif method == "b3m2" and not run.certify_nondominated(candidate):
-                    pass  # dominated outside the shrunk box; keep the cap
-                else:
-                    run.recorded[candidate] = bottom.assignment
-                    found_bottom = candidate
-                    queue.append(Rectangle(candidate, rect.bottom_right))
+            if keep(candidate, (rect.bottom_right,)):
+                run.recorded[candidate] = bottom.assignment
+                found_bottom = candidate
+                queue.append(Rectangle(candidate, rect.bottom_right))
+                top_z1_cap = candidate.z1 - pull.sigma1
+                top_floor = max(candidate.z2 + pull.sigma2, mid)
 
-        # --- top rectangle: everything above the mid line, left of the cap.
-        if method == "b3m2" and found_bottom is not None:
-            # Re-anchor on the recorded point, stepping a full margin left
-            # (at least one unit) and a margin up, never below the mid line.
-            top_z1_cap = found_bottom.z1 - max(margins.sigma1, 1)
-            top_floor = max(found_bottom.z2 + margins.sigma2, mid)
-        else:
-            top_floor = mid
-        if top_z1_cap < tl.z1 or top_floor > tl.z2:
-            continue
-        top = run.lexmin((2, 1), ((tl.z1 + inset, top_z1_cap), (top_floor, tl.z2 - inset)))
-        if top.status == "infeasible":
+        # --- top search: lowest point above the mid line, left of the cap.
+        top = run.lexmin((2, 1), ((tl.z1, top_z1_cap), (top_floor, tl.z2)))
+        if top is None:
             continue
         candidate = top.point
-        if candidate in run.recorded:
-            continue
-        if method == "b3m1":
-            anchors = [rect.top_left]
-            anchors.append(found_bottom if found_bottom is not None
-                           else rect.bottom_right)
-            if strictly_close(candidate, anchors, margins):
-                if found_bottom is not None and strictly_close(
-                        candidate, (found_bottom,), margins):
-                    # The pruned point may hide others between it and the
-                    # freshly recorded one: re-queue the enlarged top part.
-                    queue.append(Rectangle(rect.top_left, found_bottom))
-                continue
-        if method == "b3m2" and not run.certify_nondominated(candidate):
-            continue
-        run.recorded[candidate] = top.assignment
-        queue.append(Rectangle(rect.top_left, candidate))
+        if keep(candidate, (rect.top_left, found_bottom or rect.bottom_right)):
+            run.recorded[candidate] = top.assignment
+            queue.append(Rectangle(rect.top_left, candidate))
+        elif (method == "b3m1" and found_bottom is not None
+              and strictly_close(candidate, (found_bottom,), margins)):
+            # The pruned point may hide others between it and the freshly
+            # recorded one: re-queue the enlarged top part.
+            queue.append(Rectangle(rect.top_left, found_bottom))
 
 
 def run_method(program, participation=None, method="bbox", epsilon=0,

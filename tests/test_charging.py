@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
     ChargingInstance,
+    CostError,
     DecodeError,
     InfeasibleError,
     InstanceError,
@@ -283,6 +284,29 @@ def test_validate_flags_unrented_and_demand():
     assert "unrented-charger: v2 at B" in got
 
 
+def test_validate_flags_unknown_renter_missing_and_out_of_horizon_sessions():
+    inst = t1_instance()
+    schedule = Schedule(
+        rentals={"A": "k3", "B": "k2"},
+        sessions={"v1": ("A", 2, 5)},
+        energy={"v1": 10},
+    )
+    assert validate_schedule(schedule, inst) == [
+        "rental-exclusive: charger A", "session-bounds: v1", "missing-session: v2"]
+
+
+def test_company_cost_refuses_a_session_at_an_unrented_charger():
+    inst = t1_instance()
+    schedule = Schedule(
+        rentals={"A": "k1", "B": None},
+        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
+        energy={"v1": 10, "v2": 10},
+    )
+    assert company_cost(schedule, inst, "k1") > 0
+    with pytest.raises(CostError, match="EV v2 charges at unrented charger B"):
+        company_cost(schedule, inst, "k2")
+
+
 def test_objectives_agree_with_decoded_cost_on_optima():
     inst = t1_instance()
     prog = build_charging_program(inst)
@@ -365,6 +389,25 @@ def test_instance_fields_must_be_integers(field, value):
     if isinstance(value, dict):
         value = {**getattr(inst, field), **value}
     with pytest.raises(InstanceError, match=field):
+        dataclasses.replace(inst, **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 0, "horizon must be at least one interval"),
+    ("owner", {"v1": "k3"}, "EV v1 has no valid owning company"),
+    ("vot", {"v2": -1}, "EV v2: negative value of time"),
+    ("charge_rate", {("v1", "A"): -1}, r"negative rate or travel cost for \(v1,A\)"),
+    ("travel_cost", {("v2", "B"): -1}, r"negative rate or travel cost for \(v2,B\)"),
+    ("rental_fee", {("B", "k2"): -1}, r"negative rental fee for \(B,k2\)"),
+    ("energy_fee_own", {("A", 3): -1}, r"negative energy fee for \(A,3\)"),
+    ("energy_fee_collab", {("B", 1): -1}, r"negative energy fee for \(B,1\)"),
+], ids=["zero-horizon", "stranger-owner", "negative-vot", "negative-rate",
+        "negative-travel", "negative-rental", "negative-own-fee", "negative-collab-fee"])
+def test_instance_values_out_of_range_are_refused(field, value, message):
+    inst = t1_instance()
+    if isinstance(value, dict):
+        value = {**getattr(inst, field), **value}
+    with pytest.raises(InstanceError, match=message):
         dataclasses.replace(inst, **{field: value})
 
 

@@ -145,11 +145,16 @@ def test_frontier_reduced_methods_write_their_epsilon(t1_file, tmp_path):
 
 
 def two_point_frontier_csv(tmp_path):
+    """A hand-written frontier of T1 and the assignments file bargain reads
+    T1's standalone costs from."""
     path = tmp_path / "T1-b3m1-eps0-frontier.csv"
     path.write_text(
         "method,epsilon,index,z1,z2,assignment_ref\n"
         "b3m1,0,0,4,8,b3m1-0\n"
         "b3m1,0,1,8,4,b3m1-1\n")
+    (tmp_path / "T1-b3m1-eps0-assignments.json").write_text(json.dumps({
+        "instance_sha256": hashlib.sha256(instance_to_json(t1_instance()).encode()).hexdigest(),
+        "participation": {"z1_non": 2100, "z2_non": 2100}}))
     return str(path)
 
 
@@ -240,16 +245,19 @@ def test_bargain_reads_the_frontier_runs_standalone_costs(source, mode, tmp_path
     frontier_csv = str(tmp_path / f"{source}-b3m2-eps3-frontier.csv")
     capsys.readouterr()
 
-    with monkeypatch.context() as patch:
-        patch.setattr(evshare.charging, "noncollab_point", refuse_standalone_solve)
-        from_sidecar = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
+    monkeypatch.setattr(evshare.charging, "noncollab_point", refuse_standalone_solve)
+    code, _, written = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
                                        tmp_path / "sidecar.json")
-    os.remove(tmp_path / f"{source}-b3m2-eps3-assignments.json")
-    solved = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
-                             tmp_path / "solved.json")
-    assert from_sidecar == solved
-    # T1's one point is its disagreement point, so `dist` refuses it on both paths
-    assert (solved[0] == 0) == (source != "T1" or mode == "gnb")
+    # T1's one point is its disagreement point, so `dist` refuses it
+    assert (code == 0) == (source != "T1" or mode == "gnb")
+    assert (written is not None) == (code == 0)
+    # Without the assignments file nothing ties the CSV to the instance.
+    sidecar = tmp_path / f"{source}-b3m2-eps3-assignments.json"
+    os.remove(sidecar)
+    code, err, written = bargain_outcome(capsys, frontier_csv, str(instance_path), mode,
+                                         tmp_path / "unread.json")
+    assert (code, written) == (1, None)
+    assert err.startswith("error: missing artifact:") and str(sidecar) in err
 
 
 def test_bargain_refuses_a_sidecar_of_another_instance(tmp_path, capsys):
@@ -286,18 +294,30 @@ def test_bargain_refuses_a_sidecar_of_another_instance(tmp_path, capsys):
 
 
 def test_bargain_refuses_a_sidecarless_point_outside_the_region(t1_file, tmp_path, capsys):
-    # T1's standalone costs are (2100, 2100); the second point exceeds the first.
+    # T1's standalone costs are (2100, 2100); the second point exceeds the
+    # first.  A CSV with no assignments file is refused whatever its points.
     frontier_csv = tmp_path / "T1-b3m1-eps0-frontier.csv"
     frontier_csv.write_text(
         "method,epsilon,index,z1,z2,assignment_ref\n"
         "b3m1,0,0,4,8,b3m1-0\n"
         "b3m1,0,1,2101,4,b3m1-1\n")
+    sidecar = str(tmp_path / "T1-b3m1-eps0-assignments.json")
     for mode in ("gnb", "dist"):
         assert run_cli(["bargain", "--frontier", str(frontier_csv), "--instance", t1_file,
                         "--mode", mode]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "(2101, 4)" in err and str(frontier_csv) in err and t1_file in err
+        assert err.startswith("error: missing artifact:") and sidecar in err
+    assert not list(tmp_path.glob("*-bargain*.json"))
+
+
+def test_bargain_refuses_a_frontier_without_points(t1_file, tmp_path, capsys):
+    # The empty frontier is refused before bargain looks for its assignments file.
+    frontier_csv = tmp_path / "T1-b3m2-eps3-frontier.csv"
+    frontier_csv.write_text("method,epsilon,index,z1,z2,assignment_ref\n")
+    assert run_cli(["bargain", "--frontier", str(frontier_csv), "--instance", t1_file,
+                    "--mode", "gnb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "holds no points" in err
     assert not list(tmp_path.glob("*-bargain*.json"))
 
 
@@ -370,6 +390,34 @@ def test_report_rejects_malformed_frontier_csv(t1_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "frontier CSV row 2" in err
     assert "T1-bbox-eps0-frontier.csv" in err
+
+
+def test_report_refuses_a_stats_csv_with_two_rows(t1_file, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    assert run_cli(["frontier", "--instance", t1_file, "--method", "bbox",
+                    "--out-dir", str(batch)]) == 0
+    stats = batch / "T1-bbox-eps0-stats.csv"
+    header, row = stats.read_text().splitlines()
+    stats.write_text(f"{header}\n{row}\n{row}\n")
+    capsys.readouterr()
+    assert run_cli(["report", "--batch", str(batch)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "expected exactly one stats row" in err
+    assert str(stats) in err
+    assert not (batch / "report.csv").exists()
+
+
+def test_report_skips_a_frontier_csv_without_an_eps_part(t1_file, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    assert run_cli(["frontier", "--instance", t1_file, "--method", "bbox",
+                    "--out-dir", str(batch)]) == 0
+    # Neither name ends in `-<method>-eps<epsilon>`; report would refuse their text.
+    for name in ("T1-bbox-final-frontier.csv", "notes-frontier.csv"):
+        (batch / name).write_text("not a frontier\n")
+    capsys.readouterr()
+    assert run_cli(["report", "--batch", str(batch)]) == 0
+    lines = (batch / "report.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["bbox"]
 
 
 def test_export_lp_writes_model(t1_file, tmp_path):

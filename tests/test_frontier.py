@@ -249,8 +249,8 @@ def test_engine_solver_call_accounting():
     # each half
     assert result.solver_calls == 4
     assert result.rectangles_processed == 1
-    # at zero tolerance b3m2 never reaches certification here: both searches
-    # return already-recorded points
+    # at zero tolerance b3m2 never reaches certification here: both of its
+    # boxes, pulled in by one unit, hold no point
     assert run_method(prog, None, "b3m2", 0).solver_calls == 4
 
 
@@ -317,25 +317,50 @@ def test_long_frontiers_match_the_oracle(seed, costs):
             for method, run in runs.items()} == LONG_FRONTIER_COUNTS[seed]
 
 
-# sha256 over each run's status, solver calls, rectangles, points and witness
-# renderings: bbox, b3m1 at 3% and b3m2 at 3% on the first 12 desk instances.
-# It pins what a run returns, not how its searches get there, so it holds
-# for any search boxes that are exact.
-DESK_OUTCOMES = "7dc85f9255685f2d0eb1aa5eeeb99e4c62b028ba8b82ab38f0b53fdf088947bc"
+def test_b3m1_requeues_the_top_part_above_a_pruned_point():
+    # The first rectangle's top search finds (27634, 23131) within the
+    # margins of the bottom point (27641, 22726) it has just recorded, so
+    # b3m1 drops it and re-queues the rectangle between the top corner and
+    # that bottom point.  Its two searches find (27634, 23131) and
+    # (27591, 23626), both close to a corner: the frontier stays the same,
+    # and the re-queue shows in the third rectangle and its two calls.
+    inst = generate_scenario(ScenarioConfig(
+        ev_distribution="clustered", charger_layout="centralized", n_evs=4, n_chargers=2,
+        seed=163, horizon=6, window_length_h=3, earliest_start_range=(0, 3),
+        demand_intervals=(1, 2), vot_sek_per_hour=100, rental_fee_sek=150))
+    participation = noncollab_point(inst)
+    got = run_method(build_charging_program(inst), participation, "b3m1", 3)
+    assert [p.as_tuple() for p in got.criterion_points()] == [
+        (27584, 24031), (27641, 22726), (34341, 21641)]
+    assert (got.solver_calls, got.rectangles_processed) == (8, 3)
+    exact = charging_frontier(inst, participation=(participation.z1_non, participation.z2_non))
+    assert set(got.criterion_points()) < set(exact)
+
+
+# sha256 over each run's status, rectangles, points and witness renderings:
+# bbox, b3m1 at 3% and b3m2 at 3% on the first 12 desk instances.  It pins
+# what a run returns, not how its searches get there, so it holds for any
+# search boxes that are exact.  DESK_CALLS pins each method's solver calls
+# over the same runs apart from it.
+DESK_OUTCOMES = "4b9f2c775c2cc24cbcf2e420e3e9c1410fc740886840039beed235e295c177a8"
+DESK_CALLS = {"bbox": 41, "b3m1": 41, "b3m2": 41}
 
 
 def test_desk_frontier_outcomes_are_pinned():
     digest = hashlib.sha256()
+    calls = dict.fromkeys(METHODS, 0)
     for config in desk_configs(12):
         instance = generate_scenario(config)
         program = build_charging_program(instance)
         participation = noncollab_point(instance)
         for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
             run = run_method(program, participation, method, epsilon)
-            digest.update(repr((method, run.status, run.solver_calls, run.rectangles_processed,
+            calls[method] += run.solver_calls
+            digest.update(repr((method, run.status, run.rectangles_processed,
                                 [(point.as_tuple(), assignment.rendering())
                                  for point, assignment in run.points])).encode())
     assert digest.hexdigest() == DESK_OUTCOMES
+    assert calls == DESK_CALLS
 
 
 def t1_variant(**changes):

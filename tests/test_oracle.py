@@ -13,6 +13,7 @@ from evshare.core import CriterionPoint, check_assignment
 from evshare.oracle import (
     BudgetExceeded,
     OracleBudget,
+    OracleError,
     charging_frontier,
     noncollab_costs,
     schedule_to_assignment,
@@ -58,6 +59,11 @@ def test_structural_budget_refusal():
                                            earliest_start_range=(0, 8)))
     with pytest.raises(BudgetExceeded):
         charging_frontier(big, budget=OracleBudget(max_candidates=100))
+
+
+def test_budget_must_be_positive():
+    with pytest.raises(OracleError, match="budget must be positive"):
+        OracleBudget(0)
 
 
 def test_standalone_minimum_matches_solver_path():

@@ -132,6 +132,16 @@ def test_load_price_series_bad_price_names_the_row():
         load_price_series(text)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("5,0.45,1", "row 7: expected `hour,price`"),
+    ("five,0.45", "row 7: non-integer hour 'five'"),
+    ("24,0.45", "row 7: hour 24 outside 0-23"),
+], ids=["three-fields", "word-hour", "hour-24"])
+def test_load_price_series_refuses_a_bad_row(row, message):
+    with pytest.raises(PriceFormatError, match=message):
+        load_price_series(valid_csv().replace("5,0.45", row))
+
+
 def test_load_price_series_duplicate_hour():
     with pytest.raises(PriceFormatError, match="duplicate hour"):
         load_price_series(valid_csv() + "3,0.50\n")
@@ -182,7 +192,10 @@ def test_config_validation():
         dict(charger_layout="ring"),
         dict(n_evs=0),
         dict(area_km=0.0),
+        dict(horizon=0),
         dict(collab_discount=0.0),
+        dict(price_scale=0),
+        dict(price_scale=-1),
         dict(demand_intervals=(0, 2)),
         dict(earliest_start_range=(5, 2)),
     ):

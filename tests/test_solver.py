@@ -313,10 +313,10 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 
 # sha256 over every solve_min and lexmin outcome of bbox, b3m1 at 3% and
 # b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
-# each: 4 certification solves and 122 lexicographic solves.  A change to
+# each: 4 certification solves and 119 lexicographic solves.  A change to
 # the search tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [4, 60], "lexmin": [122, 4183]},
-              "d6c56ad043c74d4cda2c4c31930596662e05fd91e54a9ed157cde3e4852d4917")
+DESK_TREES = ({"solve_min": [4, 60], "lexmin": [119, 4177]},
+              "8f28a0cb7b6f0d5f1d6a15953d3db1d5e22a63c290d170db91165034c71fe9f2")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
@@ -401,6 +401,12 @@ def test_node_limit_raises():
     prog = build_charging_program(t1_instance())
     with pytest.raises(SolverError, match="node limit 1 exhausted"):
         solve_min(prog, 1, config=SolverConfig(node_limit=1))
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_node_limit_must_be_positive(limit):
+    with pytest.raises(SolverError, match="node_limit must be positive"):
+        SolverConfig(node_limit=limit)
 
 
 def test_rectangle_bounds():
