@@ -377,10 +377,32 @@ class Schedule:
         return cls(rentals, sessions, energy)
 
 
-def decode_schedule(assignment, instance, program=None):
+def encode_schedule(schedule, instance, program):
+    """The assignment of ``program`` a schedule corresponds to; the inverse
+    of ``decode_schedule``.  Every variable starts at 0, then each rental
+    and each session sets its ones (a zero-duration session pairs its start
+    and end indicators at intervals start+1 and start)."""
+    values = {v.id: 0 for v in program.variables}
+    for j, k in schedule.rentals.items():
+        if k is not None:
+            values[var_rent(j, k)] = 1
+    for i in instance.evs:
+        j, start, finish = schedule.sessions[i]
+        values[var_start(i, j, start + 1)] = 1
+        values[var_end(i, j, finish)] = 1
+        values[var_tstart(i)] = start
+        values[var_tfinish(i)] = finish
+        renter = schedule.rentals.get(j)
+        for t in range(start + 1, finish + 1):
+            values[var_x(i, j, t)] = 1
+            if renter is not None:
+                values[var_both(i, j, t, renter)] = 1
+    return core.Assignment(values)
+
+
+def decode_schedule(assignment, instance, program):
     """Extract a Schedule from a feasible assignment of the built program."""
-    prog = program if program is not None else build_charging_program(instance)
-    violated = core.check_assignment(prog, assignment)
+    violated = core.check_assignment(program, assignment)
     if violated:
         shown = ", ".join(violated[:8])
         raise DecodeError(f"assignment violates constraints: {shown}")
@@ -591,10 +613,22 @@ def schedule_to_json(schedule, instance):
 
 
 def schedule_from_dict(data, instance):
-    sessions = {row["ev"]: (row["charger"], row["start"], row["end"]) for row in data["sessions"]}
-    for i, (_, start, finish) in sessions.items():
+    """The Schedule a schedule JSON object describes.  Refuses what would
+    hide a session: a second row for an EV, a row for an unknown EV, a
+    rental of an unknown charger."""
+    sessions = {}
+    for row in data["sessions"]:
+        i, start, finish = row["ev"], row["start"], row["end"]
+        if i not in instance.evs:
+            raise InstanceError(f"session row for EV {i!r}, which the instance lacks")
+        if i in sessions:
+            raise InstanceError(f"more than one session row for EV {i!r}")
         if type(start) is not int or type(finish) is not int:
             raise InstanceError(f"session of EV {i}: start and end must be integers")
+        sessions[i] = (row["charger"], start, finish)
+    for j in data["rentals"]:
+        if j not in instance.chargers:
+            raise InstanceError(f"rental of charger {j!r}, which the instance lacks")
     rentals = {j: data["rentals"].get(j) for j in instance.chargers}
     return Schedule.from_sessions(instance, rentals, sessions)
 

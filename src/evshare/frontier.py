@@ -131,14 +131,15 @@ def compute_margins(epsilon, z_top, z_bottom):
     """Margins from a relative tolerance and the frontier's extreme points.
 
     ``epsilon`` is the tolerance as a plain fraction (0.03 for 3%); sigma1
-    scales the top-left z1, sigma2 the bottom-right z2, each rounded
-    half-up to a whole fixed-point unit.
+    scales the magnitude of the top-left z1, sigma2 that of the
+    bottom-right z2 (a margin is a distance, so a negative extreme gives a
+    positive margin), each rounded half-up to a whole fixed-point unit.
     """
     eps = _exact(epsilon)
     if eps < 0:
         raise FrontierError(f"closeness tolerance must be >= 0, got {epsilon!r}")
-    sigma1 = _half_up(eps * z_top.z1)
-    sigma2 = _half_up(eps * z_bottom.z2)
+    sigma1 = _half_up(eps * abs(z_top.z1))
+    sigma2 = _half_up(eps * abs(z_bottom.z2))
     return ClosenessMargins(sigma1, sigma2)
 
 

@@ -7,8 +7,9 @@ a few EVs exactly.  It shares no search logic with the branch-and-bound
 solver or the frontier search, by design: it is the check on those modules,
 not a client.
 
-* charging_frontier: the exact participation-capped frontier, with one
-  witness assignment per point.
+* charging_frontier: the exact participation-capped frontier in one
+  enumeration pass, with one witness assignment per point: the first
+  schedule the enumeration reaches, encoded by ``charging.encode_schedule``.
 * standalone_minimum / noncollab_costs: each company's optimal cost on its
   own fleet, renting only for itself.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import charging, core
-from .core import Assignment, CriterionPoint, EvshareError, evaluate
+from .core import CriterionPoint, EvshareError, evaluate
 
 
 class OracleError(EvshareError):
@@ -82,7 +83,10 @@ def _schedule_cost(instance, rentals, placements, k):
 
 
 def _enumerate_schedules(instance, options, patterns, visit):
-    """DFS over rental patterns and per-EV sessions with occupancy pruning."""
+    """DFS over rental patterns and per-EV sessions with occupancy pruning,
+    in pattern, instance-EV and ``options`` order.  ``visit(rentals,
+    placements)`` gets the live placements dict: a visitor that keeps it
+    copies it."""
     evs = instance.evs
     for rentals in patterns:
         occupied = set()
@@ -90,7 +94,7 @@ def _enumerate_schedules(instance, options, patterns, visit):
 
         def walk(idx):
             if idx == len(evs):
-                visit(rentals, dict(placements))
+                visit(rentals, placements)
                 return
             i = evs[idx]
             for j, s, d in options[i]:
@@ -106,38 +110,6 @@ def _enumerate_schedules(instance, options, patterns, visit):
                 occupied.difference_update(slots)
 
         walk(0)
-
-
-def schedule_to_assignment(schedule, instance):
-    """Reconstruct the full variable assignment a schedule corresponds to."""
-    values = {}
-    T = instance.horizon
-    for j in instance.chargers:
-        for k in instance.companies:
-            values[charging.var_rent(j, k)] = 1 if schedule.rentals.get(j) == k else 0
-    for i in instance.evs:
-        j, s, f = schedule.sessions[i]
-        for jj in instance.chargers:
-            for t in instance.intervals():
-                values[charging.var_x(i, jj, t)] = 1 if (jj == j and s + 1 <= t <= f) else 0
-                values[charging.var_start(i, jj, t)] = 0
-                values[charging.var_end(i, jj, t)] = 0
-        if f > s:
-            values[charging.var_start(i, j, s + 1)] = 1
-            values[charging.var_end(i, j, f)] = 1
-        else:
-            # Zero-duration session: paired start/end indicators at (s+1, s).
-            values[charging.var_start(i, j, s + 1)] = 1
-            values[charging.var_end(i, j, s)] = 1
-        values[charging.var_tstart(i)] = s
-        values[charging.var_tfinish(i)] = f
-        for jj in instance.chargers:
-            for t in instance.intervals():
-                x = values[charging.var_x(i, jj, t)]
-                for k in instance.companies:
-                    y = values[charging.var_rent(jj, k)]
-                    values[charging.var_both(i, jj, t, k)] = x * y
-    return Assignment(values)
 
 
 def _search_space(instance, renters, budget):
@@ -161,48 +133,33 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
     """Exact frontier of a charging instance by structural enumeration.
 
     participation is an optional (z1 cap, z2 cap) pair; points above either
-    cap are dropped before dominance filtering.  Returns
-    {CriterionPoint: Assignment}, keeping the lexicographically smallest
-    assignment rendering per point.
+    cap are dropped before dominance filtering.  One pass keeps, per
+    distinct point inside the caps, the first schedule the enumeration
+    reaches (rental patterns in ``itertools.product`` order, EVs in instance
+    order, sessions in ``_session_options`` order).  Returns
+    {CriterionPoint: Assignment} over the frontier, each witness encoded by
+    ``charging.encode_schedule`` and checked against the program.
     """
     options, patterns = _search_space(instance, instance.companies, budget)
     k1, k2 = instance.companies
-    points = set()
+    first = {}
 
     def visit(rentals, placements):
         point = CriterionPoint(_schedule_cost(instance, rentals, placements, k1),
                                _schedule_cost(instance, rentals, placements, k2))
-        if participation is None or (point.z1 <= participation[0]
-                                     and point.z2 <= participation[1]):
-            points.add(point)
+        if point not in first and (participation is None or (
+                point.z1 <= participation[0] and point.z2 <= participation[1])):
+            first[point] = (rentals, {i: (j, s, s + d) for i, (j, s, d) in placements.items()})
 
     _enumerate_schedules(instance, options, patterns, visit)
-    frontier = core.pareto_filter(points)
-    if not frontier:
-        return {}
-
-    # Second pass: rebuild full assignments only for surviving points and keep
-    # the lexicographically smallest rendering per point.
+    frontier = core.pareto_filter(first)
     program = charging.build_charging_program(instance)
-    survivors = {}
-
-    def visit_rebuild(rentals, placements):
-        c1 = _schedule_cost(instance, rentals, placements, k1)
-        c2 = _schedule_cost(instance, rentals, placements, k2)
-        point = CriterionPoint(c1, c2)
-        if point not in frontier:
-            return
-        sessions = {i: (j, s, s + d) for i, (j, s, d) in placements.items()}
-        schedule = charging.Schedule.from_sessions(instance, dict(rentals), sessions)
-        assignment = schedule_to_assignment(schedule, instance)
-        key = assignment.rendering()
-        if point not in survivors or key < survivors[point][0]:
-            survivors[point] = (key, assignment)
-
-    _enumerate_schedules(instance, options, patterns, visit_rebuild)
-
     result = {}
-    for point, (_, assignment) in survivors.items():
+    for point, (rentals, sessions) in first.items():
+        if point not in frontier:
+            continue
+        schedule = charging.Schedule.from_sessions(instance, rentals, sessions)
+        assignment = charging.encode_schedule(schedule, instance, program)
         bad = core.check_assignment(program, assignment)
         if bad:
             raise OracleError(f"oracle built an invalid assignment ({bad[:3]}) -- bug")

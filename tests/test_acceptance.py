@@ -26,6 +26,7 @@ from evshare.charging import (
     build_charging_program,
     company_cost,
     decode_schedule,
+    encode_schedule,
     noncollab_point,
     validate_schedule,
 )
@@ -36,7 +37,6 @@ from evshare.oracle import (
     _schedule_cost,
     charging_frontier,
     noncollab_costs,
-    schedule_to_assignment,
 )
 from evshare.scenario import generate_scenario, t1_instance
 
@@ -304,7 +304,7 @@ def test_criterion_11_t1_ground_truth():
     )
     assert company_cost(schedule, inst, "k2") == 2700
     program = build_charging_program(inst)
-    assignment = schedule_to_assignment(schedule, inst)
+    assignment = encode_schedule(schedule, inst, program)
     assert evaluate(program.objective2, assignment) == 2700
     record(11, True, "noncollab (21.00, 21.00) and shared-at-A company-2 cost 27.00 "
                      "confirmed by oracle, then by the solver model")

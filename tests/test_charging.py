@@ -16,6 +16,7 @@ from evshare.charging import (
     build_charging_program,
     company_cost,
     decode_schedule,
+    encode_schedule,
     infeasibility_diagnostic,
     instance_from_json,
     instance_to_json,
@@ -30,7 +31,7 @@ from evshare.charging import (
     var_session,
 )
 from evshare.core import Assignment, evaluate
-from evshare.oracle import _session_options, schedule_to_assignment
+from evshare.oracle import _session_options
 from evshare import solver
 from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
 from evshare.solver import SolverConfig, SolverError, export_lp, solve_min
@@ -235,8 +236,9 @@ def test_rental_doubling_moves_only_the_rental_component():
 def test_decode_round_trip_from_hand_schedule():
     inst = t1_instance()
     schedule = shared_at_a_schedule()
-    assignment = schedule_to_assignment(schedule, inst)
-    back = decode_schedule(assignment, inst)
+    prog = build_charging_program(inst)
+    assignment = encode_schedule(schedule, inst, prog)
+    back = decode_schedule(assignment, inst, prog)
     assert back == schedule
     assert back.sessions["v1"] == ("A", 0, 2)
 

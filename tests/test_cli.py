@@ -611,3 +611,25 @@ def test_malformed_schedule_file_exits_1(t1_file, tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert run_cli(["validate", "--instance", t1_file, "--schedule", str(bad)]) == 1
     assert_error_without_traceback(capsys)
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda data: data["sessions"].insert(0, {"ev": "v1", "charger": "B", "start": 0, "end": 2}),
+     "'v1'"),
+    (lambda data: data["sessions"].append({"ev": "v9", "charger": "A", "start": 2, "end": 4}),
+     "'v9'"),
+    (lambda data: data["rentals"].update(C="k1"), "'C'"),
+], ids=["second-row-for-an-ev", "unknown-ev", "unknown-charger-rental"])
+def test_schedule_file_that_hides_a_session_exits_1(edit, name, t1_file, tmp_path, capsys):
+    # Without the edit the schedule is valid; with it the file holds a row
+    # that an EV-keyed or charger-keyed reading would drop unseen.
+    schedule = Schedule(rentals={"A": "k1", "B": "k2"},
+                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
+                        energy={"v1": 10, "v2": 10})
+    data = json.loads(schedule_to_json(schedule, t1_instance()))
+    edit(data)
+    bad = tmp_path / "bad-schedule.json"
+    bad.write_text(json.dumps(data))
+    assert run_cli(["validate", "--instance", t1_file, "--schedule", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err and "Traceback" not in err

@@ -85,6 +85,9 @@ def test_compute_margins_examples():
     assert (m.sigma1, m.sigma2) == (0, 0)
     m = compute_margins(Fraction(5, 100), P(20000, 90000), P(60000, 4000))
     assert (m.sigma1, m.sigma2) == (1000, 200)
+    # A margin is a distance: negative extremes give the same margins.
+    m = compute_margins(Fraction(3, 100), P(-10000, 50000), P(40000, -5000))
+    assert (m.sigma1, m.sigma2) == (300, 150)
 
 
 def test_compute_margins_rounds_half_up():
@@ -543,9 +546,6 @@ def test_frontiers_match_enumeration_on_general_programs(case, node_limit):
         return
     z_top = min(exact)
     z_bottom = min(exact, key=lambda p: (p.z2, p.z1))
-    # Negative endpoints give negative closeness margins, which are refused.
-    if z_top.z1 < 0 or z_bottom.z2 < 0:
-        return
     for method in ("b3m1", "b3m2"):
         reduced = run_with_limit(prog, participation, method, 3, node_limit)
         assert {z_top, z_bottom} <= set(reduced.criterion_points()) <= exact

@@ -1,25 +1,29 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
     build_charging_program,
     company_cost,
     decode_schedule,
+    encode_schedule,
     noncollab_point,
     validate_schedule,
 )
-from evshare.core import CriterionPoint, check_assignment
+from evshare.core import CriterionPoint
+from evshare.frontier import run_method
 from evshare.oracle import (
     BudgetExceeded,
     OracleBudget,
     OracleError,
     charging_frontier,
     noncollab_costs,
-    schedule_to_assignment,
     standalone_minimum,
 )
 from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
+
+from helpers import desk_configs, edited_desk_instances
 
 
 def test_t1_frontier_is_the_single_shared_optimum():
@@ -83,10 +87,14 @@ def test_oracle_and_solver_agree_on_generated_instances():
         assert noncollab_costs(inst) == (point.z1_non, point.z2_non)
 
 
-def test_schedule_to_assignment_is_program_feasible():
-    inst = t1_instance()
-    prog = build_charging_program(inst)
-    for point, assignment in charging_frontier(inst, participation=(2100, 2100)).items():
-        assert check_assignment(prog, assignment) == []
-        back = decode_schedule(assignment, inst, prog)
-        assert schedule_to_assignment(back, inst) == assignment
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(list(desk_configs())).map(generate_scenario),
+                 edited_desk_instances()))
+def test_encode_inverts_decode_on_every_witness(instance):
+    program = build_charging_program(instance)
+    witnesses = [assignment for method in ("bbox", "b3m2")
+                 for _, assignment in run_method(program, method=method, epsilon=3).points]
+    witnesses += charging_frontier(instance).values()
+    for assignment in witnesses:
+        schedule = decode_schedule(assignment, instance, program)
+        assert encode_schedule(schedule, instance, program) == assignment
