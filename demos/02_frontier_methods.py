@@ -5,10 +5,9 @@ the rectangle-splitting method, then re-runs with both reduced variants at
 growing tolerances.  The reduced runs keep the frontier's endpoints, stay
 inside the exact set, and trade points for solver calls; the gap and
 computing-time-saving metrics quantify the trade.  Here CTS is computed from
-solver calls, one per branch-and-bound search: one per lexicographic solve
-and one per certification.  b3m2 certifies each candidate with two searches,
-so at a small tolerance it may drop a point and still make as many calls as
-bbox.
+solver calls, one per branch-and-bound search: one per lexicographic solve,
+certifications included.  b3m2 certifies each candidate with one more
+search, so at a small tolerance it may drop a point and save only a call.
 """
 
 from evshare.charging import build_charging_program, noncollab_point

@@ -13,7 +13,7 @@ All money is in integer minor units (0.01 SEK).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import core, solver
 from .core import Constraint, EvshareError, binary, expr, integer
@@ -477,39 +477,22 @@ def company_cost(schedule, instance, k):
 
 def standalone_instance(instance, k):
     """The restriction of an instance to company k's own fleet."""
-    evs = instance.company_evs(k)
-    return ChargingInstance(
-        name=f"{instance.name}-standalone-{k}",
-        companies=instance.companies,
-        evs=evs,
-        owner={i: k for i in evs},
-        chargers=instance.chargers,
-        horizon=instance.horizon,
-        rental_fee=dict(instance.rental_fee),
-        energy_fee_own=dict(instance.energy_fee_own),
-        energy_fee_collab=dict(instance.energy_fee_collab),
-        charge_rate={(i, j): instance.charge_rate[i, j] for i in evs for j in instance.chargers},
-        travel_cost={(i, j): instance.travel_cost[i, j] for i in evs for j in instance.chargers},
-        vot={i: instance.vot[i] for i in evs},
-        window={i: instance.window[i] for i in evs},
-        demand={i: instance.demand[i] for i in evs},
-    )
+    return replace(instance, evs=instance.company_evs(k))
 
 
-def noncollab_point(instance, config=None):
+def noncollab_point(instance, config=solver.SolverConfig()):
     """Each company's optimal standalone cost (no shared access): (z1Non, z2Non).
 
     Company k's standalone program covers k's own fleet with k as the only
     renter (``standalone_program``).  A company with no EVs costs 0.
     """
-    cfg = config if config is not None else solver.SolverConfig()
     costs = []
     for index, k in enumerate(instance.companies, start=1):
         sub = standalone_instance(instance, k)
         if not sub.evs:
             costs.append(0)
             continue
-        outcome = solver.solve_min(standalone_program(sub, k), index, config=cfg)
+        outcome = solver.solve_min(standalone_program(sub, k), index, config=config)
         if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""

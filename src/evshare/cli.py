@@ -8,9 +8,9 @@ inputs reproduces every artifact byte-for-byte except the wall-time fields.
 Each command does only its own work.  ``frontier`` and ``oracle`` record the
 standalone costs (the disagreement point) in their ``-assignments.json``
 together with the sha256 of the instance they solved; ``bargain`` reads them
-from there and solves the standalone problems itself only when the frontier
-has no such file.  The argument parser is built on a process's first
-``run_cli`` call and reused by every later one.
+from there and refuses a frontier that has no such file beside it.  The
+argument parser is built on a process's first ``run_cli`` call and reused
+by every later one.
 
 Exit codes: 0 success, 1 domain error (bad data, infeasible model, missing
 artifact), 2 usage error (unknown flags or subcommands).

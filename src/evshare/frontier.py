@@ -11,8 +11,8 @@ same branch-and-bound backend:
   * ``b3m2``  -- rectangles are pulled in by the margins before they are
     searched, skipping whole regions that cannot contain a point farther
     than the margins from the retained corners.  Candidates from a
-    pulled-in box are certified non-dominated with two extra solves before
-    being recorded.
+    pulled-in box are certified non-dominated with one extra lexicographic
+    search before being recorded.
 
 Every solve is restricted in objective space only through the solver's
 ``bounds``: a search box, the participation region (``participation_caps``)
@@ -21,11 +21,12 @@ All objective values are fixed-point integers (minor currency units), so an
 open bound becomes a closed one by stepping one minor unit.  No search box
 holds a point the run already knows: the non-dominated points not yet
 found lie strictly inside each rectangle and strictly right of and below
-the top endpoint, and a certification asks whether any point other than
-the candidate lies in the box that dominates it.  A box so cut loses only
-leaves that cannot be its search's optimum, so every search returns the
-status, point and witness it returned with the known points included, in
-no more nodes.  A box left empty is not searched at all.
+the top endpoint.  A certification box, the candidate's own closed
+lower-left box, holds none either: every known point lies above or right
+of the box the candidate was found in.  A box so cut loses only leaves
+that cannot be its search's optimum, so every search returns the status,
+point and witness it returned with the known points included, in no more
+nodes.  A box left empty is not searched at all.
 """
 
 import csv
@@ -236,22 +237,16 @@ class _Run:
     def certify_nondominated(self, point):
         """Check nothing in the participation region dominates ``point``.
 
-        Two infeasibility questions, each one search whose status alone is
-        read: no point may lie in z1 <= point.z1, z2 <= point.z2 - 1, nor in
-        z1 <= point.z1 - 1, z2 <= point.z2.  Needed only for candidates from
-        shrunk rectangles, whose box bounds no longer guarantee
-        non-dominance.  The point lies inside the participation region, so
-        both boxes lie inside it too.
+        A feasible point is non-dominated exactly when it is the (z2, z1)
+        minimum of its own closed lower-left box z1 <= point.z1,
+        z2 <= point.z2: a point dominating it would lie in the box and come
+        first.  The box holds the point, so the search always finds one, and
+        lies inside the participation region because the point does.  Needed
+        only for candidates from shrunk rectangles, whose box bounds no
+        longer guarantee non-dominance.
         """
-        if self._solve_min(2, ((None, point.z1), (None, point.z2 - 1))).status != "infeasible":
-            return False
-        return self._solve_min(1, ((None, point.z1 - 1), (None, point.z2))).status == "infeasible"
-
-    def _solve_min(self, objective_index, bounds):
-        out = _solver.solve_min(self.program, objective_index, bounds, self.config)
-        self.solver_calls += 1
-        self.nodes += out.nodes_explored
-        return out
+        out = self.lexmin((2, 1), ((None, point.z1), (None, point.z2)))
+        return out.point == point
 
 
 def endpoints(program, participation=None, config=_solver.SolverConfig()):

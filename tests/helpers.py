@@ -297,10 +297,10 @@ def desk_configs(count=54):
 def certify_limit_instance():
     """Desk-shaped instance (seed 493) whose b3m2 run at 3% has three points.
 
-    Its endpoint and rectangle searches take at most 31 nodes before the
-    first certification solve, which takes 33, and its standalone solves
-    take 7 and 5.  So under a 32-node limit the run raises in that
-    certification solve.
+    Its endpoint and rectangle searches take at most 31 nodes before its
+    one certification, a single search of 34 nodes, and its standalone
+    solves take 7 and 5.  So under a 32-node limit the run raises in that
+    certification.
     """
     from evshare.scenario import ScenarioConfig, generate_scenario
 

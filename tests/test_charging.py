@@ -340,7 +340,8 @@ def test_standalone_instance_keeps_only_own_fleet():
     inst = t1_instance()
     sub = standalone_instance(inst, "k2")
     assert sub.evs == ("v2",)
-    assert sub.owner == {"v2": "k2"}
+    assert sub.company_evs("k2") == ("v2",)
+    assert sub.company_evs("k1") == ()
     assert sub.chargers == inst.chargers
 
 

@@ -313,10 +313,11 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 
 # sha256 over every solve_min and lexmin outcome of bbox, b3m1 at 3% and
 # b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
-# each: 4 certification solves and 119 lexicographic solves.  A change to
-# the search tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [4, 60], "lexmin": [119, 4177]},
-              "8f28a0cb7b6f0d5f1d6a15953d3db1d5e22a63c290d170db91165034c71fe9f2")
+# each: 121 lexicographic solves, 2 of them certifications, and no
+# solve_min.  A change to the search tree, its value or its tie-breaks
+# changes it.
+DESK_TREES = ({"solve_min": [0, 0], "lexmin": [121, 4219]},
+              "eeb05aa861e1ff3d8d42594b1d826d5a691ec5ea45f353a8fe0fd46e65bfdce9")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
