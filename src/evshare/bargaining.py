@@ -53,9 +53,22 @@ class ReferencePoints:
                 f"ideal {self.ideal.as_tuple()} exceeds disagreement "
                 f"{self.disagreement.as_tuple()}")
 
+    @classmethod
+    def from_points(cls, points, disagreement):
+        """The ideal as the per-axis minima of a frontier's points.
+
+        That is the true ideal for any frontier that keeps both endpoints,
+        which every method does: the top endpoint has the least z1, the
+        bottom one the least z2.
+        """
+        if not points:
+            raise BargainError("no frontier points: no collaboration")
+        ideal = CriterionPoint(min(p.z1 for p in points), min(p.z2 for p in points))
+        return cls(ideal, disagreement)
+
 
 def reference_points(program, participation, config=_solver.SolverConfig()):
-    """Ideal point from the frontier's two endpoints; disagreement verbatim.
+    """Reference points from the frontier's two endpoints alone.
 
     The endpoint searches (``frontier.endpoints``) run inside the
     participation region, so the ideal, (top z1, bottom z2), can never fall
@@ -64,10 +77,8 @@ def reference_points(program, participation, config=_solver.SolverConfig()):
     ends = endpoints(program, participation, config)
     if ends is None:
         raise BargainError("participation region is empty: no collaboration")
-    z_top, z_bottom = ends
-    ideal = CriterionPoint(z_top.z1, z_bottom.z2)
     disagreement = CriterionPoint(participation.z1_non, participation.z2_non)
-    return ReferencePoints(ideal, disagreement)
+    return ReferencePoints.from_points(ends, disagreement)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,14 @@ def session_options(instance, i):
     return options
 
 
+def session_cost(instance, i, j, start, finish, fee):
+    """EV i's cost of a session at charger j occupying intervals
+    start+1 .. finish: its energy at tariff ``fee`` ((charger, interval) ->
+    price), travel to the charger and waiting past its earliest start."""
+    energy = sum(fee[j, t] for t in range(start + 1, finish + 1)) * instance.charge_rate[i, j]
+    return energy + instance.travel_cost[i, j] + instance.vot[i] * (start - instance.window[i][0])
+
+
 def standalone_program(instance, k):
     """Company k's standalone program over an instance whose EVs are all k's.
 
@@ -328,16 +336,13 @@ def standalone_program(instance, k):
     objective = {var_rent(j, k): ins.rental_fee[j, k] for j in ins.chargers}
     picks, covers = [], {}
     for i in ins.evs:
-        e = ins.window[i][0]
         options = {}
         for j, s, d in session_options(ins, i):
             w = var_session(i, j, s, d)
             variables.append(binary(w))
             options[w] = 1
-            occupied = range(s + 1, s + d + 1)
-            objective[w] = (sum(ins.energy_fee_own[j, t] for t in occupied) * ins.charge_rate[i, j]
-                            + ins.travel_cost[i, j] + ins.vot[i] * (s - e))
-            for t in occupied:
+            objective[w] = session_cost(ins, i, j, s, s + d, ins.energy_fee_own)
+            for t in range(s + 1, s + d + 1):
                 covers.setdefault((j, t), {})[w] = 1
         picks.append(Constraint(expr(options), "=", 1, f"single-session:{i}"))
     capacity = [Constraint(expr({**covers[j, t], var_rent(j, k): -1}), "<=", 0,
@@ -462,16 +467,11 @@ def company_cost(schedule, instance, k):
             total += instance.rental_fee[j, k]
     for i in instance.company_evs(k):
         j, start, finish = schedule.sessions[i]
-        if finish > start:
-            renter = schedule.rentals.get(j)
-            if renter is None:
-                raise CostError(f"EV {i} charges at unrented charger {j}")
-            fee = instance.energy_fee_own if renter == k else instance.energy_fee_collab
-            rate = instance.charge_rate[i, j]
-            for t in range(start + 1, finish + 1):
-                total += fee[j, t] * rate
-        total += instance.travel_cost[i, j]
-        total += instance.vot[i] * (start - instance.window[i][0])
+        renter = schedule.rentals.get(j)
+        if finish > start and renter is None:
+            raise CostError(f"EV {i} charges at unrented charger {j}")
+        fee = instance.energy_fee_own if renter == k else instance.energy_fee_collab
+        total += session_cost(instance, i, j, start, finish, fee)
     return total
 
 

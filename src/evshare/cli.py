@@ -18,6 +18,7 @@ artifact), 2 usage error (unknown flags or subcommands).
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -28,7 +29,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .core import EvshareError, evaluate
+from .core import EvshareError, criterion_point
 from . import bargaining as _bargaining
 from . import charging as _charging
 from . import frontier as _frontier
@@ -113,24 +114,13 @@ def _assignments_text(instance, result, participation):
 
 def _cmd_generate(args):
     started = time.perf_counter()
-    config = _scenario.ScenarioConfig(
-        ev_distribution=args.ev_dist,
-        charger_layout=args.charger_layout,
-        n_evs=args.n_evs,
-        n_chargers=args.n_chargers,
-        area_km=args.area,
-        seed=args.seed,
-        horizon=args.horizon,
-        rental_fee_sek=args.rental_fee,
-        vot_sek_per_hour=args.vot,
-        travel_sek_per_km=args.travel,
-        collab_discount=args.collab_discount,
-        charge_rate_kw=args.charge_rate,
-        window_length_h=args.window,
-        earliest_start_range=tuple(args.earliest),
-        demand_intervals=tuple(args.demand),
-        price_scale=args.price_scale,
-    )
+    # build_parser names each scenario flag's dest after its ScenarioConfig
+    # field; a range given on the command line arrives as a list.
+    fields = {field.name: getattr(args, field.name)
+              for field in dataclasses.fields(_scenario.ScenarioConfig)}
+    config = _scenario.ScenarioConfig(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in fields.items()})
     prices = _scenario.load_price_series(_read(args.prices)) if args.prices else None
     instance = _scenario.generate_scenario(config, prices)
     out_path = os.path.join(args.out_dir, f"{instance.name}.json")
@@ -176,7 +166,7 @@ def _cmd_frontier(args):
     paths = _frontier_paths(out_dir, _stem(args.instance), args.method, eps_text)
 
     _write(paths["frontier_csv"], _frontier.frontier_to_csv(result))
-    _write(paths["stats_csv"], _frontier.stats_to_csv([_frontier.stats_row(result)]))
+    _write(paths["stats_csv"], _frontier.stats_to_csv([result]))
     _write(paths["assignments_json"], _assignments_text(instance, result, participation))
     _manifest(
         paths["manifest"], "frontier",
@@ -232,11 +222,7 @@ def _cmd_bargain(args):
     instance = _load_instance(args.instance)
     points = [point for point, _ in rows]
     disagreement = _disagreement(args, instance)
-    # Every method retains both frontier endpoints, so the per-objective
-    # minima over the CSV equal the true ideal point.
-    ideal = _frontier.CriterionPoint(min(p.z1 for p in points),
-                                     min(p.z2 for p in points))
-    refs = _bargaining.ReferencePoints(ideal, disagreement)
+    refs = _bargaining.ReferencePoints.from_points(points, disagreement)
 
     if args.mode == "gnb":
         selected = _bargaining.gnb_select(points, disagreement, args.pi)
@@ -253,7 +239,7 @@ def _cmd_bargain(args):
         "frontier_method": method,
         "mode": args.mode,
         **parameter,
-        "ideal": {"z1": ideal.z1, "z2": ideal.z2},
+        "ideal": {"z1": refs.ideal.z1, "z2": refs.ideal.z2},
         "disagreement": {"z1": disagreement.z1, "z2": disagreement.z2},
         "selected": {"z1": selected.z1, "z2": selected.z2, "assignment_ref": ref},
     }))
@@ -283,7 +269,7 @@ def _cmd_oracle(args):
                                       budget=budget)
     ordered = tuple(sorted(exact.items(), key=lambda item: item[0].as_tuple()))
     result = _frontier.FrontierResult("oracle", Fraction(0), ordered, solver_calls=0,
-                                      wall_time=0.0, rectangles_processed=0, status="ok")
+                                      wall_time=0.0, rectangles_processed=0)
 
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
     base = os.path.join(out_dir, f"{_stem(args.instance)}-oracle")
@@ -436,9 +422,8 @@ def _cmd_import_solution(args):
     problems = _charging.validate_schedule(schedule, instance)
     if problems:
         raise CliError("decoded schedule invalid: " + "; ".join(problems))
-    z1 = evaluate(program.objective1, assignment)
-    z2 = evaluate(program.objective2, assignment)
-    print(f"solution feasible: z1={z1} z2={z2}")
+    point = criterion_point(program, assignment)
+    print(f"solution feasible: z1={point.z1} z2={point.z2}")
     return 0
 
 
@@ -469,29 +454,33 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each scenario flag's dest is a ScenarioConfig field, and the dataclass
+    # sets the defaults: set_defaults overrides an argument's own default.
     p = sub.add_parser("generate", help="generate a seeded scenario instance")
-    p.add_argument("--ev-dist", choices=("uniform", "clustered"), required=True)
+    p.add_argument("--ev-dist", dest="ev_distribution", choices=("uniform", "clustered"),
+                   required=True)
     p.add_argument("--charger-layout", choices=("uniform", "centralized"),
                    required=True)
     p.add_argument("--n-evs", type=int, required=True)
     p.add_argument("--n-chargers", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=24)
-    p.add_argument("--area", type=float, default=10.0)
-    p.add_argument("--rental-fee", type=int, default=1500)
-    p.add_argument("--vot", type=int, default=300)
-    p.add_argument("--travel", type=float, default=6.0)
-    p.add_argument("--collab-discount", type=float, default=0.5)
-    p.add_argument("--charge-rate", type=int, default=50)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--earliest", type=int, nargs=2, default=(1, 20),
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--area", dest="area_km", type=float)
+    p.add_argument("--rental-fee", dest="rental_fee_sek", type=int)
+    p.add_argument("--vot", dest="vot_sek_per_hour", type=int)
+    p.add_argument("--travel", dest="travel_sek_per_km", type=float)
+    p.add_argument("--collab-discount", type=float)
+    p.add_argument("--charge-rate", dest="charge_rate_kw", type=int)
+    p.add_argument("--window", dest="window_length_h", type=int)
+    p.add_argument("--earliest", dest="earliest_start_range", type=int, nargs=2,
                    metavar=("LO", "HI"))
-    p.add_argument("--demand", type=int, nargs=2, default=(1, 3),
+    p.add_argument("--demand", dest="demand_intervals", type=int, nargs=2,
                    metavar=("LO", "HI"))
-    p.add_argument("--price-scale", type=float, default=1.0)
+    p.add_argument("--price-scale", type=float)
     p.add_argument("--prices", help="hour,price CSV overriding the default tariff")
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, **{
+        field.name: field.default for field in dataclasses.fields(_scenario.ScenarioConfig)})
 
     p = sub.add_parser("frontier", help="compute a frontier for an instance")
     p.add_argument("--instance", required=True)

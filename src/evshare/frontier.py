@@ -101,11 +101,9 @@ class FrontierResult:
     """Outcome of one frontier run.
 
     ``points`` is a tuple of (CriterionPoint, Assignment) pairs sorted by
-    ascending z1.  ``status`` is "ok", or "no-collaboration" when the
-    participation region is empty (then ``points`` is empty too).
-    ``epsilon`` is the tolerance as a percentage (exact Fraction).
-    ``nodes`` sums the branch-and-bound nodes of every solve the run made,
-    endpoint and certification solves included.
+    ascending z1.  ``epsilon`` is the tolerance as a percentage (exact
+    Fraction).  ``nodes`` sums the branch-and-bound nodes of every solve the
+    run made, endpoint and certification solves included.
     """
 
     method: str
@@ -114,8 +112,15 @@ class FrontierResult:
     solver_calls: int
     wall_time: float
     rectangles_processed: int
-    status: str
     nodes: int = 0
+
+    @property
+    def status(self):
+        """The run's outcome, read off its points: "no-collaboration" when
+        the frontier is empty, which happens exactly when the participation
+        region holds no point (every method keeps the top endpoint), else
+        "ok"."""
+        return "ok" if self.points else "no-collaboration"
 
     def criterion_points(self):
         return tuple(p for p, _ in self.points)
@@ -356,8 +361,7 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
 
     ordered = tuple(sorted(run.recorded.items(), key=lambda item: item[0].as_tuple()))
     return FrontierResult(method, eps_pct, ordered, run.solver_calls,
-                          time.perf_counter() - start, run.rectangles,
-                          "ok" if ordered else "no-collaboration", run.nodes)
+                          time.perf_counter() - start, run.rectangles, run.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +374,9 @@ def gap_metric(exact_points, reduced_points, z_top, z_bottom):
     Distances are scaled per axis by the frontier extremes (z_top.z1,
     z_bottom.z2), combined euclidean, normalized by sqrt(2), averaged over
     the dropped points and returned as a percentage.  An empty drop set
-    gives 0.0.
+    gives 0.0 whatever the extremes; a dropped point needs both of them
+    nonzero.
     """
-    if z_top.z1 == 0 or z_bottom.z2 == 0:
-        raise FrontierError("gap metric undefined: zero normalization bound")
     exact = list(exact_points)
     reduced = set(reduced_points)
     if not reduced:
@@ -385,6 +388,8 @@ def gap_metric(exact_points, reduced_points, z_top, z_bottom):
     ignored = [p for p in exact if p not in reduced]
     if not ignored:
         return 0.0
+    if z_top.z1 == 0 or z_bottom.z2 == 0:
+        raise FrontierError("gap metric undefined: zero normalization bound")
     total = 0.0
     for p in ignored:
         best = min(math.hypot((p.z1 - q.z1) / z_top.z1, (p.z2 - q.z2) / z_bottom.z2)
@@ -468,21 +473,19 @@ def frontier_from_csv(text):
     return method, epsilon, [point for _, point in rows]
 
 
-def stats_to_csv(rows):
-    """Render per-run statistics rows (dicts keyed like STATS_HEADER)."""
+def stats_to_csv(results):
+    """Render one statistics row per frontier result.
+
+    ``wall_ms`` is the search's wall time in milliseconds with three
+    decimals.  ``gap_pct`` and ``cts_pct`` are left empty: a single run has
+    no baseline to compare with (``report`` computes both per batch).
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(STATS_HEADER)
-    for row in rows:
-        writer.writerow([
-            row["method"],
-            _epsilon_text(row["epsilon"]),
-            row["ndp"],
-            row["solver_calls"],
-            f"{row['wall_ms']:.3f}",
-            "" if row.get("gap_pct") is None else f"{row['gap_pct']:.1f}",
-            "" if row.get("cts_pct") is None else f"{row['cts_pct']:.1f}",
-        ])
+    for result in results:
+        writer.writerow([result.method, _epsilon_text(result.epsilon), len(result.points),
+                         result.solver_calls, f"{result.wall_time * 1000:.3f}", "", ""])
     return out.getvalue()
 
 
@@ -504,16 +507,3 @@ def stats_from_csv(text):
         "gap_pct": float(row[5]) if row[5] else None,
         "cts_pct": float(row[6]) if row[6] else None,
     })
-
-
-def stats_row(result, gap_pct=None, cts_pct=None):
-    """Build one stats CSV row from a frontier result."""
-    return {
-        "method": result.method,
-        "epsilon": result.epsilon,
-        "ndp": len(result.points),
-        "solver_calls": result.solver_calls,
-        "wall_ms": round(result.wall_time * 1000, 3),
-        "gap_pct": gap_pct,
-        "cts_pct": cts_pct,
-    }

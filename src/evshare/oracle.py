@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import charging, core
-from .core import CriterionPoint, EvshareError, evaluate
+from .core import CriterionPoint, EvshareError
 
 
 class OracleError(EvshareError):
@@ -163,9 +163,7 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
         bad = core.check_assignment(program, assignment)
         if bad:
             raise OracleError(f"oracle built an invalid assignment ({bad[:3]}) -- bug")
-        z1 = evaluate(program.objective1, assignment)
-        z2 = evaluate(program.objective2, assignment)
-        if (z1, z2) != (point.z1, point.z2):
+        if core.criterion_point(program, assignment) != point:
             raise OracleError("structural cost disagrees with program objectives -- bug")
         result[point] = assignment
     return result

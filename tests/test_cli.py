@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import pytest
 import evshare.charging
 from evshare.charging import schedule_to_json
 from evshare.cli import run_cli
-from evshare.scenario import generate_scenario, t1_instance
+from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
 from evshare.charging import instance_to_json
 from evshare.solver import solve_min
 from evshare.charging import build_charging_program, Schedule
@@ -40,6 +41,18 @@ def test_generate_writes_instance_and_manifest(tmp_path):
     assert manifest["command"] == "generate"
     assert manifest["seed"] == 7
     assert str(instance_path) in manifest["outputs"].values()
+
+
+def test_generate_defaults_and_manifest_follow_scenario_config(tmp_path):
+    assert run_cli(["generate", "--ev-dist", "clustered", "--charger-layout", "uniform",
+                    "--n-evs", "2", "--n-chargers", "1", "--seed", "5",
+                    "--out-dir", str(tmp_path)]) == 0
+    config = ScenarioConfig(ev_distribution="clustered", n_evs=2, n_chargers=1, seed=5)
+    name = f"{config.instance_name()}-seed5"
+    assert (tmp_path / f"{name}.json").read_text() == instance_to_json(generate_scenario(config))
+    expected = {key: list(value) if isinstance(value, tuple) else value
+                for key, value in dataclasses.asdict(config).items() if key != "seed"}
+    assert read_json(tmp_path / f"{name}-manifest.json")["config"] == {**expected, "prices": None}
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -218,6 +231,18 @@ def test_oracle_artifacts(t1_file, tmp_path, monkeypatch):
         "z1": 2100, "z2": 2100}
 
 
+def test_empty_frontier_reads_no_collaboration_in_oracle_and_frontier(tmp_path, capsys):
+    # desk seed 1028: no schedule improves on both standalone costs
+    path = tmp_path / "desk1028.json"
+    path.write_text(instance_to_json(generate_scenario(list(desk_configs(29))[28])))
+    assert run_cli(["oracle", "--instance", str(path)]) == 0
+    assert run_cli(["frontier", "--instance", str(path), "--method", "bbox"]) == 0
+    capsys.readouterr()
+    for name in ("desk1028-oracle-assignments.json", "desk1028-bbox-eps0-assignments.json"):
+        doc = read_json(tmp_path / name)
+        assert (doc["status"], doc["points"]) == ("no-collaboration", {}), name
+
+
 def refuse_standalone_solve(*args, **kwargs):
     raise AssertionError("bargain solved the standalone problems")
 
@@ -355,6 +380,24 @@ def test_report_aggregates_a_batch(t1_file, tmp_path, capsys):
     assert rows["b3m1"][5] == "0.00"
     assert rows["b3m2"][5] == "0.00"
     capsys.readouterr()
+
+
+def test_report_on_a_one_ev_batch(tmp_path, capsys):
+    """With one EV the other company has none and costs 0, so the bottom
+    endpoint's z2, a gap normalizer, is 0; nothing is dropped, so the gap
+    is 0 all the same."""
+    assert run_cli(["generate", "--ev-dist", "uniform", "--charger-layout", "uniform",
+                    "--n-evs", "1", "--n-chargers", "2", "--seed", "3", "--horizon", "6",
+                    "--out-dir", str(tmp_path)]) == 0
+    instance = str(tmp_path / "UniEV-UniChar-1-2-seed3.json")
+    for method in ("bbox", "b3m2"):
+        assert run_cli(["frontier", "--instance", instance, "--method", method,
+                        "--epsilon", "3"]) == 0
+    assert run_cli(["report", "--batch", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert rows["b3m2"][5] == "0.00"
 
 
 def test_report_on_empty_directory_fails(tmp_path, capsys):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from evshare import frontier, solver
-from evshare.bargaining import BargainError, reference_points
+from evshare.bargaining import BargainError, ReferencePoints, reference_points
 from evshare.core import CriterionPoint, check_assignment, criterion_point, pareto_filter
 from evshare.frontier import (
     METHODS,
     ClosenessMargins,
     FrontierError,
+    FrontierResult,
     ParticipationPoint,
     Rectangle,
     assignment_refs,
@@ -26,7 +27,6 @@ from evshare.frontier import (
     run_method,
     shrink_rectangle,
     stats_from_csv,
-    stats_row,
     stats_to_csv,
     strictly_close,
 )
@@ -655,6 +655,11 @@ def test_gap_metric_worked_example():
 def test_gap_metric_zero_when_nothing_dropped():
     pts = [P(10, 100), P(90, 20)]
     assert gap_metric(pts, pts, P(10, 100), P(90, 20)) == 0.0
+    # whatever the normalizers: a one-EV instance's bottom endpoint has z2 = 0
+    single = [P(155329, 0)]
+    assert gap_metric(single, single, P(155329, 0), P(155329, 0)) == 0.0
+    pts = [P(0, 100), P(90, 0)]
+    assert gap_metric(pts, pts, P(0, 100), P(90, 0)) == 0.0
 
 
 def test_gap_metric_error_cases():
@@ -663,10 +668,13 @@ def test_gap_metric_error_cases():
         gap_metric(exact, [], P(10, 100), P(90, 20))
     with pytest.raises(FrontierError):
         gap_metric(exact, [P(33, 33)], P(10, 100), P(90, 20))
-    with pytest.raises(FrontierError):
-        gap_metric(exact, exact, P(0, 100), P(90, 20))
-    with pytest.raises(FrontierError):
-        gap_metric(exact, exact, P(10, 100), P(90, 0))
+    # a dropped point needs both normalizers
+    dropped = [P(0, 100), P(50, 50), P(90, 0)]
+    with pytest.raises(FrontierError, match="zero normalization bound"):
+        gap_metric(dropped, [P(0, 100), P(90, 0)], P(0, 100), P(90, 0))
+    with pytest.raises(FrontierError, match="zero normalization bound"):
+        gap_metric([P(10, 100), P(50, 50), P(90, 0)], [P(10, 100), P(90, 0)],
+                   P(10, 100), P(90, 0))
 
 
 def test_cts_metric_examples():
@@ -713,9 +721,7 @@ def test_frontier_csv_rejects_garbage():
 
 def test_stats_csv_wall_ms_keeps_microseconds():
     run = run_method(make_point_program([(1, 3), (3, 1)]), None, "bbox")
-    row = stats_row(dataclasses.replace(run, wall_time=0.0016234))
-    assert row["wall_ms"] == 1.623
-    text = stats_to_csv([row])
+    text = stats_to_csv([dataclasses.replace(run, wall_time=0.0016234)])
     assert text.splitlines()[1].split(",")[4] == "1.623"
     assert stats_from_csv(text)[0]["wall_ms"] == 1.623
     header = "method,epsilon,ndp,solver_calls,wall_ms,gap_pct,cts_pct\n"
@@ -748,17 +754,44 @@ def test_wall_time_leaves_out_the_compile(monkeypatch):
 def test_stats_csv_round_trip():
     prog = make_point_program([(10, 100), (50, 50), (90, 20)])
     result = run_method(prog, None, "b3m2", Fraction(5, 2))
-    row = stats_row(result, gap_pct=12.34, cts_pct=None)
-    text = stats_to_csv([row])
+    text = stats_to_csv([result])
     lines = text.splitlines()
     assert lines[0] == "method,epsilon,ndp,solver_calls,wall_ms,gap_pct,cts_pct"
-    assert lines[1].startswith("b3m2,2.5,")
-    assert lines[1].endswith(",12.3,")
+    assert lines[1].startswith(f"b3m2,2.5,{len(result.points)},{result.solver_calls},")
+    assert lines[1].endswith(",,")   # a single run has no gap or CTS baseline
     back = stats_from_csv(text)
     assert back[0]["method"] == "b3m2"
     assert back[0]["epsilon"] == Fraction(5, 2)
     assert back[0]["ndp"] == len(result.points)
-    assert back[0]["gap_pct"] == 12.3
+    assert back[0]["gap_pct"] is None
     assert back[0]["cts_pct"] is None
+    # files that carry the two columns still read
+    header = lines[0] + "\n"
+    assert stats_from_csv(header + "b3m2,2.5,2,8,1.5,12.3,40.0\n")[0]["gap_pct"] == 12.3
     with pytest.raises(FrontierError):
         stats_from_csv("wrong,header\n")
+
+
+def test_status_follows_the_points():
+    assert "status" not in {field.name for field in dataclasses.fields(FrontierResult)}
+    empty = FrontierResult("oracle", Fraction(0), (), 0, 0.0, 0)
+    assert empty.status == "no-collaboration"
+    run = run_method(make_point_program([(1, 3), (3, 1)]), None, "bbox")
+    assert run.status == "ok"
+
+
+def test_ideal_from_any_frontier_equals_the_endpoint_ideal():
+    """Every method keeps both endpoints, so the per-axis minima of its
+    points are the ideal the two endpoint searches give."""
+    for config in desk_configs(12):
+        instance = generate_scenario(config)
+        prog = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        disagreement = P(participation.z1_non, participation.z2_non)
+        refs = reference_points(prog, participation)
+        for method, eps in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
+            run = run_method(prog, participation, method, eps)
+            got = ReferencePoints.from_points(run.criterion_points(), disagreement)
+            assert got == refs, (config.seed, method)
+    with pytest.raises(BargainError, match="no frontier points"):
+        ReferencePoints.from_points((), P(1, 1))
