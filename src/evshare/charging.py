@@ -158,108 +158,99 @@ def build_charging_program(instance):
     Variables: x (EV charges at charger in interval), xs/xe (session
     start/end indicators), y (company rents charger), u = x*y linearized,
     ts/tf (integer start/finish times).  Objective k is company k's cost.
+    Each variable's id is built once, in one table per family, and that
+    string is the key of its every term; both demand rows share one energy
+    expression.
 
     The builder is total: demand/window conflicts build fine and surface as
     infeasibility at solve time (see infeasibility_diagnostic).
     """
     ins = instance
     T = ins.horizon
-    variables = []
-    constraints = []
+    slots = [(i, j, t) for i in ins.evs for j in ins.chargers for t in ins.intervals()]
+    y = {(j, k): var_rent(j, k) for j in ins.chargers for k in ins.companies}
+    x = {s: var_x(*s) for s in slots}
+    xs = {s: var_start(*s) for s in slots}
+    xe = {s: var_end(*s) for s in slots}
+    u = {(*s, k): var_both(*s, k) for s in slots for k in ins.companies}
+    ts = {i: var_tstart(i) for i in ins.evs}
+    tf = {i: var_tfinish(i) for i in ins.evs}
 
     # Declaration order doubles as the solver's branching order: rentals
     # first, then each EV's interval pattern; everything after is forced by
     # propagation once x and y are fixed.
-    for j in ins.chargers:
-        for k in ins.companies:
-            variables.append(binary(var_rent(j, k)))
+    variables = [binary(vid) for vid in (*y.values(), *x.values())]
+    for s in slots:
+        variables += [binary(xs[s]), binary(xe[s])]
+    variables += [binary(vid) for vid in u.values()]
     for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                variables.append(binary(var_x(i, j, t)))
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                variables.append(binary(var_start(i, j, t)))
-                variables.append(binary(var_end(i, j, t)))
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                for k in ins.companies:
-                    variables.append(binary(var_both(i, j, t, k)))
-    for i in ins.evs:
-        variables.append(integer(var_tstart(i), 0, T - 1))
-        variables.append(integer(var_tfinish(i), 1, T))
+        variables += [integer(ts[i], 0, T - 1), integer(tf[i], 1, T)]
 
+    constraints = []
     add = constraints.append
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                # Start indicator covers every 0->1 transition of x.
-                prev = {var_x(i, j, t - 1): 1} if t > 1 else {}
-                add(Constraint(expr({var_start(i, j, t): 1, var_x(i, j, t): -1, **prev}),
-                               ">=", 0, f"start-indicator:{i}:{j}:{t}"))
-                # End indicator covers every 1->0 transition.
-                nxt = {var_x(i, j, t + 1): 1} if t < T else {}
-                add(Constraint(expr({var_end(i, j, t): 1, var_x(i, j, t): -1, **nxt}),
-                               ">=", 0, f"end-indicator:{i}:{j}:{t}"))
+    for i, j, t in slots:
+        # Start indicator covers every 0->1 transition of x.
+        prev = {x[i, j, t - 1]: 1} if t > 1 else {}
+        add(Constraint(expr({xs[i, j, t]: 1, x[i, j, t]: -1, **prev}),
+                       ">=", 0, f"start-indicator:{i}:{j}:{t}"))
+        # End indicator covers every 1->0 transition.
+        nxt = {x[i, j, t + 1]: 1} if t < T else {}
+        add(Constraint(expr({xe[i, j, t]: 1, x[i, j, t]: -1, **nxt}),
+                       ">=", 0, f"end-indicator:{i}:{j}:{t}"))
 
     for i in ins.evs:
-        add(Constraint(expr({var_start(i, j, t): 1 for j in ins.chargers for t in ins.intervals()}),
+        add(Constraint(expr({xs[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}),
                        "=", 1, f"single-start:{i}"))
-        add(Constraint(expr({var_end(i, j, t): 1 for j in ins.chargers for t in ins.intervals()}),
+        add(Constraint(expr({xe[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}),
                        "=", 1, f"single-end:{i}"))
         for j in ins.chargers:
-            terms = {var_start(i, j, t): 1 for t in ins.intervals()}
+            terms = {xs[i, j, t]: 1 for t in ins.intervals()}
             for t in ins.intervals():
-                terms[var_end(i, j, t)] = terms.get(var_end(i, j, t), 0) - 1
+                terms[xe[i, j, t]] = terms.get(xe[i, j, t], 0) - 1
             add(Constraint(expr(terms), "=", 0, f"start-end-balance:{i}:{j}"))
 
     for j in ins.chargers:
         for t in ins.intervals():
-            add(Constraint(expr({var_x(i, j, t): 1 for i in ins.evs}),
+            add(Constraint(expr({x[i, j, t]: 1 for i in ins.evs}),
                            "<=", 1, f"charger-capacity:{j}:{t}"))
 
     for i in ins.evs:
         # ts = sum xs * (t-1), tf = sum xe * t, duration linkage, windows, demand.
-        add(Constraint(expr({var_tstart(i): 1,
-                             **{var_start(i, j, t): -(t - 1) for j in ins.chargers for t in ins.intervals()}}),
+        add(Constraint(expr({ts[i]: 1,
+                             **{xs[i, j, t]: -(t - 1) for j in ins.chargers for t in ins.intervals()}}),
                        "=", 0, f"start-time:{i}"))
-        add(Constraint(expr({var_tfinish(i): 1,
-                             **{var_end(i, j, t): -t for j in ins.chargers for t in ins.intervals()}}),
+        add(Constraint(expr({tf[i]: 1,
+                             **{xe[i, j, t]: -t for j in ins.chargers for t in ins.intervals()}}),
                        "=", 0, f"finish-time:{i}"))
-        terms = {var_x(i, j, t): 1 for j in ins.chargers for t in ins.intervals()}
-        terms[var_tfinish(i)] = -1
-        terms[var_tstart(i)] = 1
+        terms = {x[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}
+        terms[tf[i]] = -1
+        terms[ts[i]] = 1
         add(Constraint(expr(terms), "=", 0, f"duration:{i}"))
         e, l = ins.window[i]
-        add(Constraint(expr({var_tstart(i): 1}), ">=", e, f"time-window-start:{i}"))
-        add(Constraint(expr({var_tfinish(i): 1}), "<=", l, f"time-window-end:{i}"))
+        add(Constraint(expr({ts[i]: 1}), ">=", e, f"time-window-start:{i}"))
+        add(Constraint(expr({tf[i]: 1}), "<=", l, f"time-window-end:{i}"))
         lo, hi = ins.demand[i]
-        energy = {var_x(i, j, t): ins.charge_rate[i, j] for j in ins.chargers for t in ins.intervals()}
-        add(Constraint(expr(energy), ">=", lo, f"demand-lower:{i}"))
-        add(Constraint(expr(energy), "<=", hi, f"demand-upper:{i}"))
+        energy = expr({x[i, j, t]: ins.charge_rate[i, j] for j in ins.chargers for t in ins.intervals()})
+        add(Constraint(energy, ">=", lo, f"demand-lower:{i}"))
+        add(Constraint(energy, "<=", hi, f"demand-upper:{i}"))
 
     for j in ins.chargers:
-        add(Constraint(expr({var_rent(j, k): 1 for k in ins.companies}),
+        add(Constraint(expr({y[j, k]: 1 for k in ins.companies}),
                        "<=", 1, f"rental-exclusive:{j}"))
         for i in ins.evs:
             for t in ins.intervals():
-                add(Constraint(expr({var_x(i, j, t): 1,
-                                     **{var_rent(j, k): -1 for k in ins.companies}}),
+                add(Constraint(expr({x[i, j, t]: 1, **{y[j, k]: -1 for k in ins.companies}}),
                                "<=", 0, f"rented-only:{i}:{j}:{t}"))
 
-    for i in ins.evs:
-        for j in ins.chargers:
-            for t in ins.intervals():
-                for k in ins.companies:
-                    u = var_both(i, j, t, k)
-                    add(Constraint(expr({u: 1, var_x(i, j, t): -1}), "<=", 0,
-                                   f"product-le-x:{i}:{j}:{t}:{k}"))
-                    add(Constraint(expr({u: 1, var_rent(j, k): -1}), "<=", 0,
-                                   f"product-le-y:{i}:{j}:{t}:{k}"))
-                    add(Constraint(expr({u: 1, var_x(i, j, t): -1, var_rent(j, k): -1}), ">=", -1,
-                                   f"product-lb:{i}:{j}:{t}:{k}"))
+    for i, j, t in slots:
+        for k in ins.companies:
+            both = u[i, j, t, k]
+            add(Constraint(expr({both: 1, x[i, j, t]: -1}), "<=", 0,
+                           f"product-le-x:{i}:{j}:{t}:{k}"))
+            add(Constraint(expr({both: 1, y[j, k]: -1}), "<=", 0,
+                           f"product-le-y:{i}:{j}:{t}:{k}"))
+            add(Constraint(expr({both: 1, x[i, j, t]: -1, y[j, k]: -1}), ">=", -1,
+                           f"product-lb:{i}:{j}:{t}:{k}"))
 
     objectives = []
     for k in ins.companies:
@@ -267,20 +258,19 @@ def build_charging_program(instance):
         terms = {}
         constant = 0
         for j in ins.chargers:
-            terms[var_rent(j, k)] = ins.rental_fee[j, k]
+            terms[y[j, k]] = ins.rental_fee[j, k]
         for i in ins.company_evs(k):
             for j in ins.chargers:
                 rate = ins.charge_rate[i, j]
                 for t in ins.intervals():
                     # Own tariff where company k rented, collaborative
                     # tariff where the other company rented.
-                    terms[var_both(i, j, t, k)] = terms.get(var_both(i, j, t, k), 0) + \
-                        ins.energy_fee_own[j, t] * rate
-                    terms[var_both(i, j, t, other)] = terms.get(var_both(i, j, t, other), 0) + \
-                        ins.energy_fee_collab[j, t] * rate
+                    own, collab = u[i, j, t, k], u[i, j, t, other]
+                    terms[own] = terms.get(own, 0) + ins.energy_fee_own[j, t] * rate
+                    terms[collab] = terms.get(collab, 0) + ins.energy_fee_collab[j, t] * rate
                 for t in ins.intervals():
-                    terms[var_start(i, j, t)] = terms.get(var_start(i, j, t), 0) + ins.travel_cost[i, j]
-            terms[var_tstart(i)] = terms.get(var_tstart(i), 0) + ins.vot[i]
+                    terms[xs[i, j, t]] = terms.get(xs[i, j, t], 0) + ins.travel_cost[i, j]
+            terms[ts[i]] = terms.get(ts[i], 0) + ins.vot[i]
             constant -= ins.vot[i] * ins.window[i][0]
         objectives.append(expr(terms, constant))
 
@@ -329,11 +319,13 @@ def standalone_program(instance, k):
     covering it by ``y_{j,k}``: capacity and rented-only at once.  Each
     session's own-tariff energy, travel and waiting cost is a constant, so
     objective k is linear in the binaries; the other objective is empty.
-    A zero-duration session covers no interval and needs no rental.
+    A zero-duration session covers no interval and needs no rental.  Each
+    variable's id is built once and keys its every term.
     """
     ins = instance
-    variables = [binary(var_rent(j, k)) for j in ins.chargers]
-    objective = {var_rent(j, k): ins.rental_fee[j, k] for j in ins.chargers}
+    rent = {j: var_rent(j, k) for j in ins.chargers}
+    variables = [binary(y) for y in rent.values()]
+    objective = {rent[j]: ins.rental_fee[j, k] for j in ins.chargers}
     picks, covers = [], {}
     for i in ins.evs:
         options = {}
@@ -345,7 +337,7 @@ def standalone_program(instance, k):
             for t in range(s + 1, s + d + 1):
                 covers.setdefault((j, t), {})[w] = 1
         picks.append(Constraint(expr(options), "=", 1, f"single-session:{i}"))
-    capacity = [Constraint(expr({**covers[j, t], var_rent(j, k): -1}), "<=", 0,
+    capacity = [Constraint(expr({**covers[j, t], rent[j]: -1}), "<=", 0,
                            f"charger-capacity:{j}:{t}")
                 for j in ins.chargers for t in ins.intervals() if (j, t) in covers]
     objectives = [expr(objective) if c == k else expr() for c in ins.companies]

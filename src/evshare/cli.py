@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -293,22 +294,23 @@ def _cmd_oracle(args):
 # report
 
 
+# A frontier artifact's name, ``{stem}-{method}-eps{eps_text}-frontier.csv``
+# (see ``_frontier_paths``), split at its last method marker: a stem or an
+# epsilon text may itself hold ``-`` (``frontier --epsilon 0.00001`` writes
+# ``eps1e-05``).
+_FRONTIER_NAME = re.compile(rf"(.+)-({'|'.join(_frontier.METHODS)})-eps(.+)-frontier\.csv")
+
+
 def _find_runs(batch_dir):
     """Map (stem, method, eps_text) -> artifact paths for a batch directory."""
     runs = {}
     for name in sorted(os.listdir(batch_dir)):
-        if not name.endswith("-frontier.csv"):
-            continue
-        trimmed = name[:-len("-frontier.csv")]
-        pieces = trimmed.rsplit("-", 2)
-        if len(pieces) != 3 or not pieces[2].startswith("eps"):
-            continue
-        stem, method, eps_piece = pieces
-        eps_text = eps_piece[len("eps"):]
-        runs[(stem, method, eps_text)] = {
-            "frontier_csv": os.path.join(batch_dir, name),
-            "stats_csv": os.path.join(batch_dir, f"{trimmed}-stats.csv"),
-        }
+        match = _FRONTIER_NAME.fullmatch(name)
+        if match:
+            runs[match.groups()] = {
+                "frontier_csv": os.path.join(batch_dir, name),
+                "stats_csv": os.path.join(batch_dir, name[:-len("frontier.csv")] + "stats.csv"),
+            }
     return runs
 
 

@@ -22,9 +22,12 @@ are processed in.  The compiled rows keep only the terms still unfixed at
 the root, in nonincreasing order of root span ``|c| * (u - l)``, and a row
 scan stops at the first term whose span is at most the row's slack: that
 term and every later one cannot tighten, since domains only shrink below
-the root.  So every solve explores the same nodes and returns the same
-value and assignment as one that scans every row in full from the
-declared bounds.
+the root.  A constraint row whose maximum activity at the root is within
+its rhs keeps no terms at all: below the root it can neither tighten nor
+fail.  Neither it nor a variable fixed at the root has an entry in the
+lists of rows a bound change updates, since no solve reads them.  So
+every solve explores the same nodes and returns the same value and
+assignment as one that scans every row in full from the declared bounds.
 
 Each objective row is compiled shifted over the program's partition rows:
 disjoint ``=`` rows whose unit coefficients over 0/1 variables sum to 1,
@@ -203,9 +206,9 @@ class _Compiled:
     here and queues only its objective rows reaches the same root domains as
     one that propagates every row from the declared bounds.
 
-    ``row_terms[r]`` lists row r's terms as ``(v, c, span)`` with span the
-    root ``|c| * (u - l)``, in nonincreasing span order, and leaves out the
-    terms fixed at the root: those are constants, already counted in
+    ``row_terms[r]`` is a tuple of row r's terms as ``(v, c, span)`` with
+    span the root ``|c| * (u - l)``, in nonincreasing span order, and leaves
+    out the terms fixed at the root: those are constants, already counted in
     ``amin``.  A term whose span is at most its row's slack tightens nothing
     (for ``c > 0``, ``l + slack // c >= u``; symmetrically for ``c < 0``),
     and below the root domains only shrink, so neither can any later term
@@ -214,13 +217,24 @@ class _Compiled:
     at the first such term.  The root pass itself scans every term: there
     each span is infinite.
 
-    ``lower_rows[v]`` lists the (row, c) pairs with ``c > 0``, whose minimum
-    activity reads v's lower bound; ``upper_rows[v]`` those with ``c < 0``.
+    A constraint row is entailed at the root when its maximum activity
+    there, ``amin`` plus its spans, is within its rhs: every point of the
+    root domains satisfies it, so below the root it can neither fail nor
+    tighten a bound.  Its ``row_terms`` entry is empty, and nothing queues
+    it.
+
+    ``lower_rows[v]`` is a tuple of the (row, c) pairs with ``c > 0``, whose
+    minimum activity reads v's lower bound; ``upper_rows[v]`` those with
+    ``c < 0``.  They hold only the rows a search scans, and are empty for a
+    variable fixed at the root, whose bounds no search changes.  An
+    entailed row's ``amin`` thus stays at its root value, which no search
+    reads.  Equal coefficients and spans share one int object.
+
     One pass over each row's terms builds its root-pass terms, its minimum
     activity over the declared bounds and its ``lower_rows``/``upper_rows``
-    entries; the root pass then settles the constraint rows, and the
-    search's ``row_terms`` are sorted from the result.
-    A solve never writes into this object.
+    entries over every term; the root pass then settles the constraint
+    rows, and the search's ``row_terms`` and incidence tuples are cut from
+    the result.  A solve never writes into this object.
     """
 
     def __init__(self, program):
@@ -244,6 +258,7 @@ class _Compiled:
 
         lower = [v.lower for v in variables]
         upper = [v.upper for v in variables]
+        one = {}.setdefault  # one int object per distinct coefficient and span
         lower_rows = [[] for _ in range(self.n)]
         upper_rows = [[] for _ in range(self.n)]
         row_terms, self.row_rhs, amin = [], [], []
@@ -252,6 +267,7 @@ class _Compiled:
             for vid, c in terms.items():
                 v = index[vid]
                 c *= sign
+                c = one(c, c)
                 row.append((v, c, math.inf))
                 if c > 0:
                     activity += c * lower[v]
@@ -267,12 +283,21 @@ class _Compiled:
 
         root = _Search(self, self.row_rhs[:])
         self.feasible = root.settle(range(self.obj_base))
-        lower, upper = root.lower, root.upper
-        self.lower, self.upper, self.amin = lower, upper, root.amin
-        self.row_terms = [
-            sorted(((v, c, abs(c) * (upper[v] - lower[v])) for v, c, _ in terms
-                    if lower[v] < upper[v]), key=lambda term: -term[2])
-            for terms in row_terms]
+        lower, upper, amin = root.lower, root.upper, root.amin
+        self.lower, self.upper, self.amin = lower, upper, amin
+        self.row_terms, entailed = [], set()
+        for r, terms in enumerate(row_terms):
+            terms = [(v, c, one(span, span)) for v, c, _ in terms
+                     if (span := abs(c) * (upper[v] - lower[v]))]
+            if r < self.obj_base and sum(term[2] for term in terms) <= self.row_rhs[r] - amin[r]:
+                entailed.add(r)
+                terms = []
+            terms.sort(key=lambda term: -term[2])
+            self.row_terms.append(tuple(terms))
+        self.lower_rows, self.upper_rows = (
+            [tuple([rc for rc in rows if rc[0] not in entailed]) if lower[v] < upper[v] else ()
+             for v, rows in enumerate(incidence)]
+            for incidence in (lower_rows, upper_rows))
 
     def constant(self, k):
         """Objective k's constant after the shift."""

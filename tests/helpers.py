@@ -92,6 +92,35 @@ def feasible_tiny_programs(draw):
 
 
 @st.composite
+def root_settled_programs(draw):
+    """Tiny programs with rows and a variable that the root settles.
+
+    A fresh integer ``f`` joins every row and objective and is pinned to its
+    lower bound by a row of its own, so the root fixes it; a ``<=`` row's
+    rhs is at least its maximum activity over the declared bounds.  Both
+    planted rows sit anywhere among the rows and are entailed at the root.
+    """
+    base = draw(st.one_of(tiny_programs(), feasible_tiny_programs()))
+    low = draw(st.integers(min_value=-2, max_value=2))
+    f = integer("f", low, low + draw(st.integers(min_value=1, max_value=3)))
+    variables = draw(st.permutations([*base.variables, f]))
+
+    def with_f(expression):
+        return LinearExpression({**expression.terms, "f": draw(SMALL)}, expression.constant)
+
+    rows = [Constraint(with_f(con.expression), con.sense, con.rhs, con.name)
+            for con in base.constraints]
+    loose = tiny_linear(draw, variables)
+    declared = {v.id: v for v in variables}
+    top = loose.constant + sum(c * (declared[vid].upper if c > 0 else declared[vid].lower)
+                               for vid, c in loose.terms.items())
+    for row in (Constraint(LinearExpression({"f": 1}), "<=", low, "pin"),
+                Constraint(loose, "<=", top + draw(st.integers(min_value=0, max_value=3)), "loose")):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return program(variables, rows, with_f(base.objective1), with_f(base.objective2))
+
+
+@st.composite
 def partitioned_programs(draw):
     """Tiny programs with one or two disjoint ``= 1`` rows planted over two
     or three fresh binaries each, placed anywhere among the variables and

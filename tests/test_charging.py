@@ -223,6 +223,23 @@ def test_collaborative_program_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == COLLABORATIVE_LP
 
 
+def test_every_term_key_is_the_declared_id_object():
+    # Each variable id is one string per program: every row and objective
+    # term is keyed by the declared Variable.id object itself.
+    for config in desk_configs():
+        instance = generate_scenario(config)
+        programs = [build_charging_program(instance)]
+        for k in instance.companies:
+            sub = standalone_instance(instance, k)
+            if sub.evs:
+                programs.append(standalone_program(sub, k))
+        for prog in programs:
+            declared = {v.id: v.id for v in prog.variables}
+            expressions = [con.expression for con in prog.constraints]
+            expressions += [prog.objective1, prog.objective2]
+            assert all(declared[vid] is vid for e in expressions for vid in e.terms)
+
+
 def test_rental_doubling_moves_only_the_rental_component():
     inst = t1_instance()
     doubled = dataclasses.replace(

@@ -463,6 +463,20 @@ def test_report_skips_a_frontier_csv_without_an_eps_part(t1_file, tmp_path, caps
     assert [line.split(",")[0] for line in lines[1:]] == ["bbox"]
 
 
+def test_report_keeps_a_run_whose_epsilon_text_holds_a_minus(t1_file, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    for method, eps in (("bbox", "0"), ("b3m2", "0.00001"), ("b3m2", "3")):
+        assert run_cli(["frontier", "--instance", t1_file, "--method", method,
+                        "--epsilon", eps, "--out-dir", str(batch)]) == 0
+    assert (batch / "T1-b3m2-eps1e-05-frontier.csv").exists()
+    capsys.readouterr()
+    assert run_cli(["report", "--batch", str(batch)]) == 0
+    assert "3 aggregate rows over 3 runs" in capsys.readouterr().out
+    lines = (batch / "report.csv").read_text().splitlines()
+    assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+        ("b3m2", "1e-05"), ("b3m2", "3"), ("bbox", "0")]
+
+
 def test_export_lp_writes_model(t1_file, tmp_path):
     out = tmp_path / "t1-obj1.lp"
     code = run_cli(["export-lp", "--instance", t1_file, "--objective", "1",
