@@ -16,8 +16,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import core, solver
-from .core import Constraint, EvshareError, binary, expr, integer
-from .frontier import ParticipationPoint
+from .core import Constraint, EvshareError, ParticipationPoint, binary, expr, integer
 
 
 class InstanceError(EvshareError):
@@ -476,14 +475,11 @@ def noncollab_point(instance, config=solver.SolverConfig()):
     """Each company's optimal standalone cost (no shared access): (z1Non, z2Non).
 
     Company k's standalone program covers k's own fleet with k as the only
-    renter (``standalone_program``).  A company with no EVs costs 0.
+    renter (``standalone_program``).  A company with no EVs rents nothing.
     """
     costs = []
     for index, k in enumerate(instance.companies, start=1):
         sub = standalone_instance(instance, k)
-        if not sub.evs:
-            costs.append(0)
-            continue
         outcome = solver.solve_min(standalone_program(sub, k), index, config=config)
         if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)

@@ -42,6 +42,8 @@ class Variable:
     def __post_init__(self):
         if self.kind not in ("binary", "integer"):
             raise ProgramError(f"unknown variable kind {self.kind!r} for {self.id}")
+        if not (isinstance(self.lower, int) and isinstance(self.upper, int)):
+            raise ProgramError(f"variable {self.id}: non-integer bounds {self.lower!r}, {self.upper!r}")
         if self.lower > self.upper:
             raise ProgramError(f"variable {self.id}: lower {self.lower} > upper {self.upper}")
         if self.kind == "binary" and (self.lower, self.upper) != (0, 1):
@@ -53,7 +55,7 @@ def binary(vid):
 
 
 def integer(vid, lower, upper):
-    return Variable(vid, "integer", int(lower), int(upper))
+    return Variable(vid, "integer", lower, upper)
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,8 @@ class LinearExpression:
 
 
 def expr(terms=None, constant=0):
-    """Build a LinearExpression: coefficients coerced to int, zeros dropped."""
-    return LinearExpression({vid: c for vid, coef in (terms or {}).items() if (c := int(coef))},
-                            int(constant))
+    """Build a LinearExpression with zero coefficients dropped."""
+    return LinearExpression({vid: c for vid, c in (terms or {}).items() if c}, constant)
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,14 @@ class CriterionPoint:
 
     def as_tuple(self):
         return (self.z1, self.z2)
+
+
+@dataclass(frozen=True)
+class ParticipationPoint:
+    """Per-company standalone costs; collaboration must not exceed them."""
+
+    z1_non: int
+    z2_non: int
 
 
 def evaluate(expression, assignment):

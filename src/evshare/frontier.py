@@ -10,9 +10,10 @@ same branch-and-bound backend:
     pruning near-duplicate points (and their child rectangles).
   * ``b3m2``  -- rectangles are pulled in by the margins before they are
     searched, skipping whole regions that cannot contain a point farther
-    than the margins from the retained corners.  Candidates from a
-    pulled-in box are certified non-dominated with one extra lexicographic
-    search before being recorded.
+    than the margins from the retained corners.  Where the pull exceeds
+    one unit, candidates are certified non-dominated with one extra
+    lexicographic search before being recorded.  At zero margins b3m1 and
+    b3m2 make bbox's searches: bbox is their zero-margin case.
 
 Every solve is restricted in objective space only through the solver's
 ``bounds``: a search box, the participation region (``participation_caps``)
@@ -37,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CriterionPoint, EvshareError, _exact, _half_up
+from .core import CriterionPoint, EvshareError, ParticipationPoint, _exact, _half_up
 from . import solver as _solver
 
 
@@ -86,14 +87,6 @@ class ClosenessMargins:
     def __post_init__(self):
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise FrontierError("closeness margins must be non-negative")
-
-
-@dataclass(frozen=True)
-class ParticipationPoint:
-    """Per-company standalone costs; collaboration must not exceed them."""
-
-    z1_non: int
-    z2_non: int
 
 
 @dataclass(frozen=True)
@@ -247,8 +240,8 @@ class _Run:
         z2 <= point.z2: a point dominating it would lie in the box and come
         first.  The box holds the point, so the search always finds one, and
         lies inside the participation region because the point does.  Needed
-        only for candidates from shrunk rectangles, whose box bounds no
-        longer guarantee non-dominance.
+        only for candidates from boxes pulled in by more than one unit on
+        some axis, whose bounds no longer guarantee non-dominance.
         """
         out = self.lexmin((2, 1), ((None, point.z1), (None, point.z2)))
         return out.point == point
@@ -268,28 +261,31 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
     """FIFO rectangle subdivision between the two frontier endpoints.
 
     Each rectangle is searched in its box pulled in by ``pull``: one unit
-    on each side for bbox and b3m1, the margins (at least one unit) for
-    b3m2.  Both corners are recorded points, so a side pulled in by one
-    unit leaves out only a corner's row or column, which holds the corner
-    and points it dominates.  The box is split at the floor midpoint of
+    on each side for b3m1, the margins (at least one unit) otherwise.
+    Both corners are recorded points, so a side pulled in by one unit
+    leaves out only a corner's row or column, which holds the corner and
+    points it dominates.  The box is split at the floor midpoint of
     its z2 range: one lexicographic search finds the leftmost point of the
     bottom half, one the lowest point above the mid line and left of the
     bottom point.  After a kept bottom point c the top box ends at
     c.z1 - pull.sigma1 and starts at max(c.z2 + pull.sigma2, mid); after
     any other bottom point it ends at c.z1 - 1, and with no bottom point
     at the box's right side.  A box the pull or a cap leaves empty is not
-    searched.  ``keep`` says which candidates each method records.
+    searched.  b3m1 drops a candidate within the margins of an anchor;
+    other runs certify one only when the pull exceeds one unit on some
+    axis, since a one-unit pull leaves no point outside the box that could
+    dominate its lexicographic minimum (README "Methods").  So bbox is the
+    zero-margin run, and b3m2 at margins of at most one unit is bbox.
     """
     pull = ClosenessMargins(1, 1)
-    if method == "b3m2":
+    if method != "b3m1":
         pull = ClosenessMargins(max(margins.sigma1, 1), max(margins.sigma2, 1))
+    certify = max(pull.sigma1, pull.sigma2) > 1
 
     def keep(candidate, anchors):
         if method == "b3m1":  # drop a point interchangeable with an anchor
             return not strictly_close(candidate, anchors, margins)
-        if method == "b3m2":  # a pulled-in box no longer proves non-dominance
-            return run.certify_nondominated(candidate)
-        return True
+        return not certify or run.certify_nondominated(candidate)
 
     queue = deque()
     if z_top != z_bottom:

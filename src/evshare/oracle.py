@@ -172,8 +172,6 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
 def standalone_minimum(instance, k, budget=OracleBudget()):
     """Company k's optimal standalone cost by enumeration (no shared access)."""
     sub = charging.standalone_instance(instance, k)
-    if not sub.evs:
-        return 0
     options, patterns = _search_space(sub, (k,), budget)
     best = None
 

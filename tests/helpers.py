@@ -1,10 +1,12 @@
 """Shared test scaffolding: programs with known criterion points, tiny
 general programs with the exhaustive enumerator that is their ground truth,
-a plain reference branch and bound, the two-stage lexicographic solve, the
-first standalone formulation and infeasibility diagnostic, and the
-desk-scale scenario configs."""
+seeded bi-objective assignment and knapsack programs, a plain reference
+branch and bound, the two-stage lexicographic solve, the first standalone
+formulation and infeasibility diagnostic, and the desk-scale scenario
+configs."""
 
 import itertools
+import random
 
 from hypothesis import reject, strategies as st
 
@@ -19,6 +21,7 @@ from evshare.core import (
     binary,
     check_assignment,
     evaluate,
+    expr,
     integer,
     program,
 )
@@ -147,6 +150,33 @@ def partitioned_programs(draw):
             terms.update(zip((v.id for v in group), draw(unequal)))
         objectives.append(LinearExpression(terms, objective.constant))
     return program(variables, rows, *objectives)
+
+
+def assignment_program(n, seed):
+    """Bi-objective n x n assignment: binaries ``x{i}_{j}``, one ``= 1`` row
+    per row and per column, and two cost matrices drawn uniform in 1..20
+    (the first matrix row by row, then the second)."""
+    rng = random.Random(seed)
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    ids = {cell: "x{}_{}".format(*cell) for cell in cells}
+    rows = [Constraint(expr({ids[i, j]: 1 for j in range(n)}), "=", 1, f"row:{i}")
+            for i in range(n)]
+    rows += [Constraint(expr({ids[i, j]: 1 for i in range(n)}), "=", 1, f"column:{j}")
+             for j in range(n)]
+    objectives = [expr({ids[cell]: rng.randint(1, 20) for cell in cells}) for _ in range(2)]
+    return program([binary(ids[cell]) for cell in cells], rows, *objectives)
+
+
+def knapsack_program(n, seed):
+    """Bi-objective knapsack over n items: weights uniform in 1..100, one
+    capacity row at half their sum (rounded down), and two profit vectors
+    uniform in 1..100, negated so that both objectives are minimized."""
+    rng = random.Random(seed)
+    ids = [f"x{i}" for i in range(n)]
+    weights = {vid: rng.randint(1, 100) for vid in ids}
+    capacity = Constraint(expr(weights), "<=", sum(weights.values()) // 2, "capacity")
+    objectives = [expr({vid: -rng.randint(1, 100) for vid in ids}) for _ in range(2)]
+    return program([binary(vid) for vid in ids], [capacity], *objectives)
 
 
 def feasible_assignments(prog):

@@ -106,6 +106,12 @@ def test_alpha_norm_examples():
     assert alpha_norm(f, "infinity") == F(2, 5)
 
 
+def test_alpha_norm_of_an_irrational_root_is_a_float():
+    root = alpha_norm((F(1), F(1)), 2)
+    assert isinstance(root, float)
+    assert root == pytest.approx(math.sqrt(2))
+
+
 def test_power_sum_stays_exact_on_rationals():
     f = (F(3, 10), F(2, 5))
     got = power_sum(f, 2)

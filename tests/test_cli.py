@@ -406,6 +406,11 @@ def test_report_on_empty_directory_fails(tmp_path, capsys):
     assert "no frontier artifacts" in capsys.readouterr().err
 
 
+def test_report_on_a_missing_directory_names_the_missing_artifact(tmp_path, capsys):
+    assert run_cli(["report", "--batch", str(tmp_path / "absent")]) == 1
+    assert "missing artifact" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["bbox,0,x,4,23,,", "bbox,0,1,4,23", "bbox,0,1,4,23,,,"])
 def test_report_rejects_malformed_stats_csv(t1_file, tmp_path, capsys, row):
     batch = tmp_path / "batch"

@@ -90,6 +90,14 @@ def test_variable_validation():
     assert integer("t", 0, 5).upper == 5
 
 
+def test_builders_refuse_non_integers_rather_than_truncate():
+    for build in (lambda: expr({"x": 2.5}), lambda: expr({"x": 2}, 1.9),
+                  lambda: integer("t", 0.5, 3), lambda: integer("t", 0, 3.7),
+                  lambda: Variable("t", "integer", 0, 3.0)):
+        with pytest.raises(ProgramError):
+            build()
+
+
 def test_program_rejects_undeclared_references():
     x = binary("x")
     con = Constraint(expr({"y": 1}), "<=", 1, "bad")

@@ -41,10 +41,12 @@ from evshare.charging import (
 from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, solve_min
 
 from helpers import (
+    assignment_program,
     certify_limit_instance,
     desk_configs,
     feasible_assignments,
     feasible_tiny_programs,
+    knapsack_program,
     make_point_program,
     tiny_programs,
 )
@@ -252,8 +254,7 @@ def test_engine_solver_call_accounting():
     # each half
     assert result.solver_calls == 4
     assert result.rectangles_processed == 1
-    # at zero tolerance b3m2 never reaches certification here: both of its
-    # boxes, pulled in by one unit, hold no point
+    # at zero tolerance b3m2 makes bbox's searches and certifies nothing
     assert run_method(prog, None, "b3m2", 0).solver_calls == 4
 
 
@@ -366,6 +367,61 @@ def test_desk_frontier_outcomes_are_pinned():
     assert calls == DESK_CALLS
 
 
+def outcome(run):
+    """A run's points, witnesses and search counts, comparable across methods."""
+    return ([(point.as_tuple(), assignment.rendering()) for point, assignment in run.points],
+            run.solver_calls, run.nodes, run.rectangles_processed)
+
+
+def test_zero_margin_runs_are_bbox_on_desk():
+    # At zero tolerance b3m1 drops nothing and b3m2 pulls each box in by one
+    # unit, as bbox does, so it certifies nothing: all three make bbox's
+    # searches.
+    for config in desk_configs():
+        instance = generate_scenario(config)
+        program = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        bbox = outcome(run_method(program, participation, "bbox"))
+        for method in ("b3m1", "b3m2"):
+            assert outcome(run_method(program, participation, method, 0)) == bbox
+
+
+# Seed 4 gives the 4x4 assignment five points, one of which b3m1 drops at 5%.
+@pytest.mark.parametrize("prog", [assignment_program(4, 4), knapsack_program(12, 1)],
+                         ids=["assignment-4x4", "knapsack-12"])
+def test_frontiers_match_enumeration_on_classic_programs(prog):
+    exact = pareto_filter(criterion_point(prog, a) for a in feasible_assignments(prog))
+    bbox = run_method(prog, None, "bbox")
+    assert set(bbox.criterion_points()) == exact
+    assert_witnesses(prog, bbox)
+    endpoints = {min(exact), min(exact, key=lambda p: (p.z2, p.z1))}
+    for method in ("b3m1", "b3m2"):
+        for epsilon in (0, 1, 3, 5):
+            run = run_method(prog, None, method, epsilon)
+            assert endpoints <= set(run.criterion_points()) <= exact
+            assert_witnesses(prog, run)
+            if epsilon == 0:
+                assert outcome(run) == outcome(bbox)
+
+
+# (solver calls, branch-and-bound nodes) of b3m2 at 1% and 3% on bi-objective
+# assignment programs, keyed by (n, seed): their margins are a few units, so
+# the certification rule shows in both counts.
+ASSIGNMENT_B3M2_COUNTS = {
+    (6, 1): {1: (14, 556), 3: (14, 556)},
+    (6, 2): {1: (8, 184), 3: (6, 156)},
+    (8, 1): {1: (22, 2147), 3: (22, 2147)},
+    (8, 2): {1: (12, 1112), 3: (12, 1112)},
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(ASSIGNMENT_B3M2_COUNTS))
+def test_b3m2_counts_on_assignment_programs_are_pinned(n, seed):
+    prog = assignment_program(n, seed)
+    assert {epsilon: (run.solver_calls, run.nodes) for epsilon in (1, 3)
+            for run in [run_method(prog, None, "b3m2", epsilon)]} == ASSIGNMENT_B3M2_COUNTS[n, seed]
+
+
 def t1_variant(**changes):
     """T1 with some EVs' entries of the named per-EV fields replaced."""
     inst = t1_instance()
@@ -462,12 +518,9 @@ def test_reduced_methods_drop_near_duplicates():
 
 def test_methods_agree_exactly_at_zero_tolerance():
     prog = make_point_program([(3, 40), (7, 31), (8, 30), (15, 22), (16, 21), (30, 5)])
-    exact = run_method(prog, None, "bbox")
+    exact = outcome(run_method(prog, None, "bbox"))
     for method in ("b3m1", "b3m2"):
-        got = run_method(prog, None, method, 0)
-        assert got.criterion_points() == exact.criterion_points()
-        assert [a.rendering() for _, a in got.points] == [
-            a.rendering() for _, a in exact.points]
+        assert outcome(run_method(prog, None, method, 0)) == exact
 
 
 def test_b3m2_node_limit_during_certification_raises():

@@ -78,6 +78,13 @@ def test_standalone_minimum_matches_solver_path():
     assert noncollab_costs(inst) == (point.z1_non, point.z2_non)
 
 
+def test_a_company_with_no_evs_costs_zero_on_both_paths():
+    # One EV, owned by k1: k2's standalone program and enumeration are empty.
+    inst = generate_scenario(ScenarioConfig(n_evs=1, n_chargers=2, horizon=6, seed=3))
+    point = noncollab_point(inst)
+    assert noncollab_costs(inst) == (point.z1_non, point.z2_non) == (155329, 0)
+
+
 def test_oracle_and_solver_agree_on_generated_instances():
     for seed in (1, 2, 3):
         cfg = ScenarioConfig(n_evs=3, n_chargers=2, seed=seed, horizon=6,
