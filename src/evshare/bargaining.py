@@ -184,23 +184,6 @@ def power_sum(values, alpha):
     return math.fsum(abs(float(_exact(v))) ** float(alpha) for v in values)
 
 
-def alpha_norm(values, alpha):
-    """(sum |v|**alpha)**(1/alpha); the max coordinate for infinite alpha."""
-    values = list(values)
-    if _is_infinite(alpha):
-        if not values:
-            return Fraction(0)
-        return max(abs(_exact(v)) for v in values)
-    alpha = _exact(alpha)
-    total = power_sum(values, alpha)
-    if isinstance(total, Fraction):
-        root = _exact_power(total, 1 / alpha)
-        if root is not None:
-            return root
-        total = float(total)
-    return total ** (1 / float(alpha))
-
-
 def distance_select(points, refs, alpha):
     """Pick the point nearest the ideal under the normalized alpha-norm.
 

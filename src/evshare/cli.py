@@ -12,8 +12,9 @@ from there and refuses a frontier that has no such file beside it.  The
 argument parser is built on a process's first ``run_cli`` call and reused
 by every later one.
 
-Exit codes: 0 success, 1 domain error (bad data, infeasible model, missing
-artifact), 2 usage error (unknown flags or subcommands).
+Exit codes: 0 success, 1 domain or path error (bad data, infeasible model,
+missing artifact, an input that cannot be read or an output that cannot be
+written), 2 usage error (unknown flags or subcommands).
 """
 
 import argparse
@@ -47,8 +48,6 @@ class CliError(EvshareError):
 
 
 def _read(path):
-    if not os.path.exists(path):
-        raise CliError(f"missing artifact: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -82,6 +81,14 @@ def _manifest(path, command, config, outputs, wall_times, seed=None):
         "wall_times": wall_times,
     }
     _write(path, _json_text(data))
+
+
+def _out_dir(args):
+    """``--out-dir``, or the instance's directory, made before any solve so
+    that a bad ``--out-dir`` fails at once rather than after the search."""
+    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _instance_sha256(instance):
@@ -156,13 +163,13 @@ def _frontier_paths(out_dir, stem, method, eps_text):
 def _cmd_frontier(args):
     started = time.perf_counter()
     instance = _load_instance(args.instance)
+    out_dir = _out_dir(args)
     config = _solver.SolverConfig(node_limit=args.node_limit)
     participation = _charging.noncollab_point(instance, config)
     program = _charging.build_charging_program(instance)
     result = _frontier.run_method(program, participation, args.method,
                                   args.epsilon, config)
 
-    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
     eps_text = _frontier._epsilon_text(result.epsilon)
     paths = _frontier_paths(out_dir, _stem(args.instance), args.method, eps_text)
 
@@ -263,6 +270,7 @@ def _cmd_bargain(args):
 def _cmd_oracle(args):
     started = time.perf_counter()
     instance = _load_instance(args.instance)
+    out_dir = _out_dir(args)
     budget = _oracle.OracleBudget(args.budget)
     noncollab = _oracle.noncollab_costs(instance, budget)
     participation = _frontier.ParticipationPoint(*noncollab)
@@ -272,7 +280,6 @@ def _cmd_oracle(args):
     result = _frontier.FrontierResult("oracle", Fraction(0), ordered, solver_calls=0,
                                       wall_time=0.0, rectangles_processed=0)
 
-    out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.instance))
     base = os.path.join(out_dir, f"{_stem(args.instance)}-oracle")
     csv_path = f"{base}.csv"
     assignments_path = f"{base}-assignments.json"
@@ -551,8 +558,9 @@ def run_cli(argv=None):
     except EvshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing artifact: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:   # an input it could not read or an output it could not write
+        reason = "missing artifact" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {reason}: {exc.filename or exc}", file=sys.stderr)
         return 1
 
 

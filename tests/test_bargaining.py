@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from evshare.bargaining import (
     INFINITY,
     BargainError,
     ReferencePoints,
-    alpha_norm,
     distance_select,
     gnb_select,
     power_sum,
@@ -96,21 +94,6 @@ def test_gnb_gain_axis_rescaling_invariance(raw, a1, b1, a2, b2):
 
 
 # -- alpha norms -----------------------------------------------------------------
-
-def test_alpha_norm_examples():
-    f = (F(3, 10), F(2, 5))
-    assert alpha_norm(f, 2) == F(1, 2)
-    assert alpha_norm(f, 1) == F(7, 10)
-    assert alpha_norm(f, INFINITY) == F(2, 5)
-    assert alpha_norm(f, "inf") == F(2, 5)
-    assert alpha_norm(f, "infinity") == F(2, 5)
-
-
-def test_alpha_norm_of_an_irrational_root_is_a_float():
-    root = alpha_norm((F(1), F(1)), 2)
-    assert isinstance(root, float)
-    assert root == pytest.approx(math.sqrt(2))
-
 
 def test_power_sum_stays_exact_on_rationals():
     f = (F(3, 10), F(2, 5))

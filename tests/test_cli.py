@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import evshare.charging
+import evshare.frontier
 from evshare.charging import schedule_to_json
 from evshare.cli import run_cli
 from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
@@ -695,3 +698,59 @@ def test_schedule_file_that_hides_a_session_exits_1(edit, name, t1_file, tmp_pat
     assert run_cli(["validate", "--instance", t1_file, "--schedule", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err and "Traceback" not in err
+
+
+# -- paths that cannot be read or written ---------------------------------------
+
+GENERATE = ["generate", "--ev-dist", "uniform", "--charger-layout", "uniform",
+            "--n-evs", "2", "--n-chargers", "1", "--seed", "1"]
+
+
+@pytest.fixture
+def bad_paths(tmp_path, t1_file):
+    """Whole-argument stand-ins: a regular file, a directory, a path below
+    the regular file, a writable directory and the T1 instance."""
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    return {"FILE": str(tmp_path / "a-file"), "DIR": str(tmp_path / "a-dir"),
+            "FILE/x": str(tmp_path / "a-file" / "x"), "OUT": str(tmp_path / "out"),
+            "T1": t1_file}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["report", "--batch", "FILE"], "FILE"),
+    (["frontier", "--instance", "DIR", "--method", "bbox"], "DIR"),
+    (GENERATE + ["--prices", "DIR", "--out-dir", "OUT"], "DIR"),
+    (["validate", "--instance", "T1", "--schedule", "DIR"], "DIR"),
+    (["export-lp", "--instance", "T1", "--objective", "1", "--out", "DIR"], "DIR"),
+    (["frontier", "--instance", "T1", "--method", "bbox", "--out-dir", "FILE"], "FILE"),
+    (GENERATE + ["--out-dir", "FILE/x"], "FILE/x"),
+], ids=["report-batch-file", "frontier-instance-dir", "generate-prices-dir",
+        "validate-schedule-dir", "export-lp-out-dir", "frontier-out-dir-file",
+        "generate-out-dir-below-file"])
+def test_a_path_that_cannot_be_read_or_written_exits_1(argv, named, bad_paths, capsys):
+    assert run_cli([bad_paths.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad_paths[named] in err
+
+
+def refuse_search(*args, **kwargs):
+    raise AssertionError("frontier searched before it made its output directory")
+
+
+def test_frontier_checks_its_out_dir_before_the_search(bad_paths, capsys, monkeypatch):
+    monkeypatch.setattr(evshare.charging, "noncollab_point", refuse_search)
+    monkeypatch.setattr(evshare.frontier, "run_method", refuse_search)
+    assert run_cli(["frontier", "--instance", bad_paths["T1"], "--method", "bbox",
+                    "--out-dir", bad_paths["FILE"]]) == 1
+    assert capsys.readouterr().err == f"error: File exists: {bad_paths['FILE']}\n"
+
+
+def test_main_reports_a_path_error_without_a_traceback(bad_paths):
+    src = os.path.dirname(os.path.dirname(evshare.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "evshare.cli", "report", "--batch", bad_paths["FILE"]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and bad_paths["FILE"] in done.stderr
