@@ -1,9 +1,13 @@
 """Agreement-point selection over a finite frontier.
 
 Two families of selection rules: generalized Nash bargaining (weighted
-log-gain maximization against the disagreement point) and distance
-minimization to the ideal point under a min-max normalized alpha-norm,
-including the infinity-norm limit.
+Nash product of the gains over the disagreement point, maximized) and
+distance minimization to the ideal point under a min-max normalized
+alpha-norm, including the infinity-norm limit.  Ties go to the smallest z1,
+then z2.
+
+Nash products compare as exact integers: with pi = p/q in lowest terms a
+point ranks by gain1**p * gain2**(q-p), and q may be at most 1000.
 
 Norm comparisons stay in exact rational arithmetic whenever every term's
 power is exactly representable (always for integer alpha, and for rational
@@ -84,47 +88,39 @@ def reference_points(program, participation, config=_solver.SolverConfig()):
 # ---------------------------------------------------------------------------
 # Generalized Nash bargaining.
 
-_GNB_REL_TIE = 1e-12
-
-
-def _log_gain_ties(a, b):
-    """True when two log-objective values differ by < 1e-12 relatively."""
-    diff = abs(a - b)
-    scale = max(abs(a), abs(b))
-    return diff == 0.0 or diff <= _GNB_REL_TIE * scale
+PI_MAX_DENOMINATOR = 1000
 
 
 def gnb_select(points, disagreement, pi):
     """Maximize gain1^pi * gain2^(1-pi) against the disagreement point.
 
-    Computed as pi*ln(gain1) + (1-pi)*ln(gain2) over points where both
-    gains are positive; points with a zero (or negative) gain rank strictly
-    below every positive-gain point.  Near-equal log objectives (relative
-    difference below 1e-12) tie; ties go to the smallest z1, then z2.
-    ``pi`` may also be a string such as "0.5" or "1/3".
+    With pi = p/q in lowest terms a point ranks by the exact integer
+    gain1**p * gain2**(q-p), the q-th power of that product, when both gains
+    are positive, and by 0 otherwise.  Ties go to the smallest z1, then z2,
+    so a set with no positive gain yields its first point in that order.
+    ``pi`` may also be a string such as "0.5" or "1/3"; its denominator may
+    be at most PI_MAX_DENOMINATOR (1000), which bounds the products' size.
     """
     pi = _exact(pi)
     if not 0 < pi < 1:
         raise BargainError(f"pi must lie strictly inside (0, 1), got {pi!r}")
+    if pi.denominator > PI_MAX_DENOMINATOR:
+        raise BargainError(
+            f"pi must be a fraction with denominator at most {PI_MAX_DENOMINATOR}, "
+            f"got {pi}")
     ordered = sorted(points, key=CriterionPoint.as_tuple)
     if not ordered:
         raise BargainError("cannot bargain over an empty point set")
-    weight1 = float(pi)
-    weight2 = float(1 - pi)
-    best = None
-    best_value = None
-    for point in ordered:
+    p, q = pi.numerator, pi.denominator
+
+    def nash_power(point):
         gain1 = disagreement.z1 - point.z1
         gain2 = disagreement.z2 - point.z2
         if gain1 <= 0 or gain2 <= 0:
-            if best is None:
-                best = point        # placeholder until a positive-gain point
-            continue
-        value = weight1 * math.log(gain1) + weight2 * math.log(gain2)
-        if best_value is None or (value > best_value
-                                  and not _log_gain_ties(value, best_value)):
-            best, best_value = point, value
-    return best
+            return 0
+        return gain1 ** p * gain2 ** (q - p)
+
+    return max(ordered, key=nash_power)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +199,10 @@ def distance_select(points, refs, alpha):
     infinite = _is_infinite(alpha)
     if not infinite:
         alpha = _exact(alpha)
-    best = None
-    best_key = None
-    for point in ordered:
+
+    def distance(point):
         f1 = abs(Fraction(point.z1 - refs.ideal.z1, span1))
         f2 = abs(Fraction(point.z2 - refs.ideal.z2, span2))
-        key = max(f1, f2) if infinite else power_sum((f1, f2), alpha)
-        if best_key is None or key < best_key:
-            best, best_key = point, key
-    return best
+        return max(f1, f2) if infinite else power_sum((f1, f2), alpha)
+
+    return min(ordered, key=distance)

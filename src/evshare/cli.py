@@ -505,7 +505,9 @@ def build_parser():
     p.add_argument("--frontier", required=True, help="frontier CSV path")
     p.add_argument("--instance", required=True)
     p.add_argument("--mode", choices=("gnb", "dist"), required=True)
-    p.add_argument("--pi", default="0.5", help="bargaining strength of company 1")
+    p.add_argument("--pi", default="0.5",
+                   help="bargaining strength of company 1: a fraction in (0, 1) with "
+                        "denominator at most 1000, e.g. 0.125 or 1/3")
     p.add_argument("--alpha", default="2", help="norm exponent, or 'inf'")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bargain)

@@ -500,6 +500,4 @@ def stats_from_csv(text):
         "ndp": int(row[2]),
         "solver_calls": int(row[3]),
         "wall_ms": _wall_ms(row[4]),
-        "gap_pct": float(row[5]) if row[5] else None,
-        "cts_pct": float(row[6]) if row[6] else None,
     })

@@ -65,6 +65,40 @@ def test_gnb_validates_inputs():
         gnb_select({P(1, 1)}, P(10, 10), F(0))
     with pytest.raises(BargainError):
         gnb_select({P(1, 1)}, P(10, 10), 1)
+    # pi's denominator is bounded so that the exact products stay small
+    for bad in ("0.0001", F(1, 1001), 0.1 + 0.2):
+        with pytest.raises(BargainError, match="denominator at most 1000"):
+            gnb_select({P(4, 8), P(8, 4)}, P(10, 10), bad)
+    assert gnb_select({P(4, 8), P(8, 4)}, P(10, 10), F(999, 1000)) == P(4, 8)
+    assert gnb_select({P(4, 8), P(8, 4)}, P(10, 10), "1/3") == P(8, 4)
+
+
+def test_gnb_compares_products_exactly_at_large_gains():
+    # gains (g+2, g) against (g+1, g+1): products g^2+2g < g^2+2g+1, whose
+    # logarithms differ by ~1e-12 relatively at g = 10^6
+    g = 10 ** 6
+    got = gnb_select({P(2 * g - 2, 2 * g), P(2 * g - 1, 2 * g - 1)}, P(3 * g, 3 * g), F(1, 2))
+    assert got == P(2 * g - 1, 2 * g - 1)
+
+
+@given(staircases, st.integers(min_value=1, max_value=10 ** 7),
+       st.integers(min_value=0, max_value=45), st.integers(min_value=0, max_value=45),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+       st.sampled_from([F(k, 10) for k in range(1, 10)] + [F(1, 3), F(2, 3)]))
+@settings(max_examples=80, deadline=None)
+def test_gnb_picks_the_largest_exact_nash_product(raw, scale, d1, d2, e1, e2, pi):
+    points = sorted((P(scale * z1, scale * z2) for z1, z2 in raw), key=P.as_tuple)
+    d = P(scale * d1 + e1, scale * d2 + e2)
+
+    def power(point):       # the Nash product to the power of pi's denominator
+        gain1, gain2 = d.z1 - point.z1, d.z2 - point.z2
+        if gain1 <= 0 or gain2 <= 0:
+            return 0
+        return gain1 ** pi.numerator * gain2 ** (pi.denominator - pi.numerator)
+
+    best = max(power(p) for p in points)
+    want = points[0] if best == 0 else next(p for p in points if power(p) == best)
+    assert gnb_select(points, d, pi) == want
 
 
 @given(staircases, st.integers(min_value=1, max_value=9))

@@ -615,17 +615,20 @@ def test_validate_rejects_malformed_schedule_file(t1_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["frontier", "--method", "b3m1", "--epsilon", "abc"],
-    ["bargain", "--mode", "gnb", "--pi", "abc"],
-    ["bargain", "--mode", "dist", "--alpha", "abc"],
-], ids=["frontier-epsilon", "bargain-pi", "bargain-alpha"])
-def test_malformed_number_exits_1(argv, t1_file, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["frontier", "--method", "b3m1", "--epsilon", "abc"], "not a finite number: 'abc'"),
+    (["bargain", "--mode", "gnb", "--pi", "abc"], "not a finite number: 'abc'"),
+    (["bargain", "--mode", "dist", "--alpha", "abc"], "not a finite number: 'abc'"),
+    (["bargain", "--mode", "gnb", "--pi", "0.0001"], "denominator at most 1000, got 1/10000"),
+], ids=["frontier-epsilon", "bargain-pi", "bargain-alpha", "bargain-pi-denominator"])
+def test_malformed_number_exits_1(argv, message, t1_file, tmp_path, capsys):
     if argv[0] == "bargain":
         argv = argv + ["--frontier", two_point_frontier_csv(tmp_path)]
     code = run_cli(argv + ["--instance", t1_file])
     assert code == 1
-    assert "error: not a finite number: 'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not list(tmp_path.glob("*-bargain.json"))
 
 
 def assert_error_without_traceback(capsys):

@@ -816,11 +816,10 @@ def test_stats_csv_round_trip():
     assert back[0]["method"] == "b3m2"
     assert back[0]["epsilon"] == Fraction(5, 2)
     assert back[0]["ndp"] == len(result.points)
-    assert back[0]["gap_pct"] is None
-    assert back[0]["cts_pct"] is None
-    # files that carry the two columns still read
+    assert set(back[0]) == {"method", "epsilon", "ndp", "solver_calls", "wall_ms"}
+    # files that carry the two columns still read; nothing reads the values
     header = lines[0] + "\n"
-    assert stats_from_csv(header + "b3m2,2.5,2,8,1.5,12.3,40.0\n")[0]["gap_pct"] == 12.3
+    assert stats_from_csv(header + "b3m2,2.5,2,8,1.5,12.3,40.0\n")[0]["wall_ms"] == 1.5
     with pytest.raises(FrontierError):
         stats_from_csv("wrong,header\n")
 
