@@ -74,7 +74,7 @@ class ReferencePoints:
 def reference_points(program, participation, config=_solver.SolverConfig()):
     """Reference points from the frontier's two endpoints alone.
 
-    The endpoint searches (``frontier.endpoints``) run inside the
+    The endpoint search (``frontier.endpoints``) runs inside the
     participation region, so the ideal, (top z1, bottom z2), can never fall
     outside the disagreement box; an empty region has no endpoints.
     """

@@ -15,14 +15,21 @@ same branch-and-bound backend:
     lexicographic search before being recorded.  At zero margins b3m1 and
     b3m2 make bbox's searches: bbox is their zero-margin case.
 
+Every run starts with one search (``solver.lexmin_pair``) that finds both
+endpoints: the (z1, z2) and the (z2, z1) minimum of the participation
+region.  Each is the leaf a ``lexmin`` of its own order over the region
+returns, and the bottom one is also the leaf a search of the region's part
+right of and below the top point returns, since every other frontier point
+lies there (``_Run.endpoints``).
+
 Every solve is restricted in objective space only through the solver's
 ``bounds``: a search box, the participation region (``participation_caps``)
 or a certification box, each side an inclusive integer or None when open.
 All objective values are fixed-point integers (minor currency units), so an
 open bound becomes a closed one by stepping one minor unit.  No search box
-holds a point the run already knows: the non-dominated points not yet
-found lie strictly inside each rectangle and strictly right of and below
-the top endpoint.  A certification box, the candidate's own closed
+holds a point the run already knows: the endpoint search comes first, and
+the non-dominated points not yet found lie strictly inside each
+rectangle.  A certification box, the candidate's own closed
 lower-left box, holds none either: every known point lies above or right
 of the box the candidate was found in.  A box so cut loses only leaves
 that cannot be its search's optimum, so every search returns the status,
@@ -35,7 +42,7 @@ import io
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import CriterionPoint, EvshareError, ParticipationPoint, _exact, _half_up
@@ -96,7 +103,10 @@ class FrontierResult:
     ``points`` is a tuple of (CriterionPoint, Assignment) pairs sorted by
     ascending z1.  ``epsilon`` is the tolerance as a percentage (exact
     Fraction).  ``nodes`` sums the branch-and-bound nodes of every solve the
-    run made, endpoint and certification solves included.
+    run made, endpoint and certification solves included.  ``searches``
+    maps each search kind of ``SEARCH_KINDS`` to its (solver calls, nodes):
+    the one endpoint search, the rectangles' bottom and top searches and
+    b3m2's certifications.  They sum to ``solver_calls`` and ``nodes``.
     """
 
     method: str
@@ -106,6 +116,7 @@ class FrontierResult:
     wall_time: float
     rectangles_processed: int
     nodes: int = 0
+    searches: dict = field(default_factory=dict)
 
     @property
     def status(self):
@@ -120,6 +131,7 @@ class FrontierResult:
 
 
 METHODS = ("bbox", "b3m1", "b3m2")
+SEARCH_KINDS = ("endpoints", "bottom", "top", "certification")
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +196,27 @@ def participation_caps(participation):
 
 
 class _Run:
-    """Mutable state shared by the three strategies during one run."""
+    """Mutable state shared by the three strategies during one run.
+
+    ``searches`` holds [calls, nodes] per search kind (``SEARCH_KINDS``).
+    """
 
     def __init__(self, program, participation, config):
         self.program = program
         self.config = config
         self.caps = participation_caps(participation)
         self.recorded = {}
-        self.solver_calls = 0
-        self.nodes = 0
+        self.searches = {kind: [0, 0] for kind in SEARCH_KINDS}
         self.rectangles = 0
 
-    def lexmin(self, order, bounds):
-        """One lexicographic search in ``bounds``; its outcome, or None.
+    def count(self, kind, out):
+        counts = self.searches[kind]
+        counts[0] += out.solves
+        counts[1] += out.nodes_explored
+
+    def lexmin(self, kind, order, bounds):
+        """One lexicographic search of ``kind`` in ``bounds``; its outcome,
+        or None.
 
         None when the box holds no point: either its bounds cross (a lower
         side above the upper one, then no search runs and no call is
@@ -205,32 +225,35 @@ class _Run:
         if any(lo is not None and hi is not None and lo > hi for lo, hi in bounds):
             return None
         out = _solver.lexmin(self.program, order, bounds, self.config)
-        self.solver_calls += out.solves
-        self.nodes += out.nodes_explored
+        self.count(kind, out)
         return out if out.status != "infeasible" else None
 
     def endpoints(self):
         """Record the frontier's two endpoints; (z_top, z_bottom) or None.
 
-        None means the participation region holds no feasible point, found
-        by the top search.  The top endpoint is the (z1, z2) minimum of the
-        region.  Every other frontier point has a larger z1 (the top point
-        has the least) and a smaller z2 (else the top point dominates it),
-        so the bottom search, the (z2, z1) minimum, runs in the region's
-        part with z1 >= top.z1 + 1 and z2 <= top.z2 - 1.  That part is
-        empty exactly when the frontier is the top point alone, and then
-        both endpoints are the top point.
+        One search (``solver.lexmin_pair``) finds both: the top endpoint is
+        the (z1, z2) minimum of the participation region and the bottom
+        endpoint its (z2, z1) minimum.  None means the region holds no
+        feasible point.  Each is the leaf its own ``lexmin`` over the
+        region returns: the joint search keeps one incumbent per order and
+        cuts a node only when neither order can still improve below it, so
+        each order's first optimal leaf in depth-first order is never cut.
+        The bottom endpoint is the one a search of the region's part with
+        z1 >= top.z1 + 1 and z2 <= top.z2 - 1 finds: every other frontier
+        point lies there, and the (z2, z1) minimum is a frontier point, so
+        both searches have the same optimal leaves.  When the frontier is
+        the top point alone, the two minima are that point, and the top
+        witness is recorded.
         """
-        top = self.lexmin((1, 2), self.caps)
-        if top is None:
+        out = _solver.lexmin_pair(self.program, self.caps, self.config)
+        self.count("endpoints", out)
+        if out.status == "infeasible":
             return None
-        self.recorded[top.point] = top.assignment
-        (_, z1_cap), _ = self.caps
-        bottom = self.lexmin((2, 1), ((top.point.z1 + 1, z1_cap), (None, top.point.z2 - 1)))
-        if bottom is None:
-            return top.point, top.point
-        self.recorded[bottom.point] = bottom.assignment
-        return top.point, bottom.point
+        (top, top_assignment), (bottom, bottom_assignment) = out.top, out.bottom
+        self.recorded[top] = top_assignment
+        if bottom != top:
+            self.recorded[bottom] = bottom_assignment
+        return top, bottom
 
     def certify_nondominated(self, point):
         """Check nothing in the participation region dominates ``point``.
@@ -243,7 +266,7 @@ class _Run:
         only for candidates from boxes pulled in by more than one unit on
         some axis, whose bounds no longer guarantee non-dominance.
         """
-        out = self.lexmin((2, 1), ((None, point.z1), (None, point.z2)))
+        out = self.lexmin("certification", (2, 1), ((None, point.z1), (None, point.z2)))
         return out.point == point
 
 
@@ -251,8 +274,8 @@ def endpoints(program, participation=None, config=_solver.SolverConfig()):
     """The two endpoints of the frontier inside the participation region.
 
     Returns (z_top, z_bottom), the same point twice for a one-point
-    frontier, or None when the region is empty.  These are the two
-    searches every ``run_method`` run starts with.
+    frontier, or None when the region is empty.  This is the one search
+    every ``run_method`` run starts with.
     """
     return _Run(program, participation, config).endpoints()
 
@@ -302,7 +325,7 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None
         top_z1_cap, top_floor = br.z1, mid
-        bottom = run.lexmin((1, 2), ((tl.z1, br.z1), (br.z2, mid)))
+        bottom = run.lexmin("bottom", (1, 2), ((tl.z1, br.z1), (br.z2, mid)))
         if bottom is not None:
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
@@ -314,7 +337,7 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
                 top_floor = max(candidate.z2 + pull.sigma2, mid)
 
         # --- top search: lowest point above the mid line, left of the cap.
-        top = run.lexmin((2, 1), ((tl.z1, top_z1_cap), (top_floor, tl.z2)))
+        top = run.lexmin("top", (2, 1), ((tl.z1, top_z1_cap), (top_floor, tl.z2)))
         if top is None:
             continue
         candidate = top.point
@@ -356,8 +379,10 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
         _run_rectangles(method, run, margins, z_top, z_bottom)
 
     ordered = tuple(sorted(run.recorded.items(), key=lambda item: item[0].as_tuple()))
-    return FrontierResult(method, eps_pct, ordered, run.solver_calls,
-                          time.perf_counter() - start, run.rectangles, run.nodes)
+    calls, nodes = (sum(counts) for counts in zip(*run.searches.values()))
+    return FrontierResult(method, eps_pct, ordered, calls, time.perf_counter() - start,
+                          run.rectangles, nodes,
+                          {kind: tuple(counts) for kind, counts in run.searches.items()})
 
 
 # ---------------------------------------------------------------------------

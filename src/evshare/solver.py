@@ -57,6 +57,19 @@ nothing else is accepted.  A two-stage solve (minimize
 first leaf, so both give the same status, point and assignment; the
 single search only explores fewer nodes.
 
+``lexmin_pair`` finds both lexicographic minima of a box, (z1, z2) and
+(z2, z1), in one search over both combined rows.  It keeps one incumbent
+per order and cuts a node only when neither order can still improve below
+it.  While both can, neither cutoff propagates, since either would cut
+leaves the other still needs; once one order cannot improve inside a
+subtree, the other's cutoff row gets its rhs there and propagates as in
+``lexmin``.  Each order's first optimal leaf is never cut: until the
+search reaches it, that order's cutoff is at least its optimum.  Only
+leaves that improve neither order are dropped.  So each order returns the
+leaf its own ``lexmin`` returns.  ``lexmin`` and ``solve_min`` run the
+same loop with one objective row, where every node checks and propagates
+the cutoff row.
+
 Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
 A search that would exceed ``SolverConfig.node_limit`` raises
 ``SolverError``, so a cut-short search is never read as an answer.
@@ -90,8 +103,8 @@ class SolutionValidationError(EvshareError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Search limits: ``node_limit`` caps the nodes of each search (one per
-    ``solve_min`` or ``lexmin``), None for no cap; a search that needs more
-    raises SolverError."""
+    ``solve_min``, ``lexmin`` or ``lexmin_pair``), None for no cap; a search
+    that needs more raises SolverError."""
 
     node_limit: int = None
 
@@ -117,6 +130,17 @@ class LexOutcome:
     point: CriterionPoint
     nodes_explored: int
     solves: int = 0           # branch-and-bound searches performed: one
+
+
+@dataclass(frozen=True)
+class LexPairOutcome:
+    """Both lexicographic minima of one box, found by one search."""
+
+    status: str               # optimal | infeasible
+    top: tuple                # (point, assignment) of the (z1, z2) minimum, when optimal
+    bottom: tuple             # (point, assignment) of the (z2, z1) minimum, when optimal
+    nodes_explored: int
+    solves: int = 1           # branch-and-bound searches performed: one
 
 
 # Objective bounds that leave both objectives unrestricted.
@@ -422,30 +446,56 @@ class _Search:
 
     # -- search -------------------------------------------------------------
 
-    def run(self, rows, obj_row, obj_const, node_limit):
+    def run(self, rows, objectives, node_limit):
         """Depth-first search over an explicit stack, lower value first.
 
-        ``rows`` are the objective rows the solve's bounds set.  ``obj_row``
-        is the cutoff row, whose activity plus ``obj_const`` is the value
-        minimized; its rhs is None while that side is open, and each
-        incumbent lowers it to one unit below the incumbent's value.  Each
-        stack entry is (variable, new lower, new upper, lower, upper, amin):
-        the branch to apply and the domains and activities of its parent
-        node to apply it to.  A branching node pushes its second child,
-        ``x_i >= l + 1``, with copies of its state, then its first child,
-        ``x_i = l``, with the state itself, which is popped at once and
-        changed in place.  By the time the second child is popped, its
-        parent's subtree is done and the copies are the only record of the
-        parent's state.  The cutoff is no part of that state: it only
-        falls, so each child re-checks it.
+        ``rows`` are the objective rows the solve's bounds set.  Each of
+        ``objectives`` is a (row, constant) pair, one per value minimized:
+        the row's activity plus the constant.  Each objective keeps its own
+        incumbent and cutoff, the row's rhs at the start (None while that
+        side is open), lowered by each incumbent to one unit below its
+        activity.  An objective is live at a node while its row's minimum
+        activity is within its cutoff: a leaf below may still improve it.
+        A node where none is live is cut.  While one objective alone is
+        live, its cutoff is its row's rhs and propagates; while several
+        are, every objective row's rhs is None, since a propagated cutoff
+        would cut leaves another objective still needs.  So with one
+        objective every node checks and propagates the cutoff row.
+
+        Each stack entry is (variable, new lower, new upper, lower, upper,
+        amin, live): the branch to apply, the domains and activities of its
+        parent node to apply it to, and the objectives live there.  A
+        branching node pushes its second child, ``x_i >= l + 1``, with
+        copies of its state, then its first child, ``x_i = l``, with the
+        state itself, which is popped at once and changed in place.  By the
+        time the second child is popped, its parent's subtree is done and
+        the copies are the only record of the parent's state.  The cutoffs
+        are no part of that state: they only fall, so each child re-checks
+        them.  Returns one SolveOutcome per objective, each with the
+        search's node count.
         """
-        row_rhs, n = self.rhs, self.compiled.n
-        best_value = best_values = None
+        row_rhs, n, in_queue = self.rhs, self.compiled.n, self.in_queue
+        obj_rows = [row for row, _ in objectives]
+        cutoffs = [row_rhs[row] for row in obj_rows]
+        best = [None] * len(objectives)
+        live = tuple(range(len(objectives)))
+        if len(live) > 1:
+            for row in obj_rows:
+                row_rhs[row] = None
         nodes = 0
         stack = []
         start = 0
         feasible = self.settle(rows)
         while True:
+            if feasible and len(live) > 1:
+                amin = self.amin
+                live = tuple(k for k in live
+                             if cutoffs[k] is None or amin[obj_rows[k]] <= cutoffs[k])
+                if len(live) == 1:  # the lone order's cutoff propagates from here on
+                    row_rhs[obj_rows[live[0]]] = cutoffs[live[0]]
+                    feasible = self.settle((obj_rows[live[0]],))
+                else:
+                    feasible = bool(live)
             if feasible:
                 nodes += 1
                 if node_limit is not None and nodes > node_limit:
@@ -455,32 +505,40 @@ class _Search:
                 while i < n and lower[i] == upper[i]:
                     i += 1
                 if i == n:
-                    value = amin[obj_row] + obj_const
-                    if best_value is None or value < best_value:
-                        best_value = value
-                        best_values = lower[:]
-                        row_rhs[obj_row] = amin[obj_row] - 1
+                    values = lower[:]
+                    for k in live:  # live: this leaf improves on k's incumbent
+                        best[k] = values
+                        cutoffs[k] = amin[obj_rows[k]] - 1
                 else:
                     pivot = lower[i]
-                    stack.append((i, pivot + 1, upper[i], lower[:], upper[:], amin[:]))
-                    stack.append((i, pivot, pivot, lower, upper, amin))
+                    stack.append((i, pivot + 1, upper[i], lower[:], upper[:], amin[:], live))
+                    stack.append((i, pivot, pivot, lower, upper, amin, live))
             if not stack:
                 break
-            start, new_lower, new_upper, self.lower, self.upper, self.amin = stack.pop()
-            queue = [obj_row]  # re-check the cutoff, which may have tightened
-            self.in_queue[obj_row] = True
+            start, new_lower, new_upper, self.lower, self.upper, self.amin, live = stack.pop()
+            for row in obj_rows:
+                row_rhs[row] = None
+            queue = []
+            if len(live) == 1:  # re-check the cutoff, which may have tightened
+                row = obj_rows[live[0]]
+                row_rhs[row] = cutoffs[live[0]]
+                queue.append(row)
+                in_queue[row] = True
             self._change(start, new_lower, new_upper, queue)
             feasible = self.propagate(queue)
-        if best_value is None:
-            return SolveOutcome("infeasible", None, None, nodes)
-        assignment = Assignment(dict(zip(self.compiled.ids, best_values)))
-        return SolveOutcome("optimal", assignment, best_value, nodes)
+        ids = self.compiled.ids
+        return tuple(
+            SolveOutcome("infeasible", None, None, nodes) if values is None else
+            SolveOutcome("optimal", Assignment(dict(zip(ids, values))),
+                         cutoff + 1 + constant, nodes)
+            for (_, constant), values, cutoff in zip(objectives, best, cutoffs))
 
 
-def _minimize(program, bounds, cutoff_row, constant, config):
-    """Minimize the activity of compiled row ``obj_base + cutoff_row`` plus
-    ``constant`` within ``bounds``, which set the rhs of the four
-    objective-bound rows.  Each incumbent lowers the cutoff row's rhs.
+def _minimize(program, bounds, objectives, config):
+    """Minimize each of ``objectives``, pairs (k, constant) of compiled row
+    ``obj_base + k`` and the constant added to its activity, in one search
+    within ``bounds``, which set the rhs of the four objective-bound rows.
+    One SolveOutcome per objective.
     """
     compiled = compile_program(program)
     rhs = compiled.row_rhs[:]
@@ -495,9 +553,9 @@ def _minimize(program, bounds, cutoff_row, constant, config):
             rhs[lower_row + 1] = hi - objective_constant
             rows.append(lower_row + 1)
     if not compiled.feasible:
-        return SolveOutcome("infeasible", None, None, 0)
-    return _Search(compiled, rhs).run(rows, compiled.obj_base + cutoff_row, constant,
-                                      config.node_limit)
+        return tuple(SolveOutcome("infeasible", None, None, 0) for _ in objectives)
+    objectives = tuple((compiled.obj_base + k, constant) for k, constant in objectives)
+    return _Search(compiled, rhs).run(rows, objectives, config.node_limit)
 
 
 def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
@@ -514,7 +572,16 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     SolverError when the search needs more than ``config.node_limit`` nodes.
     """
     constant = compile_program(program).constant(objective_index)
-    return _minimize(program, bounds, 2 * objective_index - 1, constant, config)
+    out, = _minimize(program, bounds, ((2 * objective_index - 1, constant),), config)
+    return out
+
+
+def _lexicographic_objective(program, order):
+    """The compiled (row, constant) pair of ``W * z_first + z_second``."""
+    first, second = order
+    if {first, second} != {1, 2}:
+        raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
+    return 3 + first, compile_program(program).constants[1 + first]
 
 
 def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
@@ -527,15 +594,28 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
     returns the same leaf as a two-stage solve would (see the module
     docstring).  The point is evaluated on that one assignment.
     """
-    first, second = order
-    if {first, second} != {1, 2}:
-        raise SolverError(f"order must be a permutation of (1, 2), got {order!r}")
-    constant = compile_program(program).constants[1 + first]
-    out = _minimize(program, bounds, 3 + first, constant, config)
+    out, = _minimize(program, bounds, (_lexicographic_objective(program, order),), config)
     if out.status == "infeasible":
         return LexOutcome("infeasible", None, None, out.nodes_explored, 1)
     point = criterion_point(program, out.assignment)
     return LexOutcome("optimal", out.assignment, point, out.nodes_explored, 1)
+
+
+def lexmin_pair(program, bounds=OPEN, config=SolverConfig()):
+    """Both lexicographic minima inside objective ``bounds``, in one search.
+
+    Returns a LexPairOutcome whose ``top`` is the (z1, z2) minimum and
+    ``bottom`` the (z2, z1) minimum, each the point and assignment that
+    ``lexmin`` returns for its order (see the module docstring); the two
+    are the same leaf when one point minimizes both objectives.  The
+    search counts once towards ``SolverConfig.node_limit``.
+    """
+    objectives = tuple(_lexicographic_objective(program, order) for order in ((1, 2), (2, 1)))
+    top, bottom = _minimize(program, bounds, objectives, config)
+    if top.status == "infeasible":
+        return LexPairOutcome("infeasible", None, None, top.nodes_explored)
+    ends = [(criterion_point(program, out.assignment), out.assignment) for out in (top, bottom)]
+    return LexPairOutcome("optimal", *ends, top.nodes_explored)
 
 
 # ---------------------------------------------------------------------------

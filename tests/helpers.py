@@ -1,7 +1,8 @@
 """Shared test scaffolding: programs with known criterion points, tiny
 general programs with the exhaustive enumerator that is their ground truth,
 seeded bi-objective assignment and knapsack programs, a plain reference
-branch and bound, the two-stage lexicographic solve, the first standalone
+branch and bound, the two-stage lexicographic solve and the two-search
+endpoint rule, the first standalone
 formulation and infeasibility diagnostic, and the desk-scale scenario
 configs."""
 
@@ -317,6 +318,27 @@ def two_stage_lexmin(prog, order, bounds=((None, None), (None, None))):
     pinned[first - 1] = (stage1.value, stage1.value)
     stage2 = solve_min(prog, second, tuple(pinned))
     return "optimal", criterion_point(prog, stage2.assignment), stage2.assignment.rendering()
+
+
+def two_search_endpoints(prog, bounds=((None, None), (None, None))):
+    """The two-search endpoint rule ``lexmin_pair`` must agree with.
+
+    ``lexmin`` finds the (z1, z2) minimum within ``bounds``, then the
+    (z2, z1) minimum of the part of ``bounds`` strictly right of and below
+    it; when that part holds no point, the bottom endpoint is the top one.  Returns
+    (status, top, bottom), each endpoint a (point, assignment rendering)
+    pair, both None when infeasible.
+    """
+    from evshare.solver import lexmin
+
+    (_, hi1), (lo2, _) = bounds
+    top = lexmin(prog, (1, 2), bounds)
+    if top.status == "infeasible":
+        return "infeasible", None, None
+    bottom = lexmin(prog, (2, 1), ((top.point.z1 + 1, hi1), (lo2, top.point.z2 - 1)))
+    if bottom.status == "infeasible":
+        bottom = top
+    return "optimal", *((out.point, out.assignment.rendering()) for out in (top, bottom))
 
 
 def infeasible_program():

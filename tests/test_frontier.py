@@ -38,7 +38,7 @@ from evshare.charging import (
     infeasibility_diagnostic,
     noncollab_point,
 )
-from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, solve_min
+from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, lexmin_pair, solve_min
 
 from helpers import (
     assignment_program,
@@ -49,6 +49,7 @@ from helpers import (
     knapsack_program,
     make_point_program,
     tiny_programs,
+    two_search_endpoints,
 )
 
 P = CriterionPoint
@@ -147,7 +148,8 @@ def test_participation_caps():
 
 
 def lexmin_calls(monkeypatch):
-    """Record (order, bounds, point) of every lexicographic search a run makes."""
+    """Record (order, bounds, point) of every lexicographic search a run
+    makes; the endpoint search records order "pair" and (top, bottom)."""
     calls = []
 
     def recording(program, order, bounds, config):
@@ -155,7 +157,13 @@ def lexmin_calls(monkeypatch):
         calls.append((order, bounds, out.point))
         return out
 
+    def recording_pair(program, bounds, config):
+        out = lexmin_pair(program, bounds, config)
+        calls.append(("pair", bounds, (out.top[0], out.bottom[0])))
+        return out
+
     monkeypatch.setattr("evshare.solver.lexmin", recording)
+    monkeypatch.setattr("evshare.solver.lexmin_pair", recording_pair)
     return calls
 
 
@@ -164,13 +172,31 @@ def test_initial_box_example(monkeypatch):
     prog = make_point_program([(2, 9), (5, 5), (9, 2)])
     result = run_method(prog, ParticipationPoint(20, 20), "bbox")
     caps = ((None, 20), (None, 20))
-    # The top endpoint inside the participation region, the bottom one in
-    # the region's part strictly right of and below it, then the bottom half
-    # of the rectangle between them, without its corners' rows and columns.
-    assert calls[:3] == [((1, 2), caps, P(2, 9)), ((2, 1), ((3, 20), (None, 8)), P(9, 2)),
+    # Both endpoints from one search of the participation region, then the
+    # bottom half of the rectangle between them, without its corners' rows
+    # and columns.
+    assert calls[:2] == [("pair", caps, (P(2, 9), P(9, 2))),
                          ((1, 2), ((3, 8), (3, 5)), P(5, 5))]
     for point, assignment in result.points:
         assert criterion_point(prog, assignment) == point
+
+
+def test_desk_endpoints_match_two_searches():
+    # The one endpoint search records the points and witnesses of the
+    # two-search rule on desk instances.
+    for config in desk_configs(12):
+        instance = generate_scenario(config)
+        program = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        status, *ends = two_search_endpoints(program, participation_caps(participation))
+        run = frontier._Run(program, participation, SolverConfig())
+        got = run.endpoints()
+        assert frontier.endpoints(program, participation) == got
+        if status == "infeasible":
+            assert (got, run.recorded) == (None, {})
+            continue
+        assert got == tuple(point for point, _ in ends)
+        assert {point: a.rendering() for point, a in run.recorded.items()} == dict(ends)
 
 
 def test_initial_box_empty_region():
@@ -184,8 +210,8 @@ def test_initial_box_empty_region():
 def test_initial_box_singleton():
     got = run_method(make_point_program([(5, 5)]))
     assert got.criterion_points() == (P(5, 5),)
-    # both endpoint searches meet at one point: no rectangle to search
-    assert (got.solver_calls, got.rectangles_processed) == (2, 0)
+    # both endpoints are the one point: no rectangle to search
+    assert (got.solver_calls, got.rectangles_processed) == (1, 0)
 
 
 # -- the rectangle engine ----------------------------------------------------
@@ -205,7 +231,7 @@ def test_initial_box_singleton():
 def test_rectangles_split_at_the_floor_midpoint(monkeypatch, method, epsilon, points, searches):
     calls = lexmin_calls(monkeypatch)
     run_method(make_point_program(points), None, method, epsilon)
-    assert [bounds for _, bounds, _ in calls[2:2 + len(searches)]] == searches
+    assert [bounds for _, bounds, _ in calls[1:1 + len(searches)]] == searches
 
 
 def run_points(prog, method, epsilon=0, participation=None):
@@ -235,9 +261,10 @@ def test_run_nodes_sum_every_solve(method, monkeypatch):
             return out
         return counted
 
-    # Every branch-and-bound search, through either solver entry point.
+    # Every branch-and-bound search, through any solver entry point.
     monkeypatch.setattr("evshare.solver.solve_min", counting(solve_min))
     monkeypatch.setattr("evshare.solver.lexmin", counting(lexmin))
+    monkeypatch.setattr("evshare.solver.lexmin_pair", counting(lexmin_pair))
     prog = make_point_program([(10, 100), (30, 70), (50, 50), (90, 20)])
     result = run_method(prog, None, method, 30)
     assert (result.solver_calls, result.nodes) == (len(solves), sum(solves))
@@ -247,15 +274,45 @@ def test_run_nodes_sum_every_solve(method, monkeypatch):
     assert (result.solver_calls, result.nodes) == (len(solves), sum(solves)) == (1, 0)
 
 
+def test_search_kinds_sum_to_the_run_counts_on_desk(monkeypatch):
+    # Per-kind counts sum to each desk run's solver calls and nodes; the
+    # endpoint kind is the one pair search, the other kinds the run's
+    # lexicographic searches.
+    pairs, searches = [], []
+
+    def counting(solve, into):
+        def counted(*args):
+            out = solve(*args)
+            into.append(out.nodes_explored)
+            return out
+        return counted
+
+    monkeypatch.setattr("evshare.solver.lexmin_pair", counting(lexmin_pair, pairs))
+    monkeypatch.setattr("evshare.solver.lexmin", counting(lexmin, searches))
+    for config in desk_configs():
+        instance = generate_scenario(config)
+        program = build_charging_program(instance)
+        participation = noncollab_point(instance)
+        for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
+            pairs.clear()
+            searches.clear()
+            run = run_method(program, participation, method, epsilon)
+            assert tuple(run.searches) == frontier.SEARCH_KINDS
+            assert tuple(map(sum, zip(*run.searches.values()))) == (run.solver_calls, run.nodes)
+            assert run.searches["endpoints"] == (len(pairs), sum(pairs)) == (1, pairs[0])
+            rest = [run.searches[kind] for kind in ("bottom", "top", "certification")]
+            assert tuple(map(sum, zip(*rest))) == (len(searches), sum(searches))
+
+
 def test_engine_solver_call_accounting():
     prog = make_point_program([(1, 3), (3, 1)])
     result = run_method(prog, None, "bbox")
-    # 2 endpoint searches + one rectangle with one lexicographic search on
+    # one endpoint search + one rectangle with one lexicographic search on
     # each half
-    assert result.solver_calls == 4
+    assert result.solver_calls == 3
     assert result.rectangles_processed == 1
     # at zero tolerance b3m2 makes bbox's searches and certifies nothing
-    assert run_method(prog, None, "b3m2", 0).solver_calls == 4
+    assert run_method(prog, None, "b3m2", 0).solver_calls == 3
 
 
 def test_t1_bbox_matches_oracle():
@@ -300,8 +357,8 @@ def test_frontiers_match_the_oracle_on_random_instances(config):
 # (solver calls, branch-and-bound nodes) of each method's run on the long
 # frontiers below: any change to the search tree moves a node total.
 LONG_FRONTIER_COUNTS = {
-    93: {"bbox": (10, 1457), "b3m1": (6, 1022), "b3m2": (7, 1060)},
-    145: {"bbox": (10, 930), "b3m1": (8, 792), "b3m2": (10, 944)},
+    93: {"bbox": (9, 1320), "b3m1": (5, 885), "b3m2": (6, 923)},
+    145: {"bbox": (9, 849), "b3m1": (7, 711), "b3m2": (9, 863)},
 }
 
 
@@ -336,7 +393,7 @@ def test_b3m1_requeues_the_top_part_above_a_pruned_point():
     got = run_method(build_charging_program(inst), participation, "b3m1", 3)
     assert [p.as_tuple() for p in got.criterion_points()] == [
         (27584, 24031), (27641, 22726), (34341, 21641)]
-    assert (got.solver_calls, got.rectangles_processed) == (8, 3)
+    assert (got.solver_calls, got.rectangles_processed) == (7, 3)
     exact = charging_frontier(inst, participation=(participation.z1_non, participation.z2_non))
     assert set(got.criterion_points()) < set(exact)
 
@@ -347,7 +404,7 @@ def test_b3m1_requeues_the_top_part_above_a_pruned_point():
 # search boxes that are exact.  DESK_CALLS pins each method's solver calls
 # over the same runs apart from it.
 DESK_OUTCOMES = "4b9f2c775c2cc24cbcf2e420e3e9c1410fc740886840039beed235e295c177a8"
-DESK_CALLS = {"bbox": 41, "b3m1": 41, "b3m2": 39}
+DESK_CALLS = {"bbox": 30, "b3m1": 30, "b3m2": 28}
 
 
 def test_desk_frontier_outcomes_are_pinned():
@@ -408,10 +465,10 @@ def test_frontiers_match_enumeration_on_classic_programs(prog):
 # assignment programs, keyed by (n, seed): their margins are a few units, so
 # the certification rule shows in both counts.
 ASSIGNMENT_B3M2_COUNTS = {
-    (6, 1): {1: (14, 556), 3: (14, 556)},
-    (6, 2): {1: (8, 184), 3: (6, 156)},
-    (8, 1): {1: (22, 2147), 3: (22, 2147)},
-    (8, 2): {1: (12, 1112), 3: (12, 1112)},
+    (6, 1): {1: (13, 568), 3: (13, 568)},
+    (6, 2): {1: (7, 240), 3: (5, 212)},
+    (8, 1): {1: (21, 2358), 3: (21, 2358)},
+    (8, 2): {1: (11, 1121), 3: (11, 1121)},
 }
 
 
@@ -650,7 +707,7 @@ def test_searches_that_exclude_known_points_answer_as_before(case):
     for point in set(region):
         run = frontier._Run(prog, participation, SolverConfig())
         certified = run.certify_nondominated(point)
-        assert run.solver_calls == 1
+        assert [calls for calls, _ in run.searches.values()] == [0, 0, 0, 1]
         assert certified == two_value_certificate(prog, caps, point) == (point in nondominated)
 
 

@@ -31,6 +31,7 @@ from evshare.solver import (
     SolverError,
     export_lp,
     lexmin,
+    lexmin_pair,
     parse_external_solution,
     solve_min,
 )
@@ -46,6 +47,7 @@ from helpers import (
     root_settled_programs,
     shifted,
     tiny_programs,
+    two_search_endpoints,
     two_stage_lexmin,
 )
 
@@ -162,6 +164,31 @@ def test_lexmin_matches_two_stage_solves(prog, order, bounds):
         out = lexmin(prog, order, bounds)
         rendering = out.assignment.rendering() if out.assignment else None
         assert (out.status, out.point, rendering) == expected
+
+
+@given(lexmin_programs(), objective_bounds)
+@example(make_point_program([(0, 4), (1, 0)]), OPEN)
+@example(make_point_program([(2, 2), (3, 3), (2, 2)]), OPEN)  # one point, two witnesses
+@settings(max_examples=300, deadline=None)
+def test_lexmin_pair_matches_two_searches(prog, bounds):
+    # Status, both points and both assignments equal the two-search rule's,
+    # on a fresh program (its first solve compiles it) and on the compiled one.
+    expected = two_search_endpoints(dataclasses.replace(prog), bounds)
+    for _ in range(2):
+        out = lexmin_pair(prog, bounds)
+        got = (out.status, None, None)
+        if out.status == "optimal":
+            got = (out.status, *((point, a.rendering()) for point, a in (out.top, out.bottom)))
+        assert got == expected
+        assert out.solves == 1
+
+
+def test_lexmin_pair_node_limit_raises():
+    prog = build_charging_program(t1_instance())
+    nodes = lexmin_pair(prog).nodes_explored
+    assert lexmin_pair(prog, config=SolverConfig(node_limit=nodes)).status == "optimal"
+    with pytest.raises(SolverError, match=f"node limit {nodes - 1} exhausted"):
+        lexmin_pair(prog, config=SolverConfig(node_limit=nodes - 1))
 
 
 @given(point_sets)
@@ -345,19 +372,19 @@ def test_desk_compiled_entries_are_pinned():
     assert counts == DESK_COMPILED_ENTRIES
 
 
-# sha256 over every solve_min and lexmin outcome of bbox, b3m1 at 3% and
-# b3m2 at 3% on the first 12 desk instances, with the (calls, nodes) of
-# each: 121 lexicographic solves, 2 of them certifications, and no
-# solve_min.  A change to the search tree, its value or its tie-breaks
-# changes it.
-DESK_TREES = ({"solve_min": [0, 0], "lexmin": [121, 4219]},
-              "eeb05aa861e1ff3d8d42594b1d826d5a691ec5ea45f353a8fe0fd46e65bfdce9")
+# sha256 over every solve_min, lexmin and lexmin_pair outcome of bbox,
+# b3m1 at 3% and b3m2 at 3% on the first 12 desk instances, with the
+# (calls, nodes) of each: 36 endpoint searches, 52 lexicographic solves,
+# 2 of them certifications, and no solve_min.  A change to the search
+# tree, its value or its tie-breaks changes it.
+DESK_TREES = ({"solve_min": [0, 0], "lexmin": [52, 925], "lexmin_pair": [36, 2325]},
+              "0f28b05906b65a3cea922f3987f9c9ea7fe526e4420d31a7a32d225189fcc7ee")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
     digest = hashlib.sha256()
-    counts = {"solve_min": [0, 0], "lexmin": [0, 0]}
-    real_solve_min, real_lexmin = solver.solve_min, solver.lexmin
+    counts = {"solve_min": [0, 0], "lexmin": [0, 0], "lexmin_pair": [0, 0]}
+    real_solve_min, real_lexmin, real_pair = solver.solve_min, solver.lexmin, solver.lexmin_pair
 
     def record(name, out, value):
         rendering = out.assignment.rendering() if out.assignment else None
@@ -374,6 +401,15 @@ def test_desk_search_trees_are_pinned(monkeypatch):
         out = real_lexmin(program, order, bounds, config)
         return record("lexmin", out, out.point)
 
+    def recording_pair(program, bounds=OPEN, config=SolverConfig()):
+        out = real_pair(program, bounds, config)
+        ends = (out.top, out.bottom) if out.status == "optimal" else ()
+        digest.update(repr((out.status, out.nodes_explored,
+                            [(point, a.rendering()) for point, a in ends])).encode())
+        counts["lexmin_pair"][0] += 1
+        counts["lexmin_pair"][1] += out.nodes_explored
+        return out
+
     for config in desk_configs(12):
         instance = generate_scenario(config)
         program = build_charging_program(instance)
@@ -381,6 +417,7 @@ def test_desk_search_trees_are_pinned(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(solver, "solve_min", recording_solve_min)
             patch.setattr(solver, "lexmin", recording_lexmin)
+            patch.setattr(solver, "lexmin_pair", recording_pair)
             for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
                 run_method(program, participation, method, epsilon)
     assert (counts, digest.hexdigest()) == DESK_TREES
