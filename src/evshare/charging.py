@@ -7,6 +7,14 @@ rental fees + energy fees (own tariff at chargers it rents, collaborative
 tariff at chargers the other company rents) + travel cost once per session
 + value-of-time cost for waiting past the earliest start.
 
+The collaborative program (``build_charging_program``) declares each EV's
+interval variables only where its window (e, l) lets them be nonzero, its
+``reach``: charging in e+1 .. l, a session start in e+1 .. min(l+1, T) and
+a session end in max(e, 1) .. l.  Every feasible point of the full-horizon
+formulation is 0 elsewhere, so the feasible set, the objectives and every
+search's leaves are the same with fewer variables and rows.
+``encode_schedule`` and ``decode_schedule`` read the same reach.
+
 All money is in integer minor units (0.01 SEK).
 """
 
@@ -24,6 +32,10 @@ class InstanceError(EvshareError):
 
 
 class DecodeError(EvshareError):
+    pass
+
+
+class EncodeError(EvshareError):
     pass
 
 
@@ -151,6 +163,21 @@ def var_session(i, j, s, d):
     return f"w_{i}_{j}_{s}_{d}"
 
 
+def reach(instance, i):
+    """The intervals where EV i's variables can be nonzero, as three ranges:
+    charging (``x`` and ``u``), session start (``xs``) and session end
+    (``xe``).
+
+    For window (e, l) over horizon T the EV charges in e+1 .. l, starts a
+    session at e+1 .. min(l+1, T) and ends one at max(e, 1) .. l.  The
+    extra start and end positions are those of a zero-duration session at
+    boundary s, whose start indicator sits at s+1 and end indicator at s.
+    """
+    e, l = instance.window[i]
+    return (range(e + 1, l + 1), range(e + 1, min(l + 1, instance.horizon) + 1),
+            range(max(e, 1), l + 1))
+
+
 def build_charging_program(instance):
     """Build the bi-objective program for a two-company charging instance.
 
@@ -161,17 +188,29 @@ def build_charging_program(instance):
     string is the key of its every term; both demand rows share one energy
     expression.
 
+    Each EV's x, u, xs and xe exist only at the intervals of its ``reach``,
+    and every row and objective term reads only those; a neighbour outside
+    the reach counts as 0, and a charger-capacity row no EV reaches is left
+    out.  This is exact: over all intervals, ``ts >= e`` puts the start
+    indicator at e+1 or later, ``tf <= l`` puts the end indicator at l or
+    earlier, charging lies between the two, and a zero-duration session
+    pairs xs at s+1 with xe at s, so every feasible point is 0 outside the
+    reach.  Variables are declared rentals first, then every x, then xs and
+    xe interleaved per (EV, charger, interval), then every u, then ts and
+    tf per EV: the full-horizon order with the unreachable ids left out.
+
     The builder is total: demand/window conflicts build fine and surface as
     infeasibility at solve time (see infeasibility_diagnostic).
     """
     ins = instance
     T = ins.horizon
-    slots = [(i, j, t) for i in ins.evs for j in ins.chargers for t in ins.intervals()]
+    reaches = {i: reach(ins, i) for i in ins.evs}
+    pairs = [(i, j) for i in ins.evs for j in ins.chargers]
     y = {(j, k): var_rent(j, k) for j in ins.chargers for k in ins.companies}
-    x = {s: var_x(*s) for s in slots}
-    xs = {s: var_start(*s) for s in slots}
-    xe = {s: var_end(*s) for s in slots}
-    u = {(*s, k): var_both(*s, k) for s in slots for k in ins.companies}
+    x = {(i, j, t): var_x(i, j, t) for i, j in pairs for t in reaches[i][0]}
+    xs = {(i, j, t): var_start(i, j, t) for i, j in pairs for t in reaches[i][1]}
+    xe = {(i, j, t): var_end(i, j, t) for i, j in pairs for t in reaches[i][2]}
+    u = {(*s, k): var_both(*s, k) for s in x for k in ins.companies}
     ts = {i: var_tstart(i) for i in ins.evs}
     tf = {i: var_tfinish(i) for i in ins.evs}
 
@@ -179,49 +218,52 @@ def build_charging_program(instance):
     # first, then each EV's interval pattern; everything after is forced by
     # propagation once x and y are fixed.
     variables = [binary(vid) for vid in (*y.values(), *x.values())]
-    for s in slots:
-        variables += [binary(xs[s]), binary(xe[s])]
+    variables += [binary(table[i, j, t]) for i, j in pairs for t in ins.intervals()
+                  for table in (xs, xe) if (i, j, t) in table]
     variables += [binary(vid) for vid in u.values()]
     for i in ins.evs:
         variables += [integer(ts[i], 0, T - 1), integer(tf[i], 1, T)]
 
     constraints = []
     add = constraints.append
-    for i, j, t in slots:
+    for i, j, t in x:
         # Start indicator covers every 0->1 transition of x.
-        prev = {x[i, j, t - 1]: 1} if t > 1 else {}
+        prev = {x[i, j, t - 1]: 1} if (i, j, t - 1) in x else {}
         add(Constraint(expr({xs[i, j, t]: 1, x[i, j, t]: -1, **prev}),
                        ">=", 0, f"start-indicator:{i}:{j}:{t}"))
         # End indicator covers every 1->0 transition.
-        nxt = {x[i, j, t + 1]: 1} if t < T else {}
+        nxt = {x[i, j, t + 1]: 1} if (i, j, t + 1) in x else {}
         add(Constraint(expr({xe[i, j, t]: 1, x[i, j, t]: -1, **nxt}),
                        ">=", 0, f"end-indicator:{i}:{j}:{t}"))
 
     for i in ins.evs:
-        add(Constraint(expr({xs[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}),
+        _, starts, ends = reaches[i]
+        add(Constraint(expr({xs[i, j, t]: 1 for j in ins.chargers for t in starts}),
                        "=", 1, f"single-start:{i}"))
-        add(Constraint(expr({xe[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}),
+        add(Constraint(expr({xe[i, j, t]: 1 for j in ins.chargers for t in ends}),
                        "=", 1, f"single-end:{i}"))
         for j in ins.chargers:
-            terms = {xs[i, j, t]: 1 for t in ins.intervals()}
-            for t in ins.intervals():
+            terms = {xs[i, j, t]: 1 for t in starts}
+            for t in ends:
                 terms[xe[i, j, t]] = terms.get(xe[i, j, t], 0) - 1
             add(Constraint(expr(terms), "=", 0, f"start-end-balance:{i}:{j}"))
 
     for j in ins.chargers:
         for t in ins.intervals():
-            add(Constraint(expr({x[i, j, t]: 1 for i in ins.evs}),
-                           "<=", 1, f"charger-capacity:{j}:{t}"))
+            users = {x[i, j, t]: 1 for i in ins.evs if (i, j, t) in x}
+            if users:
+                add(Constraint(expr(users), "<=", 1, f"charger-capacity:{j}:{t}"))
 
     for i in ins.evs:
+        charging, starts, ends = reaches[i]
         # ts = sum xs * (t-1), tf = sum xe * t, duration linkage, windows, demand.
         add(Constraint(expr({ts[i]: 1,
-                             **{xs[i, j, t]: -(t - 1) for j in ins.chargers for t in ins.intervals()}}),
+                             **{xs[i, j, t]: -(t - 1) for j in ins.chargers for t in starts}}),
                        "=", 0, f"start-time:{i}"))
         add(Constraint(expr({tf[i]: 1,
-                             **{xe[i, j, t]: -t for j in ins.chargers for t in ins.intervals()}}),
+                             **{xe[i, j, t]: -t for j in ins.chargers for t in ends}}),
                        "=", 0, f"finish-time:{i}"))
-        terms = {x[i, j, t]: 1 for j in ins.chargers for t in ins.intervals()}
+        terms = {x[i, j, t]: 1 for j in ins.chargers for t in charging}
         terms[tf[i]] = -1
         terms[ts[i]] = 1
         add(Constraint(expr(terms), "=", 0, f"duration:{i}"))
@@ -229,7 +271,7 @@ def build_charging_program(instance):
         add(Constraint(expr({ts[i]: 1}), ">=", e, f"time-window-start:{i}"))
         add(Constraint(expr({tf[i]: 1}), "<=", l, f"time-window-end:{i}"))
         lo, hi = ins.demand[i]
-        energy = expr({x[i, j, t]: ins.charge_rate[i, j] for j in ins.chargers for t in ins.intervals()})
+        energy = expr({x[i, j, t]: ins.charge_rate[i, j] for j in ins.chargers for t in charging})
         add(Constraint(energy, ">=", lo, f"demand-lower:{i}"))
         add(Constraint(energy, "<=", hi, f"demand-upper:{i}"))
 
@@ -237,11 +279,11 @@ def build_charging_program(instance):
         add(Constraint(expr({y[j, k]: 1 for k in ins.companies}),
                        "<=", 1, f"rental-exclusive:{j}"))
         for i in ins.evs:
-            for t in ins.intervals():
+            for t in reaches[i][0]:
                 add(Constraint(expr({x[i, j, t]: 1, **{y[j, k]: -1 for k in ins.companies}}),
                                "<=", 0, f"rented-only:{i}:{j}:{t}"))
 
-    for i, j, t in slots:
+    for i, j, t in x:
         for k in ins.companies:
             both = u[i, j, t, k]
             add(Constraint(expr({both: 1, x[i, j, t]: -1}), "<=", 0,
@@ -259,15 +301,16 @@ def build_charging_program(instance):
         for j in ins.chargers:
             terms[y[j, k]] = ins.rental_fee[j, k]
         for i in ins.company_evs(k):
+            charging, starts, _ = reaches[i]
             for j in ins.chargers:
                 rate = ins.charge_rate[i, j]
-                for t in ins.intervals():
+                for t in charging:
                     # Own tariff where company k rented, collaborative
                     # tariff where the other company rented.
                     own, collab = u[i, j, t, k], u[i, j, t, other]
                     terms[own] = terms.get(own, 0) + ins.energy_fee_own[j, t] * rate
                     terms[collab] = terms.get(collab, 0) + ins.energy_fee_collab[j, t] * rate
-                for t in ins.intervals():
+                for t in starts:
                     terms[xs[i, j, t]] = terms.get(xs[i, j, t], 0) + ins.travel_cost[i, j]
             terms[ts[i]] = terms.get(ts[i], 0) + ins.vot[i]
             constant -= ins.vot[i] * ins.window[i][0]
@@ -377,13 +420,26 @@ def encode_schedule(schedule, instance, program):
     """The assignment of ``program`` a schedule corresponds to; the inverse
     of ``decode_schedule``.  Every variable starts at 0, then each rental
     and each session sets its ones (a zero-duration session pairs its start
-    and end indicators at intervals start+1 and start)."""
+    and end indicators at intervals start+1 and start).
+
+    Raises EncodeError for what the program has no variables for: a rental
+    of an unknown charger or by an unknown company, a session at an
+    unknown charger, or one starting or ending outside its EV's ``reach``.
+    """
     values = {v.id: 0 for v in program.variables}
     for j, k in schedule.rentals.items():
         if k is not None:
+            if j not in instance.chargers or k not in instance.companies:
+                raise EncodeError(f"rental of charger {j!r} by {k!r}, which the instance lacks")
             values[var_rent(j, k)] = 1
     for i in instance.evs:
         j, start, finish = schedule.sessions[i]
+        _, starts, ends = reach(instance, i)
+        if j not in instance.chargers:
+            raise EncodeError(f"session of EV {i} at charger {j!r}, which the instance lacks")
+        if start + 1 not in starts or finish not in ends:
+            raise EncodeError(f"session {(j, start, finish)} of EV {i} lies outside "
+                              f"its window {instance.window[i]}")
         values[var_start(i, j, start + 1)] = 1
         values[var_end(i, j, finish)] = 1
         values[var_tstart(i)] = start
@@ -411,7 +467,7 @@ def decode_schedule(assignment, instance, program):
     for i in instance.evs:
         charger = None
         for j in instance.chargers:
-            for t in instance.intervals():
+            for t in reach(instance, i)[1]:
                 if values[var_start(i, j, t)] == 1:
                     charger = j
         sessions[i] = (charger, values[var_tstart(i)], values[var_tfinish(i)])

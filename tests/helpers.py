@@ -378,9 +378,9 @@ def desk_configs(count=54):
 def certify_limit_instance():
     """Desk-shaped instance (seed 493) whose b3m2 run at 3% has three points.
 
-    Its endpoint and rectangle searches take at most 31 nodes before its
-    one certification, a single search of 34 nodes, and its standalone
-    solves take 7 and 5.  So under a 32-node limit the run raises in that
+    Its endpoint and rectangle searches take at most 18 nodes before its
+    one certification, a single search of 19 nodes, and its standalone
+    solves take 7 and 5.  So under an 18-node limit the run raises in that
     certification.
     """
     from evshare.scenario import ScenarioConfig, generate_scenario

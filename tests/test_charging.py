@@ -10,6 +10,7 @@ from evshare.charging import (
     ChargingInstance,
     CostError,
     DecodeError,
+    EncodeError,
     InfeasibleError,
     InstanceError,
     Schedule,
@@ -212,9 +213,9 @@ def test_diagnostic_names_the_reference_diagnostics_evs(instance):
 
 
 # sha256 of export_lp for objectives 1 and 2 of the 4x2 desk instance (seed
-# 1005), taken before the builder learned single-renter programs: the
+# 1005), taken once each EV's variables covered only its reach: the
 # two-renter program must not move.
-COLLABORATIVE_LP = "1347f6c77e079563bf3c1edd40b44ccbf2fa23c5e257b0fe93209ada230b2396"
+COLLABORATIVE_LP = "092ac83a3b6289301d6bb7736e750d5f53e642b5fef7b7dcaef57e8264fc7d87"
 
 
 def test_collaborative_program_is_pinned():
@@ -258,6 +259,30 @@ def test_decode_round_trip_from_hand_schedule():
     back = decode_schedule(assignment, inst, prog)
     assert back == schedule
     assert back.sessions["v1"] == ("A", 0, 2)
+
+
+@pytest.mark.parametrize("session, message", [
+    (("A", 0, 2), r"of EV v1 lies outside its window \(1, 4\)"),
+    (("A", 3, 5), r"of EV v1 lies outside its window \(1, 4\)"),
+    (("C", 1, 3), "of EV v1 at charger 'C', which the instance lacks")])
+def test_encode_refuses_a_session_outside_the_reach(session, message):
+    # v1 may charge in intervals 2..4 only: the program declares no start
+    # indicator at interval 1, no end indicator at 5 and nothing at charger C.
+    inst = dataclasses.replace(t1_instance(), window={"v1": (1, 4), "v2": (0, 4)})
+    schedule = dataclasses.replace(
+        shared_at_a_schedule(), sessions={"v1": session, "v2": ("A", 2, 4)})
+    with pytest.raises(EncodeError, match=message):
+        encode_schedule(schedule, inst, build_charging_program(inst))
+
+
+@pytest.mark.parametrize("rentals", [{"A": "k1", "B": "k3"}, {"A": "k1", "C": "k2"}])
+def test_encode_refuses_a_rental_the_program_lacks(rentals):
+    # Written as y_B_k3 or y_C_k2, the rental would be an id no row reads,
+    # and decoding would drop it.
+    inst = t1_instance()
+    schedule = dataclasses.replace(shared_at_a_schedule(), rentals=rentals)
+    with pytest.raises(EncodeError, match="which the instance lacks"):
+        encode_schedule(schedule, inst, build_charging_program(inst))
 
 
 def test_decode_rejects_all_zero_assignment():

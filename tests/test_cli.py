@@ -121,9 +121,9 @@ def test_frontier_node_limit_exits_1(tmp_path, capsys):
     path = tmp_path / "seed493.json"
     path.write_text(instance_to_json(certify_limit_instance()))
     code = run_cli(["frontier", "--instance", str(path), "--method", "b3m2",
-                    "--epsilon", "3", "--node-limit", "32", "--out-dir", str(tmp_path)])
+                    "--epsilon", "3", "--node-limit", "18", "--out-dir", str(tmp_path)])
     assert code == 1
-    assert capsys.readouterr().err == "error: node limit 32 exhausted\n"
+    assert capsys.readouterr().err == "error: node limit 18 exhausted\n"
     assert not list(tmp_path.glob("seed493-*"))
 
 

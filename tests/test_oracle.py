@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
+    InfeasibleError,
     build_charging_program,
     company_cost,
     decode_schedule,
     encode_schedule,
+    infeasibility_diagnostic,
     noncollab_point,
     validate_schedule,
 )
@@ -104,4 +106,53 @@ def test_encode_inverts_decode_on_every_witness(instance):
     witnesses += charging_frontier(instance).values()
     for assignment in witnesses:
         schedule = decode_schedule(assignment, instance, program)
+        assert encode_schedule(schedule, instance, program) == assignment
+
+
+@st.composite
+def reach_edge_instances(draw):
+    """Desk instances of two or three EVs whose windows may touch boundary 0
+    or the horizon, or be empty there or inside it; whose demand may be
+    zero, or a range with lo < hi; and whose rate may be zero at some
+    chargers."""
+    instance = generate_scenario(draw(st.sampled_from(list(desk_configs(3)))))
+    T = instance.horizon
+    window, demand, rate = dict(instance.window), dict(instance.demand), dict(instance.charge_rate)
+    for i in instance.evs:
+        e, l = window[i]
+        window[i] = draw(st.sampled_from(
+            ((e, l), (e, l), (0, l), (e, T), (0, T), (0, 0), (e, e), (T, T))))
+        lo, hi = demand[i]
+        if window[i][0] == window[i][1]:
+            demand[i] = (0, draw(st.sampled_from((0, hi))))
+        else:
+            step = rate[i, instance.chargers[0]]
+            demand[i] = draw(st.sampled_from(
+                ((lo, hi), (lo, hi), (0, 0), (0, hi), (max(lo - step, 0), hi + step))))
+        for j in draw(st.one_of(st.just(()), st.sets(st.sampled_from(instance.chargers)))):
+            rate[i, j] = 0
+    return dataclasses.replace(instance, window=window, demand=demand, charge_rate=rate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reach_edge_instances())
+def test_bbox_matches_the_oracle_at_the_edges_of_the_reach(instance):
+    program = build_charging_program(instance)
+    if infeasibility_diagnostic(instance):
+        with pytest.raises(InfeasibleError):
+            noncollab_point(instance)
+        assert charging_frontier(instance) == {}
+        assert run_method(program, None, "bbox").points == ()
+        return
+    participation = noncollab_point(instance)
+    noncollab = noncollab_costs(instance)
+    assert noncollab == (participation.z1_non, participation.z2_non)
+    exact = charging_frontier(instance, participation=noncollab)
+    bbox = run_method(program, participation, "bbox")
+    assert set(bbox.criterion_points()) == set(exact)
+    for point, assignment in [*bbox.points, *exact.items()]:
+        schedule = decode_schedule(assignment, instance, program)
+        assert validate_schedule(schedule, instance) == []
+        assert (company_cost(schedule, instance, instance.companies[0]),
+                company_cost(schedule, instance, instance.companies[1])) == point.as_tuple()
         assert encode_schedule(schedule, instance, program) == assignment

@@ -360,7 +360,7 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 # Row terms and incidence entries of the compiled programs of the first 12
 # desk instances, with entailed rows and root-fixed variables left out: a
 # change to what the compiled form keeps moves one of them.
-DESK_COMPILED_ENTRIES = {"row_terms": 13478, "incidences": 13478}
+DESK_COMPILED_ENTRIES = {"row_terms": 8964, "incidences": 8964}
 
 
 def test_desk_compiled_entries_are_pinned():
@@ -377,8 +377,8 @@ def test_desk_compiled_entries_are_pinned():
 # (calls, nodes) of each: 36 endpoint searches, 52 lexicographic solves,
 # 2 of them certifications, and no solve_min.  A change to the search
 # tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [0, 0], "lexmin": [52, 925], "lexmin_pair": [36, 2325]},
-              "0f28b05906b65a3cea922f3987f9c9ea7fe526e4420d31a7a32d225189fcc7ee")
+DESK_TREES = ({"solve_min": [0, 0], "lexmin": [52, 439], "lexmin_pair": [36, 843]},
+              "1f6b7ded46cc03c1672010feb755fda24ed52478926547024af10772232e9e1a")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
