@@ -7,13 +7,13 @@ rental fees + energy fees (own tariff at chargers it rents, collaborative
 tariff at chargers the other company rents) + travel cost once per session
 + value-of-time cost for waiting past the earliest start.
 
-The collaborative program (``build_charging_program``) declares each EV's
-interval variables only where its window (e, l) lets them be nonzero, its
+The collaborative program (``build_charging_program``) charges each
+interval on one binary per renting company, so it has no product of
+charging and rental to linearize, and declares each EV's interval
+variables only where its window (e, l) lets them be nonzero, its
 ``reach``: charging in e+1 .. l, a session start in e+1 .. min(l+1, T) and
-a session end in max(e, 1) .. l.  Every feasible point of the full-horizon
-formulation is 0 elsewhere, so the feasible set, the objectives and every
-search's leaves are the same with fewer variables and rows.
-``encode_schedule`` and ``decode_schedule`` read the same reach.
+a session end in max(e, 1) .. l.  ``encode_schedule`` and
+``decode_schedule`` read the same reach.
 
 All money is in integer minor units (0.01 SEK).
 """
@@ -131,10 +131,6 @@ class ChargingInstance:
 
 
 # Variable naming scheme (LP-format safe: no hyphens, no leading digits).
-def var_x(i, j, t):
-    return f"x_{i}_{j}_{t}"
-
-
 def var_start(i, j, t):
     return f"xs_{i}_{j}_{t}"
 
@@ -165,8 +161,8 @@ def var_session(i, j, s, d):
 
 def reach(instance, i):
     """The intervals where EV i's variables can be nonzero, as three ranges:
-    charging (``x`` and ``u``), session start (``xs``) and session end
-    (``xe``).
+    charging (``u``, for every company), session start (``xs``) and
+    session end (``xe``).
 
     For window (e, l) over horizon T the EV charges in e+1 .. l, starts a
     session at e+1 .. min(l+1, T) and ends one at max(e, 1) .. l.  The
@@ -181,23 +177,24 @@ def reach(instance, i):
 def build_charging_program(instance):
     """Build the bi-objective program for a two-company charging instance.
 
-    Variables: x (EV charges at charger in interval), xs/xe (session
-    start/end indicators), y (company rents charger), u = x*y linearized,
+    Variables: y (company rents charger), u (EV charges at charger in
+    interval on company k's rental), xs/xe (session start/end indicators),
     ts/tf (integer start/finish times).  Objective k is company k's cost.
     Each variable's id is built once, in one table per family, and that
     string is the key of its every term; both demand rows share one energy
     expression.
 
-    Each EV's x, u, xs and xe exist only at the intervals of its ``reach``,
-    and every row and objective term reads only those; a neighbour outside
-    the reach counts as 0, and a charger-capacity row no EV reaches is left
-    out.  This is exact: over all intervals, ``ts >= e`` puts the start
-    indicator at e+1 or later, ``tf <= l`` puts the end indicator at l or
-    earlier, charging lies between the two, and a zero-duration session
-    pairs xs at s+1 with xe at s, so every feasible point is 0 outside the
-    reach.  Variables are declared rentals first, then every x, then xs and
-    xe interleaved per (EV, charger, interval), then every u, then ts and
-    tf per EV: the full-horizon order with the unreachable ids left out.
+    "EV i charges at j in interval t" is the sum over k of u_{i,j,t,k}.
+    One charger-capacity row per (charger, interval, company) bounds the EVs
+    charging on k's rental by y_{j,k}, and rental-exclusive leaves a charger
+    one renter, so the sum is 0/1 and each u is the product of charging and
+    rental without a linearization.  Each EV's u, xs and xe exist only at
+    the intervals of its ``reach``; a neighbour outside it counts as 0, and
+    a charger-capacity row no EV reaches is left out.  This is exact:
+    ``ts >= e`` puts the start indicator at e+1 or later, ``tf <= l`` the
+    end indicator at l or earlier, charging lies between the two, and a
+    zero-duration session pairs xs at s+1 with xe at s.  Variables are
+    declared rentals, u, xs and xe interleaved, then ts and tf.
 
     The builder is total: demand/window conflicts build fine and surface as
     infeasibility at solve time (see infeasibility_diagnostic).
@@ -207,34 +204,37 @@ def build_charging_program(instance):
     reaches = {i: reach(ins, i) for i in ins.evs}
     pairs = [(i, j) for i in ins.evs for j in ins.chargers]
     y = {(j, k): var_rent(j, k) for j in ins.chargers for k in ins.companies}
-    x = {(i, j, t): var_x(i, j, t) for i, j in pairs for t in reaches[i][0]}
+    u = {(i, j, t, k): var_both(i, j, t, k)
+         for i, j in pairs for t in reaches[i][0] for k in ins.companies}
     xs = {(i, j, t): var_start(i, j, t) for i, j in pairs for t in reaches[i][1]}
     xe = {(i, j, t): var_end(i, j, t) for i, j in pairs for t in reaches[i][2]}
-    u = {(*s, k): var_both(*s, k) for s in x for k in ins.companies}
     ts = {i: var_tstart(i) for i in ins.evs}
     tf = {i: var_tfinish(i) for i in ins.evs}
 
+    def charges(i, j, t, c):  # "EV i charges at j in t" times c; {} outside the reach
+        return {u[i, j, t, k]: c for k in ins.companies if (i, j, t, k) in u}
+
     # Declaration order doubles as the solver's branching order: rentals
     # first, then each EV's interval pattern; everything after is forced by
-    # propagation once x and y are fixed.
-    variables = [binary(vid) for vid in (*y.values(), *x.values())]
+    # propagation once u and y are fixed.
+    variables = [binary(vid) for vid in (*y.values(), *u.values())]
     variables += [binary(table[i, j, t]) for i, j in pairs for t in ins.intervals()
                   for table in (xs, xe) if (i, j, t) in table]
-    variables += [binary(vid) for vid in u.values()]
     for i in ins.evs:
         variables += [integer(ts[i], 0, T - 1), integer(tf[i], 1, T)]
 
     constraints = []
     add = constraints.append
-    for i, j, t in x:
-        # Start indicator covers every 0->1 transition of x.
-        prev = {x[i, j, t - 1]: 1} if (i, j, t - 1) in x else {}
-        add(Constraint(expr({xs[i, j, t]: 1, x[i, j, t]: -1, **prev}),
-                       ">=", 0, f"start-indicator:{i}:{j}:{t}"))
-        # End indicator covers every 1->0 transition.
-        nxt = {x[i, j, t + 1]: 1} if (i, j, t + 1) in x else {}
-        add(Constraint(expr({xe[i, j, t]: 1, x[i, j, t]: -1, **nxt}),
-                       ">=", 0, f"end-indicator:{i}:{j}:{t}"))
+    for i, j in pairs:
+        for t in reaches[i][0]:
+            # Start indicator covers every 0->1 transition of the charging.
+            add(Constraint(expr({xs[i, j, t]: 1, **charges(i, j, t, -1),
+                                 **charges(i, j, t - 1, 1)}),
+                           ">=", 0, f"start-indicator:{i}:{j}:{t}"))
+            # End indicator covers every 1->0 transition.
+            add(Constraint(expr({xe[i, j, t]: 1, **charges(i, j, t, -1),
+                                 **charges(i, j, t + 1, 1)}),
+                           ">=", 0, f"end-indicator:{i}:{j}:{t}"))
 
     for i in ins.evs:
         _, starts, ends = reaches[i]
@@ -250,9 +250,11 @@ def build_charging_program(instance):
 
     for j in ins.chargers:
         for t in ins.intervals():
-            users = {x[i, j, t]: 1 for i in ins.evs if (i, j, t) in x}
-            if users:
-                add(Constraint(expr(users), "<=", 1, f"charger-capacity:{j}:{t}"))
+            for k in ins.companies:
+                users = {u[i, j, t, k]: 1 for i in ins.evs if (i, j, t, k) in u}
+                if users:
+                    add(Constraint(expr({**users, y[j, k]: -1}), "<=", 0,
+                                   f"charger-capacity:{j}:{t}:{k}"))
 
     for i in ins.evs:
         charging, starts, ends = reaches[i]
@@ -263,35 +265,27 @@ def build_charging_program(instance):
         add(Constraint(expr({tf[i]: 1,
                              **{xe[i, j, t]: -t for j in ins.chargers for t in ends}}),
                        "=", 0, f"finish-time:{i}"))
-        terms = {x[i, j, t]: 1 for j in ins.chargers for t in charging}
+        terms = {vid: 1 for j in ins.chargers for t in charging for vid in charges(i, j, t, 1)}
         terms[tf[i]] = -1
         terms[ts[i]] = 1
         add(Constraint(expr(terms), "=", 0, f"duration:{i}"))
+        # The reach implies both window rows, but propagation does not:
+        # start-time's minimum activity takes every xs at 0, so without them
+        # ts and tf keep their declared bounds and the waiting cost and the
+        # duration row bound the search far more loosely (several times the
+        # nodes, same outcomes).
         e, l = ins.window[i]
         add(Constraint(expr({ts[i]: 1}), ">=", e, f"time-window-start:{i}"))
         add(Constraint(expr({tf[i]: 1}), "<=", l, f"time-window-end:{i}"))
         lo, hi = ins.demand[i]
-        energy = expr({x[i, j, t]: ins.charge_rate[i, j] for j in ins.chargers for t in charging})
+        energy = expr({vid: ins.charge_rate[i, j] for j in ins.chargers for t in charging
+                       for vid in charges(i, j, t, 1)})
         add(Constraint(energy, ">=", lo, f"demand-lower:{i}"))
         add(Constraint(energy, "<=", hi, f"demand-upper:{i}"))
 
     for j in ins.chargers:
         add(Constraint(expr({y[j, k]: 1 for k in ins.companies}),
                        "<=", 1, f"rental-exclusive:{j}"))
-        for i in ins.evs:
-            for t in reaches[i][0]:
-                add(Constraint(expr({x[i, j, t]: 1, **{y[j, k]: -1 for k in ins.companies}}),
-                               "<=", 0, f"rented-only:{i}:{j}:{t}"))
-
-    for i, j, t in x:
-        for k in ins.companies:
-            both = u[i, j, t, k]
-            add(Constraint(expr({both: 1, x[i, j, t]: -1}), "<=", 0,
-                           f"product-le-x:{i}:{j}:{t}:{k}"))
-            add(Constraint(expr({both: 1, y[j, k]: -1}), "<=", 0,
-                           f"product-le-y:{i}:{j}:{t}:{k}"))
-            add(Constraint(expr({both: 1, x[i, j, t]: -1, y[j, k]: -1}), ">=", -1,
-                           f"product-lb:{i}:{j}:{t}:{k}"))
 
     objectives = []
     for k in ins.companies:
@@ -424,7 +418,8 @@ def encode_schedule(schedule, instance, program):
 
     Raises EncodeError for what the program has no variables for: a rental
     of an unknown charger or by an unknown company, a session at an
-    unknown charger, or one starting or ending outside its EV's ``reach``.
+    unknown charger, one starting or ending outside its EV's ``reach``, or
+    one that charges at a charger nobody rents.
     """
     values = {v.id: 0 for v in program.variables}
     for j, k in schedule.rentals.items():
@@ -440,15 +435,15 @@ def encode_schedule(schedule, instance, program):
         if start + 1 not in starts or finish not in ends:
             raise EncodeError(f"session {(j, start, finish)} of EV {i} lies outside "
                               f"its window {instance.window[i]}")
+        renter = schedule.rentals.get(j)
+        if finish > start and renter is None:
+            raise EncodeError(f"session of EV {i} charges at charger {j!r}, which nobody rents")
         values[var_start(i, j, start + 1)] = 1
         values[var_end(i, j, finish)] = 1
         values[var_tstart(i)] = start
         values[var_tfinish(i)] = finish
-        renter = schedule.rentals.get(j)
         for t in range(start + 1, finish + 1):
-            values[var_x(i, j, t)] = 1
-            if renter is not None:
-                values[var_both(i, j, t, renter)] = 1
+            values[var_both(i, j, t, renter)] = 1
     return core.Assignment(values)
 
 

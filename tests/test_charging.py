@@ -59,13 +59,15 @@ def test_t1_program_variable_counts():
     by_prefix = {}
     for v in prog.variables:
         by_prefix[v.id.split("_")[0]] = by_prefix.get(v.id.split("_")[0], 0) + 1
-    assert by_prefix["x"] == 16
+    assert "x" not in by_prefix
     assert by_prefix["xs"] == 16
     assert by_prefix["xe"] == 16
     assert by_prefix["y"] == 4
     assert by_prefix["u"] == 32
     assert by_prefix["ts"] + by_prefix["tf"] == 4
-    assert len(prog.variables) == 88
+    assert len(prog.variables) == 72
+    assert not [con.name for con in prog.constraints
+                if con.name.startswith(("rented-only:", "product-"))]
 
 
 def test_build_is_deterministic():
@@ -213,9 +215,9 @@ def test_diagnostic_names_the_reference_diagnostics_evs(instance):
 
 
 # sha256 of export_lp for objectives 1 and 2 of the 4x2 desk instance (seed
-# 1005), taken once each EV's variables covered only its reach: the
+# 1005), taken once the charging variables were split per renter: the
 # two-renter program must not move.
-COLLABORATIVE_LP = "092ac83a3b6289301d6bb7736e750d5f53e642b5fef7b7dcaef57e8264fc7d87"
+COLLABORATIVE_LP = "ec80cb541ecd2c0767e64ce6b02da880791567c68d7ae5333079f0c9060dbc03"
 
 
 def test_collaborative_program_is_pinned():
@@ -264,10 +266,12 @@ def test_decode_round_trip_from_hand_schedule():
 @pytest.mark.parametrize("session, message", [
     (("A", 0, 2), r"of EV v1 lies outside its window \(1, 4\)"),
     (("A", 3, 5), r"of EV v1 lies outside its window \(1, 4\)"),
-    (("C", 1, 3), "of EV v1 at charger 'C', which the instance lacks")])
+    (("C", 1, 3), "of EV v1 at charger 'C', which the instance lacks"),
+    (("B", 1, 3), "of EV v1 charges at charger 'B', which nobody rents")])
 def test_encode_refuses_a_session_outside_the_reach(session, message):
     # v1 may charge in intervals 2..4 only: the program declares no start
     # indicator at interval 1, no end indicator at 5 and nothing at charger C.
+    # Charging at B, which nobody rents, has no u_{v1,B,t,k} to set.
     inst = dataclasses.replace(t1_instance(), window={"v1": (1, 4), "v2": (0, 4)})
     schedule = dataclasses.replace(
         shared_at_a_schedule(), sessions={"v1": session, "v2": ("A", 2, 4)})
@@ -365,17 +369,19 @@ def test_objectives_agree_with_decoded_cost_on_optima():
             prog.objective(other_index), out.assignment)
 
 
-def test_product_variables_track_their_factors():
+def test_charging_variables_follow_the_rental():
+    # u_{i,j,t,k} is 1 only where k rents j, and at most one company's u
+    # is 1 per (EV, charger, interval): their sum is the charging decision.
     inst = t1_instance()
     prog = build_charging_program(inst)
-    out = solve_min(prog, 1)
-    values = out.assignment.values
-    for i in inst.evs:
-        for j in inst.chargers:
-            for t in inst.intervals():
-                for k in inst.companies:
-                    assert values[f"u_{i}_{j}_{t}_{k}"] == (
-                        values[f"x_{i}_{j}_{t}"] * values[f"y_{j}_{k}"])
+    for index in (1, 2):
+        values = solve_min(prog, index).assignment.values
+        for i in inst.evs:
+            for j in inst.chargers:
+                for t in inst.intervals():
+                    on = [values[f"u_{i}_{j}_{t}_{k}"] for k in inst.companies]
+                    assert sum(on) <= 1
+                    assert all(u <= values[var_rent(j, k)] for u, k in zip(on, inst.companies))
 
 
 def test_standalone_instance_keeps_only_own_fleet():

@@ -515,7 +515,7 @@ def test_import_solution_rejects_invalid_listing(t1_file, tmp_path, capsys):
     prog = build_charging_program(t1_instance())
     values = dict(solve_min(prog, 1).assignment.values)
     active = next(vid for vid, val in values.items()
-                  if vid.startswith("x_") and val == 1)
+                  if vid.startswith("u_") and val == 1)
     values[active] = 0
     listing = tmp_path / "solution.txt"
     listing.write_text("\n".join(f"{vid} {val}" for vid, val in sorted(values.items())))
@@ -536,7 +536,7 @@ def test_import_solution_refuses_a_repeated_variable(t1_file, tmp_path, capsys):
 
 def test_import_solution_rejects_partial_listing(t1_file, tmp_path, capsys):
     listing = tmp_path / "solution.txt"
-    listing.write_text("x_v1_A_1 1")  # most variables missing
+    listing.write_text("u_v1_A_1_k1 1")  # most variables missing
     code = run_cli(["import-solution", "--instance", t1_file,
                     "--solution", str(listing)])
     assert code == 1
@@ -546,7 +546,7 @@ def test_import_solution_rejects_partial_listing(t1_file, tmp_path, capsys):
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
 def test_import_solution_rejects_non_finite_values(t1_file, tmp_path, capsys, raw):
     listing = tmp_path / "solution.txt"
-    listing.write_text(f"x_v1_A_1 {raw}")
+    listing.write_text(f"u_v1_A_1_k1 {raw}")
     code = run_cli(["import-solution", "--instance", t1_file,
                     "--solution", str(listing)])
     assert code == 1

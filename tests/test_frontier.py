@@ -403,7 +403,7 @@ def test_b3m1_requeues_the_top_part_above_a_pruned_point():
 # what a run returns, not how its searches get there, so it holds for any
 # search boxes that are exact.  DESK_CALLS pins each method's solver calls
 # over the same runs apart from it.
-DESK_OUTCOMES = "fff6b2f89ff7817283e572fa228457f304aefae6365b4faf8be6523b39f6297e"
+DESK_OUTCOMES = "5c3598414cb6794e8246e6747e7df1ef21444a3b5a01599de1b428421ae8ba90"
 DESK_CALLS = {"bbox": 30, "b3m1": 30, "b3m2": 28}
 
 

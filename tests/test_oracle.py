@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from evshare.charging import (
     InfeasibleError,
+    Schedule,
     build_charging_program,
     company_cost,
     decode_schedule,
@@ -13,12 +14,14 @@ from evshare.charging import (
     noncollab_point,
     validate_schedule,
 )
-from evshare.core import CriterionPoint
+from evshare.core import CriterionPoint, check_assignment, criterion_point
 from evshare.frontier import run_method
 from evshare.oracle import (
     BudgetExceeded,
     OracleBudget,
     OracleError,
+    _enumerate_schedules,
+    _search_space,
     charging_frontier,
     noncollab_costs,
     standalone_minimum,
@@ -107,6 +110,29 @@ def test_encode_inverts_decode_on_every_witness(instance):
     for assignment in witnesses:
         schedule = decode_schedule(assignment, instance, program)
         assert encode_schedule(schedule, instance, program) == assignment
+
+
+@pytest.mark.parametrize("instance", [
+    t1_instance(),
+    dataclasses.replace(t1_instance(), demand={"v1": (10, 10), "v2": (0, 0)}),
+    *map(generate_scenario, desk_configs(12))])
+def test_every_enumerated_schedule_is_a_program_point(instance):
+    # Witness checks show that the program's points are schedules; this is
+    # the other half: every schedule the enumeration reaches, off the
+    # frontier too, is a feasible assignment at the companies' costs.
+    program = build_charging_program(instance)
+    options, patterns = _search_space(instance, instance.companies, OracleBudget())
+    k1, k2 = instance.companies
+
+    def visit(rentals, placements):
+        schedule = Schedule.from_sessions(
+            instance, rentals, {i: (j, s, s + d) for i, (j, s, d) in placements.items()})
+        assignment = encode_schedule(schedule, instance, program)
+        assert check_assignment(program, assignment) == []
+        assert criterion_point(program, assignment).as_tuple() == (
+            company_cost(schedule, instance, k1), company_cost(schedule, instance, k2))
+
+    _enumerate_schedules(instance, options, patterns, visit)
 
 
 @st.composite

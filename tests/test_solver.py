@@ -360,7 +360,7 @@ def test_compiled_rows_hold_the_unfixed_terms_by_span(prog):
 # Row terms and incidence entries of the compiled programs of the first 12
 # desk instances, with entailed rows and root-fixed variables left out: a
 # change to what the compiled form keeps moves one of them.
-DESK_COMPILED_ENTRIES = {"row_terms": 8964, "incidences": 8964}
+DESK_COMPILED_ENTRIES = {"row_terms": 7762, "incidences": 7762}
 
 
 def test_desk_compiled_entries_are_pinned():
@@ -377,8 +377,8 @@ def test_desk_compiled_entries_are_pinned():
 # (calls, nodes) of each: 36 endpoint searches, 52 lexicographic solves,
 # 2 of them certifications, and no solve_min.  A change to the search
 # tree, its value or its tie-breaks changes it.
-DESK_TREES = ({"solve_min": [0, 0], "lexmin": [52, 439], "lexmin_pair": [36, 843]},
-              "1f6b7ded46cc03c1672010feb755fda24ed52478926547024af10772232e9e1a")
+DESK_TREES = ({"solve_min": [0, 0], "lexmin": [52, 430], "lexmin_pair": [36, 843]},
+              "e10e0d6b09ad42cd1a616366434303e042aec2f71d5a731d883f21c2c31f6d1b")
 
 
 def test_desk_search_trees_are_pinned(monkeypatch):
