@@ -48,7 +48,7 @@ for j in inst.chargers:
 for i in inst.evs:
     j, start, finish = schedule.sessions[i]
     print(f"  {i}: charger {j}, occupies intervals ({start}, {finish}], "
-          f"energy {schedule.energy[i]}")
+          f"energy {inst.charge_rate[i, j] * (finish - start)}")
 
 violations = validate_schedule(schedule, inst)
 print(f"independent validation: {violations if violations else 'no violations'}")

@@ -133,6 +133,8 @@ def _integer_root(value, degree):
         return None
     if value in (0, 1) or degree == 1:
         return value
+    if value.bit_length() <= degree:   # then value < 2**degree: no root >= 2
+        return None
     low, high = 0, 1 << (value.bit_length() // degree + 1)
     while low < high:
         mid = (low + high + 1) // 2

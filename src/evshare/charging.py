@@ -395,19 +395,10 @@ class Schedule:
     rentals: charger -> company id or None.
     sessions: ev -> (charger, start, finish) with start/finish on the
       interval-boundary scale, occupying intervals start+1 .. finish.
-    energy: ev -> energy units delivered.
     """
 
     rentals: dict
     sessions: dict
-    energy: dict
-
-    @classmethod
-    def from_sessions(cls, instance, rentals, sessions):
-        """The Schedule whose energy follows from its sessions."""
-        energy = {i: instance.charge_rate.get((i, j), 0) * max(finish - start, 0)
-                  for i, (j, start, finish) in sessions.items()}
-        return cls(rentals, sessions, energy)
 
 
 def encode_schedule(schedule, instance, program):
@@ -466,7 +457,7 @@ def decode_schedule(assignment, instance, program):
                 if values[var_start(i, j, t)] == 1:
                     charger = j
         sessions[i] = (charger, values[var_tstart(i)], values[var_tfinish(i)])
-    return Schedule.from_sessions(instance, rentals, sessions)
+    return Schedule(rentals, sessions)
 
 
 def validate_schedule(schedule, instance):
@@ -617,15 +608,14 @@ def instance_from_json(text):
 
 
 def schedule_to_dict(schedule, instance):
+    sessions = [(i, *schedule.sessions[i]) for i in instance.evs]
     return {
         "instance": instance.name,
         "rentals": {j: schedule.rentals.get(j) for j in instance.chargers},
-        "sessions": [
-            {"ev": i, "charger": schedule.sessions[i][0],
-             "start": schedule.sessions[i][1], "end": schedule.sessions[i][2]}
-            for i in instance.evs
-        ],
-        "energy": {i: schedule.energy.get(i, 0) for i in instance.evs},
+        "sessions": [{"ev": i, "charger": j, "start": start, "end": finish}
+                     for i, j, start, finish in sessions],
+        "energy": {i: instance.charge_rate.get((i, j), 0) * max(finish - start, 0)
+                   for i, j, start, finish in sessions},
         "costs": {k: company_cost(schedule, instance, k) for k in instance.companies},
     }
 
@@ -652,7 +642,7 @@ def schedule_from_dict(data, instance):
         if j not in instance.chargers:
             raise InstanceError(f"rental of charger {j!r}, which the instance lacks")
     rentals = {j: data["rentals"].get(j) for j in instance.chargers}
-    return Schedule.from_sessions(instance, rentals, sessions)
+    return Schedule(rentals, sessions)
 
 
 def schedule_from_json(text, instance):

@@ -49,7 +49,10 @@ class CliError(EvshareError):
 
 def _read(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError:
+            raise CliError(f"not UTF-8 text: {path}") from None
 
 
 def _write(path, text):
@@ -277,8 +280,8 @@ def _cmd_oracle(args):
     exact = _oracle.charging_frontier(instance, participation=noncollab,
                                       budget=budget)
     ordered = tuple(sorted(exact.items(), key=lambda item: item[0].as_tuple()))
-    result = _frontier.FrontierResult("oracle", Fraction(0), ordered, solver_calls=0,
-                                      wall_time=0.0, rectangles_processed=0)
+    result = _frontier.FrontierResult("oracle", Fraction(0), ordered, wall_time=0.0,
+                                      rectangles_processed=0)
 
     base = os.path.join(out_dir, f"{_stem(args.instance)}-oracle")
     csv_path = f"{base}.csv"

@@ -32,30 +32,26 @@ SENSES = ("<=", "=", ">=")
 
 @dataclass(frozen=True)
 class Variable:
-    """An integer decision variable. kind is 'binary' or 'integer'."""
+    """An integer decision variable with inclusive bounds; binary exactly
+    when its bounds are [0, 1]."""
 
     id: str
-    kind: str
     lower: int
     upper: int
 
     def __post_init__(self):
-        if self.kind not in ("binary", "integer"):
-            raise ProgramError(f"unknown variable kind {self.kind!r} for {self.id}")
         if not (isinstance(self.lower, int) and isinstance(self.upper, int)):
             raise ProgramError(f"variable {self.id}: non-integer bounds {self.lower!r}, {self.upper!r}")
         if self.lower > self.upper:
             raise ProgramError(f"variable {self.id}: lower {self.lower} > upper {self.upper}")
-        if self.kind == "binary" and (self.lower, self.upper) != (0, 1):
-            raise ProgramError(f"binary variable {self.id} must have bounds [0, 1]")
 
 
 def binary(vid):
-    return Variable(vid, "binary", 0, 1)
+    return Variable(vid, 0, 1)
 
 
 def integer(vid, lower, upper):
-    return Variable(vid, "integer", lower, upper)
+    return Variable(vid, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,8 @@ class Assignment:
     values: dict
 
     def rendering(self):
-        """Canonical sorted (id, value) tuple; the tie-break key for duplicates."""
+        """The values as (id, value) pairs sorted by id: the order the CLI
+        writes them in, and a hashable form to compare or digest."""
         return tuple(sorted(self.values.items()))
 
 

@@ -35,6 +35,13 @@ of the box the candidate was found in.  A box so cut loses only leaves
 that cannot be its search's optimum, so every search returns the status,
 point and witness it returned with the known points included, in no more
 nodes.  A box left empty is not searched at all.
+
+One witness rule holds for every method, at every tolerance and under any
+caps: each recorded point's witness is the lexicographically least feasible
+assignment that attains it, in declaration order with lower values first.
+Every search branches on the first unfixed variable, lower value first, and
+keeps the first optimal leaf it reaches.  The oracle's witnesses follow a
+different order: each is the first schedule its enumeration reaches.
 """
 
 import csv
@@ -102,21 +109,26 @@ class FrontierResult:
 
     ``points`` is a tuple of (CriterionPoint, Assignment) pairs sorted by
     ascending z1.  ``epsilon`` is the tolerance as a percentage (exact
-    Fraction).  ``nodes`` sums the branch-and-bound nodes of every solve the
-    run made, endpoint and certification solves included.  ``searches``
-    maps each search kind of ``SEARCH_KINDS`` to its (solver calls, nodes):
-    the one endpoint search, the rectangles' bottom and top searches and
-    b3m2's certifications.  They sum to ``solver_calls`` and ``nodes``.
+    Fraction).  ``searches`` maps each search kind of ``SEARCH_KINDS`` to
+    its (solver calls, nodes): the one endpoint search, the rectangles'
+    bottom and top searches and b3m2's certifications.  ``solver_calls``
+    and ``nodes`` are their sums over every search the run made.
     """
 
     method: str
     epsilon: Fraction
     points: tuple
-    solver_calls: int
     wall_time: float
     rectangles_processed: int
-    nodes: int = 0
     searches: dict = field(default_factory=dict)
+
+    @property
+    def solver_calls(self):
+        return sum(calls for calls, _ in self.searches.values())
+
+    @property
+    def nodes(self):
+        return sum(nodes for _, nodes in self.searches.values())
 
     @property
     def status(self):
@@ -379,9 +391,8 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
         _run_rectangles(method, run, margins, z_top, z_bottom)
 
     ordered = tuple(sorted(run.recorded.items(), key=lambda item: item[0].as_tuple()))
-    calls, nodes = (sum(counts) for counts in zip(*run.searches.values()))
-    return FrontierResult(method, eps_pct, ordered, calls, time.perf_counter() - start,
-                          run.rectangles, nodes,
+    return FrontierResult(method, eps_pct, ordered, time.perf_counter() - start,
+                          run.rectangles,
                           {kind: tuple(counts) for kind, counts in run.searches.items()})
 
 

@@ -158,7 +158,7 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
     for point, (rentals, sessions) in first.items():
         if point not in frontier:
             continue
-        schedule = charging.Schedule.from_sessions(instance, rentals, sessions)
+        schedule = charging.Schedule(rentals, sessions)
         assignment = charging.encode_schedule(schedule, instance, program)
         bad = core.check_assignment(program, assignment)
         if bad:

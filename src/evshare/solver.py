@@ -129,7 +129,7 @@ class LexOutcome:
     assignment: Assignment
     point: CriterionPoint
     nodes_explored: int
-    solves: int = 0           # branch-and-bound searches performed: one
+    solves = 1                # branch-and-bound searches performed: always one
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class LexPairOutcome:
     top: tuple                # (point, assignment) of the (z1, z2) minimum, when optimal
     bottom: tuple             # (point, assignment) of the (z2, z1) minimum, when optimal
     nodes_explored: int
-    solves: int = 1           # branch-and-bound searches performed: one
+    solves = 1                # branch-and-bound searches performed: always one
 
 
 # Objective bounds that leave both objectives unrestricted.
@@ -596,9 +596,9 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
     """
     out, = _minimize(program, bounds, (_lexicographic_objective(program, order),), config)
     if out.status == "infeasible":
-        return LexOutcome("infeasible", None, None, out.nodes_explored, 1)
+        return LexOutcome("infeasible", None, None, out.nodes_explored)
     point = criterion_point(program, out.assignment)
-    return LexOutcome("optimal", out.assignment, point, out.nodes_explored, 1)
+    return LexOutcome("optimal", out.assignment, point, out.nodes_explored)
 
 
 def lexmin_pair(program, bounds=OPEN, config=SolverConfig()):
@@ -646,7 +646,9 @@ def _lp_terms(expression):
 
 
 def export_lp(program, objective_index):
-    """Render one objective's ILP in the industry LP text format."""
+    """Render one objective's ILP in the industry LP text format.  A
+    variable with bounds [0, 1] is listed under Binaries, any other under
+    Bounds and Generals."""
     objective = program.objective(objective_index)
     lines = ["Minimize"]
     obj_terms = _lp_terms(objective)
@@ -659,21 +661,20 @@ def export_lp(program, objective_index):
         label = re.sub(r"[^A-Za-z0-9_]", "_", con.name) if con.name else "row"
         rhs = con.rhs - con.expression.constant
         lines.append(f" c{idx}_{label}: {_lp_terms(con.expression)} {con.sense} {rhs}")
-    binaries = [v.id for v in program.variables if v.kind == "binary"]
-    generals = [v.id for v in program.variables if v.kind != "binary"]
+    binaries = [v for v in program.variables if (v.lower, v.upper) == (0, 1)]
+    generals = [v for v in program.variables if (v.lower, v.upper) != (0, 1)]
     if generals:
         lines.append("Bounds")
-        for v in program.variables:
-            if v.kind != "binary":
-                lines.append(f" {v.lower} <= {_lp_name(v.id)} <= {v.upper}")
+        for v in generals:
+            lines.append(f" {v.lower} <= {_lp_name(v.id)} <= {v.upper}")
     if binaries:
         lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {_lp_name(name)}")
+        for v in binaries:
+            lines.append(f" {_lp_name(v.id)}")
     if generals:
         lines.append("Generals")
-        for name in generals:
-            lines.append(f" {_lp_name(name)}")
+        for v in generals:
+            lines.append(f" {_lp_name(v.id)}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

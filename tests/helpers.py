@@ -18,7 +18,6 @@ from evshare.core import (
     Constraint,
     CriterionPoint,
     LinearExpression,
-    Variable,
     binary,
     check_assignment,
     evaluate,
@@ -35,7 +34,7 @@ def make_point_program(points):
     solver behavior be checked against plain set arithmetic.
     """
     points = [CriterionPoint(*p) if isinstance(p, tuple) else p for p in points]
-    variables = tuple(Variable(f"s{i}", "binary", 0, 1) for i in range(len(points)))
+    variables = tuple(binary(f"s{i}") for i in range(len(points)))
     one_hot = Constraint(
         LinearExpression({v.id: 1 for v in variables}, 0), "=", 1, "pick-one")
     objective1 = LinearExpression(
@@ -343,7 +342,7 @@ def two_search_endpoints(prog, bounds=((None, None), (None, None))):
 
 def infeasible_program():
     """One binary forced both up and down."""
-    x = Variable("x", "binary", 0, 1)
+    x = binary("x")
     up = Constraint(LinearExpression({"x": 1}, 0), ">=", 2, "force-up")
     return BiObjectiveProgram(
         (x,), (up,), LinearExpression({"x": 1}, 0), LinearExpression({"x": 1}, 0))

@@ -7,6 +7,7 @@ from evshare.bargaining import (
     INFINITY,
     BargainError,
     ReferencePoints,
+    _integer_root,
     distance_select,
     gnb_select,
     power_sum,
@@ -142,6 +143,21 @@ def test_power_sum_falls_back_to_float_when_roots_are_irrational():
     got = power_sum((F(1, 2),), F(3, 2))
     assert isinstance(got, float)
     assert got == pytest.approx(0.5 ** 1.5)
+
+
+def test_power_sum_at_a_tiny_alpha_answers_at_once():
+    # 2 has no integer root of degree 10**12; finding that must not compute
+    # 2 to the power 10**12.
+    got = power_sum((F(1, 2),), F(1, 10**12))
+    assert isinstance(got, float)
+    assert got == pytest.approx(0.5 ** 1e-12)
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=12))
+def test_integer_root_finds_exactly_the_perfect_powers(root, degree):
+    assert _integer_root(root ** degree, degree) == root
+    if root > 0 and degree > 1:
+        assert _integer_root(root ** degree + 1, degree) is None
 
 
 def test_power_sum_rejects_bad_alpha():

@@ -50,7 +50,6 @@ def shared_at_a_schedule():
     return Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("A", 2, 4)},
-        energy={"v1": 10, "v2": 10},
     )
 
 
@@ -171,9 +170,8 @@ def test_standalone_program_has_one_renter_and_no_products():
     out = solve_min(prog, 2)
     values = out.assignment.values
     chosen = [sessions[vid] for vid in sessions if values[vid] == 1]
-    schedule = Schedule.from_sessions(
-        sub, {j: "k2" if values[var_rent(j, "k2")] else None for j in sub.chargers},
-        {i: (j, s, s + d) for i, (j, s, d) in chosen})
+    schedule = Schedule({j: "k2" if values[var_rent(j, "k2")] else None for j in sub.chargers},
+                        {i: (j, s, s + d) for i, (j, s, d) in chosen})
     assert validate_schedule(schedule, sub) == []
     assert company_cost(schedule, sub, "k2") == out.value == 2100
 
@@ -303,7 +301,6 @@ def test_validate_flags_capacity_clash():
     schedule = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 1, 3), "v2": ("A", 2, 4)},
-        energy={"v1": 10, "v2": 10},
     )
     assert validate_schedule(schedule, inst) == ["charger-capacity: charger A, interval 3"]
 
@@ -314,7 +311,6 @@ def test_validate_flags_window_violation():
     schedule = Schedule(
         rentals={"A": "k1", "B": "k2"},
         sessions={"v1": ("A", 1, 3), "v2": ("B", 0, 2)},
-        energy={"v1": 10, "v2": 10},
     )
     assert validate_schedule(schedule, late) == ["time-window: v1"]
 
@@ -324,7 +320,6 @@ def test_validate_flags_unrented_and_demand():
     schedule = Schedule(
         rentals={"A": None, "B": None},
         sessions={"v1": ("A", 0, 1), "v2": ("B", 0, 2)},
-        energy={"v1": 5, "v2": 10},
     )
     got = validate_schedule(schedule, inst)
     assert "demand: v1" in got
@@ -337,7 +332,6 @@ def test_validate_flags_unknown_renter_missing_and_out_of_horizon_sessions():
     schedule = Schedule(
         rentals={"A": "k3", "B": "k2"},
         sessions={"v1": ("A", 2, 5)},
-        energy={"v1": 10},
     )
     assert validate_schedule(schedule, inst) == [
         "rental-exclusive: charger A", "session-bounds: v1", "missing-session: v2"]
@@ -348,7 +342,6 @@ def test_company_cost_refuses_a_session_at_an_unrented_charger():
     schedule = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
-        energy={"v1": 10, "v2": 10},
     )
     assert company_cost(schedule, inst, "k1") > 0
     with pytest.raises(CostError, match="EV v2 charges at unrented charger B"):

@@ -560,7 +560,6 @@ def test_validate_schedule_paths(t1_file, tmp_path, capsys):
     good = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 0, 2), "v2": ("A", 2, 4)},
-        energy={"v1": 10, "v2": 10},
     )
     good_path = tmp_path / "good.json"
     good_path.write_text(schedule_to_json(good, inst))
@@ -571,7 +570,6 @@ def test_validate_schedule_paths(t1_file, tmp_path, capsys):
     clash = Schedule(
         rentals={"A": "k1", "B": None},
         sessions={"v1": ("A", 1, 3), "v2": ("A", 2, 4)},
-        energy={"v1": 10, "v2": 10},
     )
     clash_path = tmp_path / "clash.json"
     clash_path.write_text(schedule_to_json(clash, inst))
@@ -671,8 +669,7 @@ def test_malformed_frontier_csv_exits_1(t1_file, tmp_path, capsys):
 
 def test_malformed_schedule_file_exits_1(t1_file, tmp_path, capsys):
     schedule = Schedule(rentals={"A": "k1", "B": "k2"},
-                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
-                        energy={"v1": 10, "v2": 10})
+                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)})
     data = json.loads(schedule_to_json(schedule, t1_instance()))
     data["sessions"][0]["start"] = 0.5
     bad = tmp_path / "bad-schedule.json"
@@ -692,8 +689,7 @@ def test_schedule_file_that_hides_a_session_exits_1(edit, name, t1_file, tmp_pat
     # Without the edit the schedule is valid; with it the file holds a row
     # that an EV-keyed or charger-keyed reading would drop unseen.
     schedule = Schedule(rentals={"A": "k1", "B": "k2"},
-                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)},
-                        energy={"v1": 10, "v2": 10})
+                        sessions={"v1": ("A", 0, 2), "v2": ("B", 0, 2)})
     data = json.loads(schedule_to_json(schedule, t1_instance()))
     edit(data)
     bad = tmp_path / "bad-schedule.json"
@@ -712,12 +708,14 @@ GENERATE = ["generate", "--ev-dist", "uniform", "--charger-layout", "uniform",
 @pytest.fixture
 def bad_paths(tmp_path, t1_file):
     """Whole-argument stand-ins: a regular file, a directory, a path below
-    the regular file, a writable directory and the T1 instance."""
+    the regular file, a writable directory, the T1 instance and a file that
+    is not UTF-8."""
     (tmp_path / "a-file").write_text("")
     (tmp_path / "a-dir").mkdir()
+    (tmp_path / "utf16.txt").write_bytes(b"\xff\xfe{\x00}\x00")
     return {"FILE": str(tmp_path / "a-file"), "DIR": str(tmp_path / "a-dir"),
             "FILE/x": str(tmp_path / "a-file" / "x"), "OUT": str(tmp_path / "out"),
-            "T1": t1_file}
+            "T1": t1_file, "UTF16": str(tmp_path / "utf16.txt")}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -728,9 +726,13 @@ def bad_paths(tmp_path, t1_file):
     (["export-lp", "--instance", "T1", "--objective", "1", "--out", "DIR"], "DIR"),
     (["frontier", "--instance", "T1", "--method", "bbox", "--out-dir", "FILE"], "FILE"),
     (GENERATE + ["--out-dir", "FILE/x"], "FILE/x"),
+    (["frontier", "--instance", "UTF16", "--method", "bbox"], "UTF16"),
+    (["validate", "--instance", "T1", "--schedule", "UTF16"], "UTF16"),
+    (["bargain", "--frontier", "UTF16", "--instance", "T1", "--mode", "gnb"], "UTF16"),
 ], ids=["report-batch-file", "frontier-instance-dir", "generate-prices-dir",
         "validate-schedule-dir", "export-lp-out-dir", "frontier-out-dir-file",
-        "generate-out-dir-below-file"])
+        "generate-out-dir-below-file", "frontier-instance-not-utf8",
+        "validate-schedule-not-utf8", "bargain-frontier-not-utf8"])
 def test_a_path_that_cannot_be_read_or_written_exits_1(argv, named, bad_paths, capsys):
     assert run_cli([bad_paths.get(arg, arg) for arg in argv]) == 1
     err = capsys.readouterr().err

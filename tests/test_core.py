@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,19 +83,17 @@ def test_pareto_filter_output_is_mutually_nondominated(raw):
 
 def test_variable_validation():
     with pytest.raises(ProgramError):
-        Variable("x", "real", 0, 1)
-    with pytest.raises(ProgramError):
-        Variable("x", "integer", 4, 2)
-    with pytest.raises(ProgramError):
-        Variable("x", "binary", 0, 2)
-    assert binary("x") == Variable("x", "binary", 0, 1)
+        Variable("x", 4, 2)
+    # a variable is its id and bounds: binary exactly when they are [0, 1]
+    assert binary("x") == Variable("x", 0, 1) == integer("x", 0, 1)
     assert integer("t", 0, 5).upper == 5
+    assert [f.name for f in dataclasses.fields(Variable)] == ["id", "lower", "upper"]
 
 
 def test_builders_refuse_non_integers_rather_than_truncate():
     for build in (lambda: expr({"x": 2.5}), lambda: expr({"x": 2}, 1.9),
                   lambda: integer("t", 0.5, 3), lambda: integer("t", 0, 3.7),
-                  lambda: Variable("t", "integer", 0, 3.0)):
+                  lambda: Variable("t", 0, 3.0)):
         with pytest.raises(ProgramError):
             build()
 

@@ -35,6 +35,7 @@ from evshare.scenario import ScenarioConfig, ScenarioError, generate_scenario, t
 from evshare.charging import (
     InfeasibleError,
     build_charging_program,
+    decode_schedule,
     infeasibility_diagnostic,
     noncollab_point,
 )
@@ -398,12 +399,13 @@ def test_b3m1_requeues_the_top_part_above_a_pruned_point():
     assert set(got.criterion_points()) < set(exact)
 
 
-# sha256 over each run's status, rectangles, points and witness renderings:
-# bbox, b3m1 at 3% and b3m2 at 3% on the first 12 desk instances.  It pins
-# what a run returns, not how its searches get there, so it holds for any
-# search boxes that are exact.  DESK_CALLS pins each method's solver calls
-# over the same runs apart from it.
-DESK_OUTCOMES = "5c3598414cb6794e8246e6747e7df1ef21444a3b5a01599de1b428421ae8ba90"
+# sha256 over each run's status, rectangles, solver calls, points and the
+# schedule each witness decodes to: bbox, b3m1 at 3% and b3m2 at 3% on the
+# first 12 desk instances.  It pins what a run returns, not how its searches
+# get there nor how the program names its variables, so it holds for any
+# search boxes that are exact and any formulation whose witnesses decode to
+# the same schedules.  DESK_CALLS pins each method's solver calls apart.
+DESK_OUTCOMES = "75435721fa2e21d0d2933cd94323bfc1e26c9db97f57308ada60940f4d23b3fe"
 DESK_CALLS = {"bbox": 30, "b3m1": 30, "b3m2": 28}
 
 
@@ -417,9 +419,12 @@ def test_desk_frontier_outcomes_are_pinned():
         for method, epsilon in (("bbox", 0), ("b3m1", 3), ("b3m2", 3)):
             run = run_method(program, participation, method, epsilon)
             calls[method] += run.solver_calls
-            digest.update(repr((method, run.status, run.rectangles_processed,
-                                [(point.as_tuple(), assignment.rendering())
-                                 for point, assignment in run.points])).encode())
+            schedules = [decode_schedule(assignment, instance, program)
+                         for _, assignment in run.points]
+            digest.update(repr((method, run.status, run.rectangles_processed, run.solver_calls,
+                                [(point.as_tuple(), schedule.rentals, schedule.sessions)
+                                 for point, schedule in zip(run.criterion_points(), schedules)])
+                               ).encode())
     assert digest.hexdigest() == DESK_OUTCOMES
     assert calls == DESK_CALLS
 
@@ -662,6 +667,26 @@ def test_frontiers_match_enumeration_on_general_programs(case, node_limit):
         assert_witnesses(prog, reduced)
 
 
+@given(capped_programs())
+@settings(max_examples=60, deadline=None)
+def test_every_witness_is_the_least_assignment_at_its_point(case):
+    # The witness rule of the module docstring: each recorded point's
+    # witness is its lexicographically least feasible assignment, in
+    # declaration order with lower values first -- the order in which
+    # feasible_assignments yields them.
+    prog, _, participation = case
+    least = {}
+    for assignment in feasible_assignments(prog):
+        least.setdefault(criterion_point(prog, assignment), assignment)
+    for caps in {None, participation}:
+        runs = [run_method(prog, caps, "bbox")]
+        runs += [run_method(prog, caps, method, epsilon)
+                 for method in ("b3m1", "b3m2") for epsilon in (0, 5, 30)]
+        for run in runs:
+            for point, witness in run.points:
+                assert witness == least[point], (run.method, run.epsilon, point)
+
+
 @st.composite
 def programs_with_caps(draw):
     """A tiny program (infeasible ones occur), its enumerated criterion
@@ -883,8 +908,9 @@ def test_stats_csv_round_trip():
 
 def test_status_follows_the_points():
     assert "status" not in {field.name for field in dataclasses.fields(FrontierResult)}
-    empty = FrontierResult("oracle", Fraction(0), (), 0, 0.0, 0)
+    empty = FrontierResult("oracle", Fraction(0), (), 0.0, 0)
     assert empty.status == "no-collaboration"
+    assert (empty.solver_calls, empty.nodes) == (0, 0)
     run = run_method(make_point_program([(1, 3), (3, 1)]), None, "bbox")
     assert run.status == "ok"
 

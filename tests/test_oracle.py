@@ -125,8 +125,7 @@ def test_every_enumerated_schedule_is_a_program_point(instance):
     k1, k2 = instance.companies
 
     def visit(rentals, placements):
-        schedule = Schedule.from_sessions(
-            instance, rentals, {i: (j, s, s + d) for i, (j, s, d) in placements.items()})
+        schedule = Schedule(rentals, {i: (j, s, s + d) for i, (j, s, d) in placements.items()})
         assignment = encode_schedule(schedule, instance, program)
         assert check_assignment(program, assignment) == []
         assert criterion_point(program, assignment).as_tuple() == (

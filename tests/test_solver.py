@@ -552,10 +552,10 @@ def test_export_lp_negative_coefficient_rendering():
 
 
 def test_export_lp_general_integer_bounds():
-    t = integer("t", 1, 5)
-    prog = program([t], [], expr({"t": 1}), expr())
+    # The bounds alone decide the section: an integer declared in [0, 1] is a binary.
+    prog = program([integer("t", 1, 5), integer("s", 0, 1)], [], expr({"t": 1, "s": 1}), expr())
     text = export_lp(prog, 1)
-    assert "Bounds" in text and "1 <= t <= 5" in text and "Generals" in text
+    assert text.endswith("Bounds\n 1 <= t <= 5\nBinaries\n s\nGenerals\n t\nEnd\n")
 
 
 def test_export_lp_moves_constraint_constant_to_rhs():
