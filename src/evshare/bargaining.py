@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .core import CriterionPoint, EvshareError, _exact
 from .frontier import endpoints
-from . import solver as _solver
 
 INFINITY = math.inf
 
@@ -71,14 +70,14 @@ class ReferencePoints:
         return cls(ideal, disagreement)
 
 
-def reference_points(program, participation, config=_solver.SolverConfig()):
+def reference_points(program, participation, node_limit=None):
     """Reference points from the frontier's two endpoints alone.
 
     The endpoint search (``frontier.endpoints``) runs inside the
     participation region, so the ideal, (top z1, bottom z2), can never fall
     outside the disagreement box; an empty region has no endpoints.
     """
-    ends = endpoints(program, participation, config)
+    ends = endpoints(program, participation, node_limit)
     if ends is None:
         raise BargainError("participation region is empty: no collaboration")
     disagreement = CriterionPoint(participation.z1_non, participation.z2_non)
@@ -146,18 +145,21 @@ def _integer_root(value, degree):
 
 
 def _exact_power(base, alpha):
-    """base**alpha as an exact Fraction, or None when irrational."""
+    """base**alpha as an exact Fraction, or None when irrational.
+
+    With alpha = p/q and base = a/b, both in lowest terms, base**alpha is
+    rational exactly when a and b are perfect q-th powers, so the roots are
+    taken before the power: a large q then costs one root attempt, not a
+    root of a p-th power.
+    """
     base = abs(_exact(base))
     if base == 0:
         return Fraction(0)
-    powered = base ** alpha.numerator
-    if alpha.denominator == 1:
-        return powered
-    num = _integer_root(powered.numerator, alpha.denominator)
-    den = _integer_root(powered.denominator, alpha.denominator)
+    num = _integer_root(base.numerator, alpha.denominator)
+    den = _integer_root(base.denominator, alpha.denominator)
     if num is None or den is None:
         return None
-    return Fraction(num, den)
+    return Fraction(num, den) ** alpha.numerator
 
 
 def power_sum(values, alpha):

@@ -513,7 +513,7 @@ def standalone_instance(instance, k):
     return replace(instance, evs=instance.company_evs(k))
 
 
-def noncollab_point(instance, config=solver.SolverConfig()):
+def noncollab_point(instance, node_limit=None):
     """Each company's optimal standalone cost (no shared access): (z1Non, z2Non).
 
     Company k's standalone program covers k's own fleet with k as the only
@@ -522,7 +522,7 @@ def noncollab_point(instance, config=solver.SolverConfig()):
     costs = []
     for index, k in enumerate(instance.companies, start=1):
         sub = standalone_instance(instance, k)
-        outcome = solver.solve_min(standalone_program(sub, k), index, config=config)
+        outcome = solver.solve_min(standalone_program(sub, k), index, node_limit=node_limit)
         if outcome.status == "infeasible":
             hint = infeasibility_diagnostic(sub)
             detail = f" ({hint})" if hint else ""

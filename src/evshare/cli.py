@@ -167,11 +167,10 @@ def _cmd_frontier(args):
     started = time.perf_counter()
     instance = _load_instance(args.instance)
     out_dir = _out_dir(args)
-    config = _solver.SolverConfig(node_limit=args.node_limit)
-    participation = _charging.noncollab_point(instance, config)
+    participation = _charging.noncollab_point(instance, args.node_limit)
     program = _charging.build_charging_program(instance)
     result = _frontier.run_method(program, participation, args.method,
-                                  args.epsilon, config)
+                                  args.epsilon, args.node_limit)
 
     eps_text = _frontier._epsilon_text(result.epsilon)
     paths = _frontier_paths(out_dir, _stem(args.instance), args.method, eps_text)
@@ -274,11 +273,10 @@ def _cmd_oracle(args):
     started = time.perf_counter()
     instance = _load_instance(args.instance)
     out_dir = _out_dir(args)
-    budget = _oracle.OracleBudget(args.budget)
-    noncollab = _oracle.noncollab_costs(instance, budget)
+    noncollab = _oracle.noncollab_costs(instance, args.budget)
     participation = _frontier.ParticipationPoint(*noncollab)
     exact = _oracle.charging_frontier(instance, participation=noncollab,
-                                      budget=budget)
+                                      max_candidates=args.budget)
     ordered = tuple(sorted(exact.items(), key=lambda item: item[0].as_tuple()))
     result = _frontier.FrontierResult("oracle", Fraction(0), ordered, wall_time=0.0,
                                       rectangles_processed=0)
@@ -517,7 +515,7 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exhaustively enumerate the exact frontier")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=_oracle.OracleBudget().max_candidates)
+    p.add_argument("--budget", type=int, default=_oracle.MAX_CANDIDATES)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_oracle)
 

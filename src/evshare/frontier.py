@@ -65,45 +65,6 @@ class FrontierError(EvshareError):
 
 
 @dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned objective-space box between two criterion points.
-
-    ``top_left`` has the smaller z1 and larger z2; ``bottom_right`` the
-    larger z1 and smaller z2.  Both corners are inclusive.
-    """
-
-    top_left: CriterionPoint
-    bottom_right: CriterionPoint
-
-    def __post_init__(self):
-        if (self.top_left.z1 > self.bottom_right.z1
-                or self.top_left.z2 < self.bottom_right.z2):
-            raise FrontierError(
-                f"invalid rectangle corners {self.top_left.as_tuple()} .. "
-                f"{self.bottom_right.as_tuple()}")
-
-    def bounds(self):
-        """The box as solver bounds: ((z1 lo, z1 hi), (z2 lo, z2 hi))."""
-        return ((self.top_left.z1, self.bottom_right.z1),
-                (self.bottom_right.z2, self.top_left.z2))
-
-
-@dataclass(frozen=True)
-class ClosenessMargins:
-    """Distance thresholds below which two points count as interchangeable.
-
-    ``sigma1``/``sigma2`` are fixed-point integer distances along z1/z2.
-    """
-
-    sigma1: int
-    sigma2: int
-
-    def __post_init__(self):
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise FrontierError("closeness margins must be non-negative")
-
-
-@dataclass(frozen=True)
 class FrontierResult:
     """Outcome of one frontier run.
 
@@ -157,39 +118,24 @@ def compute_margins(epsilon, z_top, z_bottom):
     scales the magnitude of the top-left z1, sigma2 that of the
     bottom-right z2 (a margin is a distance, so a negative extreme gives a
     positive margin), each rounded half-up to a whole fixed-point unit.
+    Returns the pair (sigma1, sigma2).
     """
     eps = _exact(epsilon)
     if eps < 0:
         raise FrontierError(f"closeness tolerance must be >= 0, got {epsilon!r}")
     sigma1 = _half_up(eps * abs(z_top.z1))
     sigma2 = _half_up(eps * abs(z_bottom.z2))
-    return ClosenessMargins(sigma1, sigma2)
+    return sigma1, sigma2
 
 
 def strictly_close(point, others, margins):
-    """True if some point of ``others`` is within BOTH margins (inclusive)."""
-    return any(abs(point.z1 - q.z1) <= margins.sigma1
-               and abs(point.z2 - q.z2) <= margins.sigma2
-               for q in others)
+    """True if some point of ``others`` is within BOTH margins (inclusive).
 
-
-# ---------------------------------------------------------------------------
-# Rectangle surgery.
-
-
-def shrink_rectangle(rect, margins):
-    """Pull both corners inward by (sigma1, sigma2).
-
-    Returns the shrunk rectangle, or None when the margins swallow it
-    entirely (the caller should drop such a rectangle unsearched).
+    ``margins`` is the pair (sigma1, sigma2).
     """
-    tl = CriterionPoint(rect.top_left.z1 + margins.sigma1,
-                        rect.top_left.z2 - margins.sigma2)
-    br = CriterionPoint(rect.bottom_right.z1 - margins.sigma1,
-                        rect.bottom_right.z2 + margins.sigma2)
-    if tl.z1 > br.z1 or tl.z2 < br.z2:
-        return None
-    return Rectangle(tl, br)
+    sigma1, sigma2 = margins
+    return any(abs(point.z1 - q.z1) <= sigma1 and abs(point.z2 - q.z2) <= sigma2
+               for q in others)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +159,9 @@ class _Run:
     ``searches`` holds [calls, nodes] per search kind (``SEARCH_KINDS``).
     """
 
-    def __init__(self, program, participation, config):
+    def __init__(self, program, participation, node_limit):
         self.program = program
-        self.config = config
+        self.node_limit = node_limit
         self.caps = participation_caps(participation)
         self.recorded = {}
         self.searches = {kind: [0, 0] for kind in SEARCH_KINDS}
@@ -236,7 +182,7 @@ class _Run:
         """
         if any(lo is not None and hi is not None and lo > hi for lo, hi in bounds):
             return None
-        out = _solver.lexmin(self.program, order, bounds, self.config)
+        out = _solver.lexmin(self.program, order, bounds, self.node_limit)
         self.count(kind, out)
         return out if out.status != "infeasible" else None
 
@@ -257,7 +203,7 @@ class _Run:
         the top point alone, the two minima are that point, and the top
         witness is recorded.
         """
-        out = _solver.lexmin_pair(self.program, self.caps, self.config)
+        out = _solver.lexmin_pair(self.program, self.caps, self.node_limit)
         self.count("endpoints", out)
         if out.status == "infeasible":
             return None
@@ -282,40 +228,42 @@ class _Run:
         return out.point == point
 
 
-def endpoints(program, participation=None, config=_solver.SolverConfig()):
+def endpoints(program, participation=None, node_limit=None):
     """The two endpoints of the frontier inside the participation region.
 
     Returns (z_top, z_bottom), the same point twice for a one-point
     frontier, or None when the region is empty.  This is the one search
     every ``run_method`` run starts with.
     """
-    return _Run(program, participation, config).endpoints()
+    return _Run(program, participation, node_limit).endpoints()
 
 
 def _run_rectangles(method, run, margins, z_top, z_bottom):
     """FIFO rectangle subdivision between the two frontier endpoints.
 
-    Each rectangle is searched in its box pulled in by ``pull``: one unit
-    on each side for b3m1, the margins (at least one unit) otherwise.
-    Both corners are recorded points, so a side pulled in by one unit
-    leaves out only a corner's row or column, which holds the corner and
-    points it dominates.  The box is split at the floor midpoint of
-    its z2 range: one lexicographic search finds the leftmost point of the
-    bottom half, one the lowest point above the mid line and left of the
-    bottom point.  After a kept bottom point c the top box ends at
-    c.z1 - pull.sigma1 and starts at max(c.z2 + pull.sigma2, mid); after
-    any other bottom point it ends at c.z1 - 1, and with no bottom point
-    at the box's right side.  A box the pull or a cap leaves empty is not
-    searched.  b3m1 drops a candidate within the margins of an anchor;
-    other runs certify one only when the pull exceeds one unit on some
-    axis, since a one-unit pull leaves no point outside the box that could
-    dominate its lexicographic minimum (README "Methods").  So bbox is the
-    zero-margin run, and b3m2 at margins of at most one unit is bbox.
+    A rectangle is a pair of recorded points (top_left, bottom_right): the
+    first has the smaller z1 and the larger z2.  Each is searched in its box
+    pulled in by (pull1, pull2): one unit on each side for b3m1, the
+    margins (at least one unit) otherwise.  Since both corners are recorded
+    points, a side pulled in by one unit leaves out only a corner's row or
+    column, which holds the corner and points it dominates.  The box,
+    z1 in [left, right] and z2 in [low, high], is split at the floor
+    midpoint of its z2 range: one lexicographic search finds the leftmost
+    point of the bottom half, one the lowest point above the mid line and
+    left of the bottom point.  After a kept bottom point c the top box ends
+    at c.z1 - pull1 and starts at max(c.z2 + pull2, mid); after any other
+    bottom point it ends at c.z1 - 1, and with no bottom point at the box's
+    right side.  A box the pull or a cap leaves empty is not searched.
+    b3m1 drops a candidate within the margins of an anchor; other runs
+    certify one only when the pull exceeds one unit on some axis, since a
+    one-unit pull leaves no point outside the box that could dominate its
+    lexicographic minimum (README "Methods").  So bbox is the zero-margin
+    run, and b3m2 at margins of at most one unit is bbox.
     """
-    pull = ClosenessMargins(1, 1)
+    pull1, pull2 = 1, 1
     if method != "b3m1":
-        pull = ClosenessMargins(max(margins.sigma1, 1), max(margins.sigma2, 1))
-    certify = max(pull.sigma1, pull.sigma2) > 1
+        pull1, pull2 = max(margins[0], 1), max(margins[1], 1)
+    certify = max(pull1, pull2) > 1
 
     def keep(candidate, anchors):
         if method == "b3m1":  # drop a point interchangeable with an anchor
@@ -324,47 +272,46 @@ def _run_rectangles(method, run, margins, z_top, z_bottom):
 
     queue = deque()
     if z_top != z_bottom:
-        queue.append(Rectangle(z_top, z_bottom))
+        queue.append((z_top, z_bottom))
     while queue:
-        rect = queue.popleft()
+        top_left, bottom_right = queue.popleft()
         run.rectangles += 1
-        box = shrink_rectangle(rect, pull)
-        if box is None:
+        left, right = top_left.z1 + pull1, bottom_right.z1 - pull1
+        low, high = bottom_right.z2 + pull2, top_left.z2 - pull2
+        if left > right or low > high:
             continue
-        tl, br = box.top_left, box.bottom_right
-        mid = (tl.z2 + br.z2) // 2
+        mid = (low + high) // 2
 
         # --- bottom search: leftmost point with z2 at or below the mid line.
         found_bottom = None
-        top_z1_cap, top_floor = br.z1, mid
-        bottom = run.lexmin("bottom", (1, 2), ((tl.z1, br.z1), (br.z2, mid)))
+        top_z1_cap, top_floor = right, mid
+        bottom = run.lexmin("bottom", (1, 2), ((left, right), (low, mid)))
         if bottom is not None:
             candidate = bottom.point
             top_z1_cap = candidate.z1 - 1
-            if keep(candidate, (rect.bottom_right,)):
+            if keep(candidate, (bottom_right,)):
                 run.recorded[candidate] = bottom.assignment
                 found_bottom = candidate
-                queue.append(Rectangle(candidate, rect.bottom_right))
-                top_z1_cap = candidate.z1 - pull.sigma1
-                top_floor = max(candidate.z2 + pull.sigma2, mid)
+                queue.append((candidate, bottom_right))
+                top_z1_cap = candidate.z1 - pull1
+                top_floor = max(candidate.z2 + pull2, mid)
 
         # --- top search: lowest point above the mid line, left of the cap.
-        top = run.lexmin("top", (2, 1), ((tl.z1, top_z1_cap), (top_floor, tl.z2)))
+        top = run.lexmin("top", (2, 1), ((left, top_z1_cap), (top_floor, high)))
         if top is None:
             continue
         candidate = top.point
-        if keep(candidate, (rect.top_left, found_bottom or rect.bottom_right)):
+        if keep(candidate, (top_left, found_bottom or bottom_right)):
             run.recorded[candidate] = top.assignment
-            queue.append(Rectangle(rect.top_left, candidate))
+            queue.append((top_left, candidate))
         elif (method == "b3m1" and found_bottom is not None
               and strictly_close(candidate, (found_bottom,), margins)):
             # The pruned point may hide others between it and the freshly
             # recorded one: re-queue the enlarged top part.
-            queue.append(Rectangle(rect.top_left, found_bottom))
+            queue.append((top_left, found_bottom))
 
 
-def run_method(program, participation=None, method="bbox", epsilon=0,
-               config=_solver.SolverConfig()):
+def run_method(program, participation=None, method="bbox", epsilon=0, node_limit=None):
     """Compute a frontier with the chosen strategy.
 
     ``epsilon`` is the closeness tolerance as a percentage (3 means 3%);
@@ -383,7 +330,7 @@ def run_method(program, participation=None, method="bbox", epsilon=0,
 
     _solver.compile_program(program)  # once per program, outside the timed search
     start = time.perf_counter()
-    run = _Run(program, participation, config)
+    run = _Run(program, participation, node_limit)
     endpoints = run.endpoints()
     if endpoints is not None:
         z_top, z_bottom = endpoints

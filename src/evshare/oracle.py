@@ -16,7 +16,6 @@ not a client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import charging, core
@@ -31,13 +30,8 @@ class BudgetExceeded(OracleError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_candidates: int = 1 << 25
-
-    def __post_init__(self):
-        if self.max_candidates <= 0:
-            raise OracleError("budget must be positive")
+# The largest structural candidate space an enumeration accepts by default.
+MAX_CANDIDATES = 1 << 25
 
 
 def _session_options(instance, i):
@@ -112,24 +106,27 @@ def _enumerate_schedules(instance, options, patterns, visit):
         walk(0)
 
 
-def _search_space(instance, renters, budget):
-    """Session options per EV and rental patterns, refused beyond the budget.
+def _search_space(instance, renters, max_candidates):
+    """Session options per EV and rental patterns, refused beyond
+    ``max_candidates`` structural candidates.
 
     A rental pattern maps each charger to one of ``renters`` or to None.
     """
+    if max_candidates <= 0:
+        raise OracleError("budget must be positive")
     options = {i: _session_options(instance, i) for i in instance.evs}
     patterns = [dict(zip(instance.chargers, combo))
                 for combo in product((None,) + tuple(renters), repeat=len(instance.chargers))]
     size = len(patterns)
     for i in instance.evs:
         size *= max(1, len(options[i]))
-    if size > budget.max_candidates:
+    if size > max_candidates:
         raise BudgetExceeded(
-            f"structural candidate space {size} exceeds budget {budget.max_candidates} -- refusing")
+            f"structural candidate space {size} exceeds budget {max_candidates} -- refusing")
     return options, patterns
 
 
-def charging_frontier(instance, participation=None, budget=OracleBudget()):
+def charging_frontier(instance, participation=None, max_candidates=MAX_CANDIDATES):
     """Exact frontier of a charging instance by structural enumeration.
 
     participation is an optional (z1 cap, z2 cap) pair; points above either
@@ -140,7 +137,7 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
     {CriterionPoint: Assignment} over the frontier, each witness encoded by
     ``charging.encode_schedule`` and checked against the program.
     """
-    options, patterns = _search_space(instance, instance.companies, budget)
+    options, patterns = _search_space(instance, instance.companies, max_candidates)
     k1, k2 = instance.companies
     first = {}
 
@@ -169,10 +166,10 @@ def charging_frontier(instance, participation=None, budget=OracleBudget()):
     return result
 
 
-def standalone_minimum(instance, k, budget=OracleBudget()):
+def standalone_minimum(instance, k, max_candidates=MAX_CANDIDATES):
     """Company k's optimal standalone cost by enumeration (no shared access)."""
     sub = charging.standalone_instance(instance, k)
-    options, patterns = _search_space(sub, (k,), budget)
+    options, patterns = _search_space(sub, (k,), max_candidates)
     best = None
 
     def visit(rentals, placements):
@@ -187,6 +184,6 @@ def standalone_minimum(instance, k, budget=OracleBudget()):
     return best
 
 
-def noncollab_costs(instance, budget=OracleBudget()):
+def noncollab_costs(instance, max_candidates=MAX_CANDIDATES):
     """(z1Non, z2Non) by pure enumeration; the independent check on the solver path."""
-    return tuple(standalone_minimum(instance, k, budget) for k in instance.companies)
+    return tuple(standalone_minimum(instance, k, max_candidates) for k in instance.companies)

@@ -115,8 +115,8 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown charger_layout {self.charger_layout!r}")
         if self.n_evs <= 0 or self.n_chargers <= 0:
             raise ScenarioError("counts must be positive")
-        if self.area_km <= 0:
-            raise ScenarioError("area must be positive")
+        if not 0 < self.area_km < math.inf:
+            raise ScenarioError(f"area must be positive and finite, got {self.area_km!r}")
         if self.horizon < 1:
             raise ScenarioError("horizon must be at least 1")
         beta = _exact(self.collab_discount)

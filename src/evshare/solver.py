@@ -71,8 +71,9 @@ same loop with one objective row, where every node checks and propagates
 the cutoff row.
 
 Failure contract: a solve ends ``optimal`` or ``infeasible``, or raises.
-A search that would exceed ``SolverConfig.node_limit`` raises
-``SolverError``, so a cut-short search is never read as an answer.
+Every search takes ``node_limit``, a cap on its nodes (None for no cap).
+A search that would exceed it raises ``SolverError``, so a cut-short
+search is never read as an answer.
 
 Also hosts an LP-format exporter and a parser for external solver
 solutions.
@@ -98,19 +99,6 @@ class SolutionParseError(EvshareError):
 
 class SolutionValidationError(EvshareError):
     pass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Search limits: ``node_limit`` caps the nodes of each search (one per
-    ``solve_min``, ``lexmin`` or ``lexmin_pair``), None for no cap; a search
-    that needs more raises SolverError."""
-
-    node_limit: int = None
-
-    def __post_init__(self):
-        if self.node_limit is not None and self.node_limit < 1:
-            raise SolverError("node_limit must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -534,12 +522,14 @@ class _Search:
             for (_, constant), values, cutoff in zip(objectives, best, cutoffs))
 
 
-def _minimize(program, bounds, objectives, config):
+def _minimize(program, bounds, objectives, node_limit):
     """Minimize each of ``objectives``, pairs (k, constant) of compiled row
     ``obj_base + k`` and the constant added to its activity, in one search
-    within ``bounds``, which set the rhs of the four objective-bound rows.
-    One SolveOutcome per objective.
+    of at most ``node_limit`` nodes within ``bounds``, which set the rhs of
+    the four objective-bound rows.  One SolveOutcome per objective.
     """
+    if node_limit is not None and node_limit < 1:
+        raise SolverError("node_limit must be positive when set")
     compiled = compile_program(program)
     rhs = compiled.row_rhs[:]
     rows = []
@@ -555,10 +545,10 @@ def _minimize(program, bounds, objectives, config):
     if not compiled.feasible:
         return tuple(SolveOutcome("infeasible", None, None, 0) for _ in objectives)
     objectives = tuple((compiled.obj_base + k, constant) for k, constant in objectives)
-    return _Search(compiled, rhs).run(rows, objectives, config.node_limit)
+    return _Search(compiled, rhs).run(rows, objectives, node_limit)
 
 
-def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
+def solve_min(program, objective_index, bounds=OPEN, node_limit=None):
     """Global minimum of one objective over the program within ``bounds``.
 
     ``bounds`` is ``((lo1, hi1), (lo2, hi2))``: inclusive integer bounds on
@@ -569,10 +559,10 @@ def solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
     compiled form is reused by every later one.
 
     Returns an ``optimal`` or ``infeasible`` SolveOutcome; raises
-    SolverError when the search needs more than ``config.node_limit`` nodes.
+    SolverError when the search needs more than ``node_limit`` nodes.
     """
     constant = compile_program(program).constant(objective_index)
-    out, = _minimize(program, bounds, ((2 * objective_index - 1, constant),), config)
+    out, = _minimize(program, bounds, ((2 * objective_index - 1, constant),), node_limit)
     return out
 
 
@@ -584,7 +574,7 @@ def _lexicographic_objective(program, order):
     return 3 + first, compile_program(program).constants[1 + first]
 
 
-def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
+def lexmin(program, order, bounds=OPEN, node_limit=None):
     """Lexicographic minimization inside objective ``bounds``, in one search.
 
     order is (1, 2) or (2, 1): minimize the first listed objective, then
@@ -594,24 +584,24 @@ def lexmin(program, order, bounds=OPEN, config=SolverConfig()):
     returns the same leaf as a two-stage solve would (see the module
     docstring).  The point is evaluated on that one assignment.
     """
-    out, = _minimize(program, bounds, (_lexicographic_objective(program, order),), config)
+    out, = _minimize(program, bounds, (_lexicographic_objective(program, order),), node_limit)
     if out.status == "infeasible":
         return LexOutcome("infeasible", None, None, out.nodes_explored)
     point = criterion_point(program, out.assignment)
     return LexOutcome("optimal", out.assignment, point, out.nodes_explored)
 
 
-def lexmin_pair(program, bounds=OPEN, config=SolverConfig()):
+def lexmin_pair(program, bounds=OPEN, node_limit=None):
     """Both lexicographic minima inside objective ``bounds``, in one search.
 
     Returns a LexPairOutcome whose ``top`` is the (z1, z2) minimum and
     ``bottom`` the (z2, z1) minimum, each the point and assignment that
     ``lexmin`` returns for its order (see the module docstring); the two
     are the same leaf when one point minimizes both objectives.  The
-    search counts once towards ``SolverConfig.node_limit``.
+    search counts once towards ``node_limit``.
     """
     objectives = tuple(_lexicographic_objective(program, order) for order in ((1, 2), (2, 1)))
-    top, bottom = _minimize(program, bounds, objectives, config)
+    top, bottom = _minimize(program, bounds, objectives, node_limit)
     if top.status == "infeasible":
         return LexPairOutcome("infeasible", None, None, top.nodes_explored)
     ends = [(criterion_point(program, out.assignment), out.assignment) for out in (top, bottom)]

@@ -7,6 +7,7 @@ from evshare.bargaining import (
     INFINITY,
     BargainError,
     ReferencePoints,
+    _exact_power,
     _integer_root,
     distance_select,
     gnb_select,
@@ -18,7 +19,7 @@ from evshare.core import CriterionPoint, NumberFormatError
 from evshare.frontier import ParticipationPoint
 from evshare.oracle import charging_frontier, noncollab_costs
 from evshare.scenario import t1_instance
-from evshare.solver import SolverConfig, SolverError
+from evshare.solver import SolverError
 
 from helpers import make_point_program
 
@@ -153,6 +154,31 @@ def test_power_sum_at_a_tiny_alpha_answers_at_once():
     assert got == pytest.approx(0.5 ** 1e-12)
 
 
+def test_power_sum_at_a_long_decimal_alpha_answers_at_once():
+    # alpha = 6172839/5000000: no base here has an integer root of that
+    # degree, and finding that must not first raise it to the 6172839th power.
+    got = power_sum((F(1, 3), F(2, 7)), "1.2345678")
+    assert isinstance(got, float)
+    assert got == pytest.approx((1 / 3) ** 1.2345678 + (2 / 7) ** 1.2345678)
+
+
+def test_exact_power_takes_the_root_before_the_power():
+    assert _exact_power(F(1, 4), F(3, 2)) == F(1, 8)
+    assert _exact_power(F(8, 27), F(2, 3)) == F(4, 9)
+    assert _exact_power(F(2, 9), F(3, 2)) is None
+
+
+@given(st.fractions(min_value=0, max_value=20, max_denominator=40),
+       st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
+def test_exact_power_matches_the_root_of_the_power(base, alpha):
+    # The q-th root of base**p, as a rational or None, for alpha = p/q.
+    powered = base ** alpha.numerator
+    roots = [_integer_root(part, alpha.denominator)
+             for part in (powered.numerator, powered.denominator)]
+    expected = None if None in roots else F(*roots)
+    assert _exact_power(base, alpha) == expected
+
+
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=12))
 def test_integer_root_finds_exactly_the_perfect_powers(root, degree):
     assert _integer_root(root ** degree, degree) == root
@@ -263,7 +289,7 @@ def test_reference_points_infeasible_region():
 def test_reference_points_node_limit_raises():
     prog = build_charging_program(t1_instance())
     with pytest.raises(SolverError, match="node limit 1 exhausted"):
-        reference_points(prog, ParticipationPoint(2100, 2100), SolverConfig(node_limit=1))
+        reference_points(prog, ParticipationPoint(2100, 2100), node_limit=1)
 
 
 def test_reference_points_invariant():

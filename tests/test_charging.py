@@ -35,7 +35,7 @@ from evshare.core import Assignment, evaluate
 from evshare.oracle import _session_options
 from evshare import solver
 from evshare.scenario import ScenarioConfig, generate_scenario, t1_instance
-from evshare.solver import SolverConfig, SolverError, export_lp, solve_min
+from evshare.solver import SolverError, export_lp, solve_min
 
 from helpers import (
     desk_configs,
@@ -92,7 +92,7 @@ def test_noncollab_point_t1():
 
 def test_noncollab_point_node_limit_raises():
     with pytest.raises(SolverError, match="node limit 1 exhausted"):
-        noncollab_point(t1_instance(), SolverConfig(node_limit=1))
+        noncollab_point(t1_instance(), node_limit=1)
 
 
 def test_noncollab_empty_fleet_costs_zero():

@@ -629,6 +629,26 @@ def test_malformed_number_exits_1(argv, message, t1_file, tmp_path, capsys):
     assert not list(tmp_path.glob("*-bargain.json"))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--area", "inf"],
+     "area must be positive and finite, got inf"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--area", "nan"],
+     "area must be positive and finite, got nan"),
+    (["frontier", "--method", "bbox", "--node-limit", "0"], "node_limit must be positive when set"),
+    (["oracle", "--budget", "0"], "budget must be positive"),
+], ids=["generate-area-inf", "generate-area-nan", "frontier-node-limit-0", "oracle-budget-0"])
+def test_out_of_range_value_exits_1(argv, message, t1_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] != "generate":
+        argv = argv + ["--instance", t1_file]
+    assert run_cli(argv + ["--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists() or not list(out.iterdir())
+
+
 def assert_error_without_traceback(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -12,11 +12,9 @@ from evshare.bargaining import BargainError, ReferencePoints, reference_points
 from evshare.core import CriterionPoint, check_assignment, criterion_point, pareto_filter
 from evshare.frontier import (
     METHODS,
-    ClosenessMargins,
     FrontierError,
     FrontierResult,
     ParticipationPoint,
-    Rectangle,
     assignment_refs,
     compute_margins,
     cts_metric,
@@ -25,7 +23,6 @@ from evshare.frontier import (
     gap_metric,
     participation_caps,
     run_method,
-    shrink_rectangle,
     stats_from_csv,
     stats_to_csv,
     strictly_close,
@@ -39,7 +36,7 @@ from evshare.charging import (
     infeasibility_diagnostic,
     noncollab_point,
 )
-from evshare.solver import OPEN, SolverConfig, SolverError, lexmin, lexmin_pair, solve_min
+from evshare.solver import OPEN, SolverError, lexmin, lexmin_pair, solve_min
 
 from helpers import (
     assignment_program,
@@ -83,31 +80,25 @@ tiny_scenarios = st.builds(
 # -- margins and closeness ---------------------------------------------------
 
 def test_compute_margins_examples():
-    m = compute_margins(Fraction(3, 100), P(10000, 50000), P(40000, 5000))
-    assert (m.sigma1, m.sigma2) == (300, 150)
-    m = compute_margins(0, P(10000, 50000), P(40000, 5000))
-    assert (m.sigma1, m.sigma2) == (0, 0)
-    m = compute_margins(Fraction(5, 100), P(20000, 90000), P(60000, 4000))
-    assert (m.sigma1, m.sigma2) == (1000, 200)
+    assert compute_margins(Fraction(3, 100), P(10000, 50000), P(40000, 5000)) == (300, 150)
+    assert compute_margins(0, P(10000, 50000), P(40000, 5000)) == (0, 0)
+    assert compute_margins(Fraction(5, 100), P(20000, 90000), P(60000, 4000)) == (1000, 200)
     # A margin is a distance: negative extremes give the same margins.
-    m = compute_margins(Fraction(3, 100), P(-10000, 50000), P(40000, -5000))
-    assert (m.sigma1, m.sigma2) == (300, 150)
+    assert compute_margins(Fraction(3, 100), P(-10000, 50000), P(40000, -5000)) == (300, 150)
 
 
 def test_compute_margins_rounds_half_up():
     m = compute_margins(Fraction(3, 100), P(50, 99), P(99, 50))
-    assert (m.sigma1, m.sigma2) == (2, 2)  # 1.5 rounds away from zero
+    assert m == (2, 2)  # 1.5 rounds away from zero
 
 
 def test_compute_margins_rejects_negative_tolerance():
     with pytest.raises(FrontierError):
         compute_margins(-1, P(1, 1), P(1, 1))
-    with pytest.raises(FrontierError):
-        ClosenessMargins(-1, 0)
 
 
 def test_strictly_close_examples():
-    m = ClosenessMargins(5, 10)
+    m = (5, 10)
     anchor = (P(100, 200),)
     assert strictly_close(P(103, 195), anchor, m)
     assert not strictly_close(P(103, 215), anchor, m)
@@ -117,25 +108,6 @@ def test_strictly_close_examples():
     assert strictly_close(P(105, 210), anchor, m)
     assert not strictly_close(P(106, 210), anchor, m)
 
-
-# -- rectangle surgery -------------------------------------------------------
-
-def test_rectangle_validation():
-    Rectangle(P(1, 3), P(1, 3))  # degenerate is fine
-    with pytest.raises(FrontierError):
-        Rectangle(P(5, 3), P(1, 3))
-    with pytest.raises(FrontierError):
-        Rectangle(P(1, 3), P(2, 4))
-
-
-def test_shrink_rectangle_examples():
-    m = ClosenessMargins(300, 150)
-    got = shrink_rectangle(Rectangle(P(1000, 10000), P(9000, 2000)), m)
-    assert got == Rectangle(P(1300, 9850), P(8700, 2150))
-    zero = ClosenessMargins(0, 0)
-    rect = Rectangle(P(10, 30), P(12, 28))
-    assert shrink_rectangle(rect, zero) == rect
-    assert shrink_rectangle(rect, ClosenessMargins(3, 3)) is None
 
 
 # -- participation and endpoints ----------------------------------------------
@@ -153,13 +125,13 @@ def lexmin_calls(monkeypatch):
     makes; the endpoint search records order "pair" and (top, bottom)."""
     calls = []
 
-    def recording(program, order, bounds, config):
-        out = lexmin(program, order, bounds, config)
+    def recording(program, order, bounds, node_limit=None):
+        out = lexmin(program, order, bounds, node_limit)
         calls.append((order, bounds, out.point))
         return out
 
-    def recording_pair(program, bounds, config):
-        out = lexmin_pair(program, bounds, config)
+    def recording_pair(program, bounds, node_limit=None):
+        out = lexmin_pair(program, bounds, node_limit)
         calls.append(("pair", bounds, (out.top[0], out.bottom[0])))
         return out
 
@@ -190,7 +162,7 @@ def test_desk_endpoints_match_two_searches():
         program = build_charging_program(instance)
         participation = noncollab_point(instance)
         status, *ends = two_search_endpoints(program, participation_caps(participation))
-        run = frontier._Run(program, participation, SolverConfig())
+        run = frontier._Run(program, participation, None)
         got = run.endpoints()
         assert frontier.endpoints(program, participation) == got
         if status == "infeasible":
@@ -591,7 +563,7 @@ def test_b3m2_node_limit_during_certification_raises():
     participation = noncollab_point(inst)
     assert len(run_method(prog, participation, "b3m2", 3).points) == 3
     with pytest.raises(SolverError, match="node limit 18 exhausted") as raised:
-        run_method(prog, participation, "b3m2", 3, SolverConfig(node_limit=18))
+        run_method(prog, participation, "b3m2", 3, node_limit=18)
     assert "certify_nondominated" in {entry.name for entry in raised.traceback}
 
 
@@ -635,8 +607,7 @@ def run_with_limit(prog, participation, method, epsilon, node_limit):
     result = run_method(prog, participation, method, epsilon)
     if node_limit is not None:
         try:
-            limited = run_method(prog, participation, method, epsilon,
-                                 SolverConfig(node_limit=node_limit))
+            limited = run_method(prog, participation, method, epsilon, node_limit=node_limit)
         except SolverError:
             return result
         assert (limited.points, limited.solver_calls) == (result.points, result.solver_calls)
@@ -730,7 +701,7 @@ def test_searches_that_exclude_known_points_answer_as_before(case):
         solve_min(prog, 1, caps).value, solve_min(prog, 2, caps).value)
     nondominated = pareto_filter(region)
     for point in set(region):
-        run = frontier._Run(prog, participation, SolverConfig())
+        run = frontier._Run(prog, participation, None)
         certified = run.certify_nondominated(point)
         assert [calls for calls, _ in run.searches.values()] == [0, 0, 0, 1]
         assert certified == two_value_certificate(prog, caps, point) == (point in nondominated)

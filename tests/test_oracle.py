@@ -18,7 +18,7 @@ from evshare.core import CriterionPoint, check_assignment, criterion_point
 from evshare.frontier import run_method
 from evshare.oracle import (
     BudgetExceeded,
-    OracleBudget,
+    MAX_CANDIDATES,
     OracleError,
     _enumerate_schedules,
     _search_space,
@@ -67,12 +67,17 @@ def test_structural_budget_refusal():
     big = generate_scenario(ScenarioConfig(n_evs=6, n_chargers=3, seed=1, horizon=12,
                                            earliest_start_range=(0, 8)))
     with pytest.raises(BudgetExceeded):
-        charging_frontier(big, budget=OracleBudget(max_candidates=100))
+        charging_frontier(big, max_candidates=100)
 
 
 def test_budget_must_be_positive():
-    with pytest.raises(OracleError, match="budget must be positive"):
-        OracleBudget(0)
+    inst = t1_instance()
+    for budget in (0, -3):
+        for enumerate_with in (lambda: charging_frontier(inst, max_candidates=budget),
+                               lambda: standalone_minimum(inst, "k1", budget),
+                               lambda: noncollab_costs(inst, max_candidates=budget)):
+            with pytest.raises(OracleError, match="budget must be positive"):
+                enumerate_with()
 
 
 def test_standalone_minimum_matches_solver_path():
@@ -121,7 +126,7 @@ def test_every_enumerated_schedule_is_a_program_point(instance):
     # the other half: every schedule the enumeration reaches, off the
     # frontier too, is a feasible assignment at the companies' costs.
     program = build_charging_program(instance)
-    options, patterns = _search_space(instance, instance.companies, OracleBudget())
+    options, patterns = _search_space(instance, instance.companies, MAX_CANDIDATES)
     k1, k2 = instance.companies
 
     def visit(rentals, placements):

@@ -192,6 +192,8 @@ def test_config_validation():
         dict(charger_layout="ring"),
         dict(n_evs=0),
         dict(area_km=0.0),
+        dict(area_km=math.inf),
+        dict(area_km=math.nan),
         dict(horizon=0),
         dict(collab_discount=0.0),
         dict(price_scale=0),

@@ -21,13 +21,12 @@ from evshare.core import (
 )
 from evshare import solver
 from evshare.charging import build_charging_program, company_cost, decode_schedule, noncollab_point
-from evshare.frontier import Rectangle, run_method
+from evshare.frontier import run_method
 from evshare.scenario import generate_scenario, t1_instance
 from evshare.solver import (
     OPEN,
     SolutionParseError,
     SolutionValidationError,
-    SolverConfig,
     SolverError,
     export_lp,
     lexmin,
@@ -113,11 +112,9 @@ def test_lexmin_examples():
 
 def test_lexmin_respects_rectangle():
     prog = make_point_program([(1, 3), (1, 2), (2, 1)])
-    box = Rectangle(CriterionPoint(2, 3), CriterionPoint(5, 0))
-    out = lexmin(prog, (1, 2), box.bounds())
+    out = lexmin(prog, (1, 2), ((2, 5), (0, 3)))
     assert out.point == CriterionPoint(2, 1)
-    empty = Rectangle(CriterionPoint(3, 0), CriterionPoint(5, 0))
-    assert lexmin(prog, (1, 2), empty.bounds()).status == "infeasible"
+    assert lexmin(prog, (1, 2), ((3, 5), (0, 0))).status == "infeasible"
 
 
 def test_lexmin_rejects_bad_order():
@@ -186,9 +183,9 @@ def test_lexmin_pair_matches_two_searches(prog, bounds):
 def test_lexmin_pair_node_limit_raises():
     prog = build_charging_program(t1_instance())
     nodes = lexmin_pair(prog).nodes_explored
-    assert lexmin_pair(prog, config=SolverConfig(node_limit=nodes)).status == "optimal"
+    assert lexmin_pair(prog, node_limit=nodes).status == "optimal"
     with pytest.raises(SolverError, match=f"node limit {nodes - 1} exhausted"):
-        lexmin_pair(prog, config=SolverConfig(node_limit=nodes - 1))
+        lexmin_pair(prog, node_limit=nodes - 1)
 
 
 @given(point_sets)
@@ -393,16 +390,16 @@ def test_desk_search_trees_are_pinned(monkeypatch):
         counts[name][1] += out.nodes_explored
         return out
 
-    def recording_solve_min(program, objective_index, bounds=OPEN, config=SolverConfig()):
-        out = real_solve_min(program, objective_index, bounds, config)
+    def recording_solve_min(program, objective_index, bounds=OPEN, node_limit=None):
+        out = real_solve_min(program, objective_index, bounds, node_limit)
         return record("solve_min", out, out.value)
 
-    def recording_lexmin(program, order, bounds=OPEN, config=SolverConfig()):
-        out = real_lexmin(program, order, bounds, config)
+    def recording_lexmin(program, order, bounds=OPEN, node_limit=None):
+        out = real_lexmin(program, order, bounds, node_limit)
         return record("lexmin", out, out.point)
 
-    def recording_pair(program, bounds=OPEN, config=SolverConfig()):
-        out = real_pair(program, bounds, config)
+    def recording_pair(program, bounds=OPEN, node_limit=None):
+        out = real_pair(program, bounds, node_limit)
         ends = (out.top, out.bottom) if out.status == "optimal" else ()
         digest.update(repr((out.status, out.nodes_explored,
                             [(point, a.rendering()) for point, a in ends])).encode())
@@ -472,24 +469,27 @@ def test_solves_on_one_program_match_fresh_copies(prog, calls):
 def test_node_limit_raises():
     prog = build_charging_program(t1_instance())
     with pytest.raises(SolverError, match="node limit 1 exhausted"):
-        solve_min(prog, 1, config=SolverConfig(node_limit=1))
+        solve_min(prog, 1, node_limit=1)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
 def test_node_limit_must_be_positive(limit):
-    with pytest.raises(SolverError, match="node_limit must be positive"):
-        SolverConfig(node_limit=limit)
+    prog = build_charging_program(t1_instance())
+    for search in (lambda: solve_min(prog, 1, node_limit=limit),
+                   lambda: lexmin(prog, (2, 1), node_limit=limit),
+                   lambda: lexmin_pair(prog, node_limit=limit)):
+        with pytest.raises(SolverError, match="node_limit must be positive when set"):
+            search()
 
 
 def test_rectangle_bounds():
-    box = Rectangle(CriterionPoint(1, 3), CriterionPoint(2, 1))
-    assert box.bounds() == ((1, 2), (1, 3))
+    box = ((1, 2), (1, 3))  # the box between (1, 3) and (2, 1)
     # Each point outside the box lies beyond exactly one of its four sides.
     prog = make_point_program([(0, 2), (1, 4), (1, 3), (2, 1), (3, 2), (2, 0)])
-    assert solve_min(prog, 1, box.bounds()).value == 1
-    assert solve_min(prog, 2, box.bounds()).value == 1
-    assert lexmin(prog, (1, 2), box.bounds()).point == CriterionPoint(1, 3)
-    assert lexmin(prog, (2, 1), box.bounds()).point == CriterionPoint(2, 1)
+    assert solve_min(prog, 1, box).value == 1
+    assert solve_min(prog, 2, box).value == 1
+    assert lexmin(prog, (1, 2), box).point == CriterionPoint(1, 3)
+    assert lexmin(prog, (2, 1), box).point == CriterionPoint(2, 1)
     assert solve_min(prog, 1, OPEN).value == solve_min(prog, 1).value == 0
 
 
