@@ -125,6 +125,8 @@ def gnb_select(points, disagreement, pi):
 # ---------------------------------------------------------------------------
 # Alpha-norm distances.
 
+ALPHA_MAX = 1000
+
 
 def _integer_root(value, degree):
     """Exact integer degree-th root of a non-negative int, or None."""
@@ -166,11 +168,15 @@ def power_sum(values, alpha):
     """Sum of |v|**alpha, exact (Fraction) when every term is; float otherwise.
 
     Monotone in the alpha-norm, so argmin comparisons can use it directly
-    without extracting the final root.
+    without extracting the final root.  alpha may be at most ALPHA_MAX
+    (1000), which bounds the exact terms' size: at alpha = 10**6 one term
+    has millions of digits.
     """
     alpha = _exact(alpha)
     if alpha <= 0:
         raise BargainError(f"alpha must be positive, got {alpha!r}")
+    if alpha > ALPHA_MAX:
+        raise BargainError(f"alpha must be at most {ALPHA_MAX}, or inf, got {alpha}")
     total = Fraction(0)
     exact = True
     for value in values:
@@ -189,7 +195,8 @@ def distance_select(points, refs, alpha):
 
     Coordinates are min-max normalized by the ideal/disagreement box before
     measuring; ties go to the smallest z1, then z2.  ``alpha`` may be a
-    string such as "2.5"; pass math.inf (or "inf") for the min-max rule.
+    string such as "2.5", at most ALPHA_MAX (1000); pass math.inf (or "inf")
+    for the min-max rule.
     """
     span1 = refs.disagreement.z1 - refs.ideal.z1
     span2 = refs.disagreement.z2 - refs.ideal.z2

@@ -71,12 +71,13 @@ class ChargingInstance:
             raise InstanceError("exactly two distinct companies required")
         for name in ("evs", "chargers"):
             ids = getattr(self, name)
-            for x in ids:
-                if ids.count(x) > 1:
-                    raise InstanceError(f"{name} lists id {x!r} more than once")
-        for name, value in self._integer_fields():
+            if len(set(ids)) != len(ids):
+                x = next(x for x in ids if ids.count(x) > 1)
+                raise InstanceError(f"{name} lists id {x!r} more than once")
+        for name, key, value in self._integer_fields():
             if type(value) is not int:
-                raise InstanceError(f"{name} must be an integer, got {value!r}")
+                label = name if key is None else f"{name}[{key}]"
+                raise InstanceError(f"{label} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise InstanceError("horizon must be at least one interval")
         for i in self.evs:
@@ -102,22 +103,23 @@ class ChargingInstance:
                     raise InstanceError(f"negative energy fee for ({j},{t})")
 
     def _integer_fields(self):
-        """(field name, value) for the horizon, every fee, rate, travel cost
-        and value of time, and both ends of every window and demand.
+        """(field name, key, value) for the horizon (key None), every fee,
+        rate, travel cost and value of time, and both ends of every window
+        and demand; the caller formats a label only for a value it refuses.
 
         Raises InstanceError for a window or demand that is not a pair.
         """
-        yield "horizon", self.horizon
+        yield "horizon", None, self.horizon
         for name in ("rental_fee", "energy_fee_own", "energy_fee_collab",
                      "charge_rate", "travel_cost", "vot"):
             for key, value in getattr(self, name).items():
-                yield f"{name}[{key}]", value
+                yield name, key, value
         for name in ("window", "demand"):
             for key, pair in getattr(self, name).items():
                 if not isinstance(pair, tuple) or len(pair) != 2:
                     raise InstanceError(f"{name}[{key}] must be a pair, got {pair!r}")
                 for value in pair:
-                    yield f"{name}[{key}]", value
+                    yield name, key, value
 
     def company_evs(self, k):
         return tuple(i for i in self.evs if self.owner[i] == k)

@@ -7,7 +7,9 @@ is exact -- no floating point anywhere in the program representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -221,9 +223,28 @@ def _exact(value):
         raise NumberFormatError(f"not a finite number: {value!r}") from None
 
 
+def _ratio(value):
+    """``_exact(value)`` as a (numerator, denominator) pair in lowest terms;
+    an int or a float is read with no Fraction built, a float as the decimal
+    its repr prints."""
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, float) and math.isfinite(value):
+        return Decimal(repr(value)).as_integer_ratio()
+    return _exact(value).as_integer_ratio()
+
+
+def _round_half_up(numerator, denominator):
+    """numerator / denominator (denominator > 0) rounded to the nearest int,
+    ties away from zero."""
+    if numerator >= 0:
+        return (2 * numerator + denominator) // (2 * denominator)
+    return -((denominator - 2 * numerator) // (2 * denominator))
+
+
 def _half_up(fraction):
     """Round an exact Fraction to the nearest int, ties away from zero."""
-    return int((2 * fraction + 1) // 2) if fraction >= 0 else -int((-2 * fraction + 1) // 2)
+    return _round_half_up(fraction.numerator, fraction.denominator)
 
 
 def format_minor(amount):

@@ -2,20 +2,23 @@
 
 Everything is derived deterministically from ScenarioConfig (including the
 seed); generating twice with the same config yields a byte-identical
-instance JSON.  Money lands in integer minor units (0.01 SEK), with
-exact-fraction scaling so tariff sweeps stay reproducible.
+instance JSON.  Money lands in integer minor units (0.01 SEK), computed in
+integer arithmetic so tariff sweeps stay reproducible: each tariff factor is
+taken as an exact integer ratio, and each distance as the exact decimal
+``str`` prints for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
 from .charging import ChargingInstance
-from .core import EvshareError, _exact, _half_up
+from .core import EvshareError, _half_up, _ratio, _round_half_up
 
 
 class ScenarioError(EvshareError):
@@ -79,13 +82,15 @@ DEFAULT_PRICES = PriceSeries(
 
 
 def energy_cost_matrix(ev_locations, charger_locations, sek_per_km):
-    """Travel cost table w[i, j] in minor units: Euclidean km x tariff, half-up rounded."""
-    rate = _exact(sek_per_km) * 100
+    """Travel cost table w[i, j] in minor units: Euclidean km x tariff, half-up
+    rounded, with each km read as the exact decimal ``str`` prints for it."""
+    rate_num, rate_den = _ratio(sek_per_km)
+    rate_num *= 100
     table = {}
     for i, a in ev_locations.items():
         for j, b in charger_locations.items():
-            km = math.dist(a, b)
-            table[i, j] = _half_up(Fraction(str(km)) * rate)
+            km_num, km_den = Decimal(str(math.dist(a, b))).as_integer_ratio()
+            table[i, j] = _round_half_up(km_num * rate_num, km_den * rate_den)
     return table
 
 
@@ -119,10 +124,16 @@ class ScenarioConfig:
             raise ScenarioError(f"area must be positive and finite, got {self.area_km!r}")
         if self.horizon < 1:
             raise ScenarioError("horizon must be at least 1")
-        beta = _exact(self.collab_discount)
-        if not (0 < beta <= 1):
+        if not (isinstance(self.charge_rate_kw, int) and self.charge_rate_kw >= 1):
+            raise ScenarioError(
+                f"charge_rate_kw must be an integer of at least 1, got {self.charge_rate_kw!r}")
+        if _ratio(self.travel_sek_per_km)[0] < 0:
+            raise ScenarioError(
+                f"travel_sek_per_km must be non-negative, got {self.travel_sek_per_km!r}")
+        c, d = _ratio(self.collab_discount)
+        if not (0 < c <= d):
             raise ScenarioError("collab_discount must lie in (0, 1]")
-        if _exact(self.price_scale) <= 0:
+        if _ratio(self.price_scale)[0] <= 0:
             raise ScenarioError("price_scale must be positive")
         lo, hi = self.demand_intervals
         if not (1 <= lo <= hi):
@@ -166,18 +177,18 @@ def _draw_positions(cfg, rng):
 
 
 def _tariffs(cfg, prices, chargers, horizon):
-    theta = _exact(cfg.price_scale)
-    beta = _exact(cfg.collab_discount)
+    a, b = _ratio(cfg.price_scale)        # theta = a / b
+    c, d = _ratio(cfg.collab_discount)    # beta = c / d
     own_by_hour = []
     collab_by_hour = []
     for p in prices.prices:
-        own = theta * p
-        collab = theta * _half_up(beta * p)
-        if own.denominator != 1 or collab.denominator != 1:
+        own, own_rest = divmod(a * p, b)
+        collab, collab_rest = divmod(a * _round_half_up(c * p, d), b)
+        if own_rest or collab_rest:
             raise ScenarioError(
                 f"price_scale {cfg.price_scale} does not keep tariff {p} on whole minor units")
-        own_by_hour.append(int(own))
-        collab_by_hour.append(int(collab))
+        own_by_hour.append(own)
+        collab_by_hour.append(collab)
     own = {}
     collab = {}
     for j in chargers:

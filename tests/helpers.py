@@ -3,11 +3,12 @@ general programs with the exhaustive enumerator that is their ground truth,
 seeded bi-objective assignment and knapsack programs, a plain reference
 branch and bound, the two-stage lexicographic solve and the two-search
 endpoint rule, the first standalone
-formulation and infeasibility diagnostic, and the desk-scale scenario
-configs."""
+formulation and infeasibility diagnostic, the desk-scale scenario
+configs, and the scenario layer's money formulas in Fraction arithmetic."""
 
 import itertools
 import random
+from fractions import Fraction
 
 from hypothesis import reject, strategies as st
 
@@ -372,6 +373,34 @@ def desk_configs(count=54):
             vot_sek_per_hour=(100, 200, 300)[index % 3],
             rental_fee_sek=(150, 400, 1500)[index % 3],
         )
+
+
+def reference_half_up(fraction):
+    """Round an exact Fraction to the nearest int, ties away from zero, in
+    Fraction arithmetic: the reference for ``core._round_half_up``."""
+    return int((2 * fraction + 1) // 2) if fraction >= 0 else -int((-2 * fraction + 1) // 2)
+
+
+def reference_tariffs(prices, price_scale, collab_discount):
+    """Each hour's (own, collaborative) price, theta * p and
+    theta * half_up(beta * p), in Fraction arithmetic, or None when a price
+    is not a whole number of minor units: the reference for
+    ``scenario._tariffs``."""
+    theta, beta = Fraction(str(price_scale)), Fraction(str(collab_discount))
+    pairs = []
+    for p in prices:
+        own, collab = theta * p, theta * reference_half_up(beta * p)
+        if own.denominator != 1 or collab.denominator != 1:
+            return None
+        pairs.append((int(own), int(collab)))
+    return pairs
+
+
+def reference_travel_cost(km, sek_per_km):
+    """km at sek_per_km in minor units, half-up, each read as the decimal
+    ``str`` prints, in Fraction arithmetic: the reference for
+    ``scenario.energy_cost_matrix``."""
+    return reference_half_up(Fraction(str(km)) * Fraction(str(sek_per_km)) * 100)
 
 
 def certify_limit_instance():

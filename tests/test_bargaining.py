@@ -191,6 +191,20 @@ def test_power_sum_rejects_bad_alpha():
         power_sum((F(1, 2),), 0)
     with pytest.raises(BargainError):
         power_sum((F(1, 2),), -2)
+    for alpha in (1001, "1000.5", 10**6):
+        with pytest.raises(BargainError, match="alpha must be at most 1000, or inf"):
+            power_sum((F(1, 2),), alpha)
+
+
+def test_distance_select_refuses_an_alpha_above_1000_at_once():
+    # At alpha = 10**6 each exact term would have millions of digits, so the
+    # limit is checked before any power is taken.
+    points = {P(10, 80), P(40, 40), P(85, 7)}
+    refs = ReferencePoints(P(0, 0), P(100, 100))
+    with pytest.raises(BargainError, match="alpha must be at most 1000, or inf, got 1000000"):
+        distance_select(points, refs, 1000000)
+    assert isinstance(power_sum((F(7, 10), F(1, 3)), 1000), Fraction)
+    assert distance_select(points, refs, 1000) == distance_select(points, refs, INFINITY)
 
 
 norm_vectors = st.lists(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -638,7 +639,17 @@ def test_malformed_number_exits_1(argv, message, t1_file, tmp_path, capsys):
      "area must be positive and finite, got nan"),
     (["frontier", "--method", "bbox", "--node-limit", "0"], "node_limit must be positive when set"),
     (["oracle", "--budget", "0"], "budget must be positive"),
-], ids=["generate-area-inf", "generate-area-nan", "frontier-node-limit-0", "oracle-budget-0"])
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--charge-rate", "0", "--demand", "1", "2"],
+     "charge_rate_kw must be an integer of at least 1, got 0"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--charge-rate", "-10"],
+     "charge_rate_kw must be an integer of at least 1, got -10"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--travel", "-1"],
+     "travel_sek_per_km must be non-negative, got -1.0"),
+], ids=["generate-area-inf", "generate-area-nan", "frontier-node-limit-0", "oracle-budget-0",
+        "generate-charge-rate-0", "generate-charge-rate-negative", "generate-travel-negative"])
 def test_out_of_range_value_exits_1(argv, message, t1_file, tmp_path, capsys):
     out = tmp_path / "out"
     if argv[0] != "generate":
@@ -647,6 +658,15 @@ def test_out_of_range_value_exits_1(argv, message, t1_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_bargain_refuses_an_alpha_above_1000_at_once(t1_file, tmp_path, capsys):
+    started = time.perf_counter()
+    code = run_cli(["bargain", "--mode", "dist", "--alpha", "1000000", "--instance", t1_file,
+                    "--frontier", two_point_frontier_csv(tmp_path)])
+    assert code == 1 and time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == "error: alpha must be at most 1000, or inf, got 1000000\n"
+    assert not list(tmp_path.glob("*-bargain.json"))
 
 
 def assert_error_without_traceback(capsys):

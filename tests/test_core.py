@@ -1,9 +1,12 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from evshare.core import (
+    _half_up,
+    _round_half_up,
     Assignment,
     Constraint,
     CriterionPoint,
@@ -22,6 +25,8 @@ from evshare.core import (
     pareto_filter,
     program,
 )
+
+from helpers import reference_half_up
 
 points = st.builds(
     CriterionPoint,
@@ -132,6 +137,21 @@ def test_criterion_point_evaluation():
     x = binary("x")
     prog = program([x], [], expr({"x": 3}, 1), expr({"x": -2}, 5))
     assert criterion_point(prog, Assignment({"x": 1})) == CriterionPoint(4, 3)
+
+
+@pytest.mark.parametrize("numerator, denominator, rounded", [
+    (5, 2, 3), (-5, 2, -3), (3, 2, 2), (-3, 2, -2), (10, 4, 3), (-10, 4, -3),
+    (1, 3, 0), (-1, 3, 0), (2, 3, 1), (-2, 3, -1), (0, 7, 0),
+])
+def test_round_half_up_examples(numerator, denominator, rounded):
+    assert _round_half_up(numerator, denominator) == rounded
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**4))
+def test_half_up_matches_fraction_rounding(numerator, denominator):
+    expected = reference_half_up(Fraction(numerator, denominator))
+    assert _round_half_up(numerator, denominator) == expected
+    assert _half_up(Fraction(numerator, denominator)) == expected
 
 
 def test_format_minor():

@@ -1,9 +1,13 @@
 import dataclasses
+import hashlib
 import importlib.resources
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from evshare.charging import instance_to_json
 from evshare.scenario import (
@@ -12,11 +16,14 @@ from evshare.scenario import (
     PriceSeries,
     ScenarioConfig,
     ScenarioError,
+    _tariffs,
     energy_cost_matrix,
     generate_scenario,
     load_price_series,
     t1_instance,
 )
+
+from helpers import desk_configs, reference_tariffs, reference_travel_cost
 
 DESK = ScenarioConfig(n_evs=4, n_chargers=2, seed=7, horizon=8,
                       earliest_start_range=(0, 4), demand_intervals=(1, 2))
@@ -203,6 +210,109 @@ def test_config_validation():
     ):
         with pytest.raises(ScenarioError):
             generate_scenario(dataclasses.replace(DESK, **bad))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("charge_rate_kw", 0, "charge_rate_kw must be an integer of at least 1, got 0"),
+    ("charge_rate_kw", -10, "charge_rate_kw must be an integer of at least 1, got -10"),
+    ("charge_rate_kw", 2.5, "charge_rate_kw must be an integer of at least 1, got 2.5"),
+    ("travel_sek_per_km", -1.0, "travel_sek_per_km must be non-negative, got -1.0"),
+    ("travel_sek_per_km", Fraction(-1, 3),
+     "travel_sek_per_km must be non-negative, got Fraction(-1, 3)"),
+], ids=["rate-0", "rate-negative", "rate-fractional", "travel-negative", "travel-fraction"])
+def test_config_refuses_a_rate_the_instance_cannot_carry(field, value, message):
+    # A rate of 0 would give every EV demand (0, 0) whatever demand_intervals
+    # asks for; a negative one fails only later, inside the instance.
+    with pytest.raises(ScenarioError) as info:
+        generate_scenario(dataclasses.replace(DESK, demand_intervals=(1, 2), **{field: value}))
+    assert str(info.value) == message
+
+
+def generated_digest(configs):
+    """sha256 over each config's instance JSON, or its ScenarioError text."""
+    digest = hashlib.sha256()
+    for config in configs:
+        try:
+            text = instance_to_json(generate_scenario(config))
+        except ScenarioError as exc:
+            text = f"error: {exc}\n"
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def paper_default_configs():
+    """Every EV/charger layout combination at the paper default, seeds 1-3."""
+    for dist, layout in itertools.product(("uniform", "clustered"), ("uniform", "centralized")):
+        for seed in (1, 2, 3):
+            yield ScenarioConfig(ev_distribution=dist, charger_layout=layout, seed=seed)
+
+
+def tariff_sweep_configs():
+    """Price scales (1.0001 and those that split a price refused), collaborative
+    discounts, travel tariffs and areas, crossed on the 4x2 T8 config."""
+    for theta, beta, travel, area in itertools.product(
+            (0.25, 0.5, 1.5, 2, 3, 1.0001), (0.3333, 0.5, 0.75, 0.999, 1),
+            (0, 0.35, 1.2345, 6, 17), (0.1, 10, 25)):
+        yield dataclasses.replace(DESK, price_scale=theta, collab_discount=beta,
+                                  travel_sek_per_km=travel, area_km=area)
+
+
+# Digests of each config set's instance JSON or error text; any change to
+# a generated instance or an error text moves them.
+GENERATED_DIGESTS = {
+    "desk": (desk_configs,
+             "ec2c8e8e3dc3a272a11a86ff481c8d9a985d57e54633687a46d96f975fbce3d5"),
+    "paper-default": (paper_default_configs,
+                      "dfc6d73bf219280905c24251234e813cb63dd11b718c2e43e84c898153f2db80"),
+    "tariff-sweep": (tariff_sweep_configs,
+                     "d1904c541e49b1747d9cbe8c83c72533a16e3d9fb0b61010f1386bf492a41b61"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_DIGESTS))
+def test_generated_instances_are_pinned(name):
+    configs, expected = GENERATED_DIGESTS[name]
+    assert generated_digest(configs()) == expected
+
+
+factors = st.one_of(
+    st.integers(min_value=1, max_value=40_000).map(lambda n: n / 10_000),
+    st.integers(min_value=1, max_value=5),
+    st.fractions(min_value=Fraction(1, 100), max_value=5, max_denominator=100),
+)
+discounts = st.one_of(
+    st.integers(min_value=1, max_value=10_000).map(lambda n: n / 10_000),
+    st.just(1),
+    st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100),
+)
+
+
+@given(st.sampled_from((1, 4, 100)).flatmap(lambda unit: st.lists(
+           st.integers(min_value=0, max_value=200).map(lambda p: unit * p),
+           min_size=24, max_size=24)),
+       factors, discounts)
+def test_tariffs_match_fraction_arithmetic(prices, theta, beta):
+    config = ScenarioConfig(price_scale=theta, collab_discount=beta)
+    expected = reference_tariffs(prices, theta, beta)
+    if expected is None:
+        with pytest.raises(ScenarioError, match="does not keep tariff"):
+            _tariffs(config, PriceSeries(tuple(prices)), ("c1",), 24)
+        return
+    own, collab = _tariffs(config, PriceSeries(tuple(prices)), ("c1",), 24)
+    assert [(own["c1", t], collab["c1", t]) for t in range(1, 25)] == expected
+
+
+coordinates = st.floats(min_value=0, max_value=100)
+
+
+@given(coordinates, coordinates, coordinates, coordinates, st.one_of(
+    st.floats(min_value=-50, max_value=50),
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=1000)))
+def test_travel_costs_match_fraction_arithmetic(x1, y1, x2, y2, sek_per_km):
+    table = energy_cost_matrix({"v": (x1, y1)}, {"c": (x2, y2)}, sek_per_km)
+    expected = reference_travel_cost(math.dist((x1, y1), (x2, y2)), sek_per_km)
+    assert table["v", "c"] == expected
 
 
 def test_impossible_draw_is_refused():
