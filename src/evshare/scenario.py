@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
+from ._pcg64 import Generator
 from .charging import ChargingInstance
 from .core import EvshareError, _half_up, _ratio, _round_half_up
 
@@ -124,6 +123,10 @@ class ScenarioConfig:
             raise ScenarioError(f"area must be positive and finite, got {self.area_km!r}")
         if self.horizon < 1:
             raise ScenarioError("horizon must be at least 1")
+        for name in ("seed", "rental_fee_sek", "vot_sek_per_hour"):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= 0):
+                raise ScenarioError(f"{name} must be a non-negative integer, got {value!r}")
         if not (isinstance(self.charge_rate_kw, int) and self.charge_rate_kw >= 1):
             raise ScenarioError(
                 f"charge_rate_kw must be an integer of at least 1, got {self.charge_rate_kw!r}")
@@ -149,7 +152,11 @@ class ScenarioConfig:
 
 
 def _round_pos(xy):
-    return (round(float(xy[0]), 6), round(float(xy[1]), 6))
+    return (round(xy[0], 6), round(xy[1], 6))
+
+
+def _uniform_point(rng, lo, hi):
+    return (rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
 def _draw_positions(cfg, rng):
@@ -157,14 +164,14 @@ def _draw_positions(cfg, rng):
     ev_pos = {}
     if cfg.ev_distribution == "uniform":
         for n in range(cfg.n_evs):
-            ev_pos[f"v{n + 1}"] = _round_pos(rng.uniform(0.0, area, size=2))
+            ev_pos[f"v{n + 1}"] = _round_pos(_uniform_point(rng, 0.0, area))
     else:
-        centers = [rng.uniform(0.0, area, size=2) for _ in range(2)]
+        centers = [_uniform_point(rng, 0.0, area) for _ in range(2)]
         dev = area / 10.0
         for n in range(cfg.n_evs):
             c = centers[n % 2]
             while True:
-                p = rng.normal(c, dev, size=2)
+                p = (rng.normal(c[0], dev), rng.normal(c[1], dev))
                 inside = 0.0 <= p[0] <= area and 0.0 <= p[1] <= area
                 if inside and abs(p[0] - c[0]) <= 3 * dev and abs(p[1] - c[1]) <= 3 * dev:
                     break
@@ -172,7 +179,7 @@ def _draw_positions(cfg, rng):
     ch_pos = {}
     lo, hi = (0.0, area) if cfg.charger_layout == "uniform" else (area / 4.0, 3.0 * area / 4.0)
     for m in range(cfg.n_chargers):
-        ch_pos[f"c{m + 1}"] = _round_pos(rng.uniform(lo, hi, size=2))
+        ch_pos[f"c{m + 1}"] = _round_pos(_uniform_point(rng, lo, hi))
     return ev_pos, ch_pos
 
 
@@ -227,7 +234,7 @@ def generate_scenario(config, prices=None):
     cfg = config
     cfg.validate()
     series = prices if prices is not None else DEFAULT_PRICES
-    rng = np.random.default_rng(cfg.seed)
+    rng = Generator(cfg.seed)
 
     ev_pos, ch_pos = _draw_positions(cfg, rng)
     evs = tuple(sorted(ev_pos, key=lambda s: int(s[1:])))
@@ -238,10 +245,10 @@ def generate_scenario(config, prices=None):
     rate = int(cfg.charge_rate_kw)  # energy units per 1 h interval
     charge_rate = {(i, j): rate for i in evs for j in chargers}
     travel = energy_cost_matrix(ev_pos, ch_pos, cfg.travel_sek_per_km)
-    fee = int(cfg.rental_fee_sek) * 100
+    fee = cfg.rental_fee_sek * 100
     rental = {(j, k): fee for j in chargers for k in companies}
     own, collab = _tariffs(cfg, series, chargers, cfg.horizon)
-    vot = {i: int(cfg.vot_sek_per_hour) * 100 for i in evs}
+    vot = {i: cfg.vot_sek_per_hour * 100 for i in evs}
 
     e_lo, e_hi = cfg.earliest_start_range
     e_hi = min(e_hi, cfg.horizon - 1)
@@ -253,8 +260,8 @@ def generate_scenario(config, prices=None):
         need = {}
         for i in evs:
             for _retry in range(200):
-                e = int(rng.integers(e_lo, e_hi + 1))
-                d = int(rng.integers(d_lo, d_hi + 1))
+                e = rng.integers(e_lo, e_hi + 1)
+                d = rng.integers(d_lo, d_hi + 1)
                 l = min(e + cfg.window_length_h, cfg.horizon)
                 if l - e >= d:
                     window[i] = (e, l)

@@ -648,8 +648,18 @@ def test_malformed_number_exits_1(argv, message, t1_file, tmp_path, capsys):
     (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
       "--n-chargers", "1", "--seed", "1", "--travel", "-1"],
      "travel_sek_per_km must be non-negative, got -1.0"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--vot", "-1"],
+     "vot_sek_per_hour must be a non-negative integer, got -1"),
+    (["generate", "--ev-dist", "uniform", "--charger-layout", "uniform", "--n-evs", "2",
+      "--n-chargers", "1", "--seed", "1", "--rental-fee", "-5"],
+     "rental_fee_sek must be a non-negative integer, got -5"),
 ], ids=["generate-area-inf", "generate-area-nan", "frontier-node-limit-0", "oracle-budget-0",
-        "generate-charge-rate-0", "generate-charge-rate-negative", "generate-travel-negative"])
+        "generate-charge-rate-0", "generate-charge-rate-negative", "generate-travel-negative",
+        "generate-seed-negative", "generate-vot-negative", "generate-rental-fee-negative"])
 def test_out_of_range_value_exits_1(argv, message, t1_file, tmp_path, capsys):
     out = tmp_path / "out"
     if argv[0] != "generate":
@@ -799,3 +809,43 @@ def test_main_reports_a_path_error_without_a_traceback(bad_paths):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and bad_paths["FILE"] in done.stderr
+
+
+# Desk instance 3 (see helpers.desk_configs): a clustered EV layout, so the
+# run draws normals as well as uniforms and integers.
+DESK_GENERATE = ["generate", "--ev-dist", "clustered", "--charger-layout", "centralized",
+                 "--n-evs", "3", "--n-chargers", "2", "--seed", "1003", "--horizon", "6",
+                 "--window", "3", "--earliest", "0", "3", "--demand", "1", "2",
+                 "--vot", "100", "--rental-fee", "150"]
+
+
+def test_the_pipeline_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: a fresh process that generates,
+    # searches and bargains must never import it.
+    stem = os.path.join(str(tmp_path), "CluEV-CenChar-3-2-seed1003")
+    script = f"""
+import sys
+from evshare.cli import run_cli
+assert run_cli({DESK_GENERATE + ["--out-dir", str(tmp_path)]!r}) == 0
+assert run_cli(["frontier", "--instance", {stem + ".json"!r}, "--method", "b3m2",
+                "--epsilon", "3", "--out-dir", {str(tmp_path)!r}]) == 0
+assert run_cli(["bargain", "--instance", {stem + ".json"!r}, "--mode", "gnb",
+                "--frontier", {stem + "-b3m2-eps3-frontier.csv"!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+"""
+    src = os.path.dirname(os.path.dirname(evshare.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert os.path.exists(stem + "-b3m2-eps3-bargain.json")
+
+
+def test_no_module_under_src_imports_numpy():
+    package = os.path.dirname(evshare.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                lines = [line.split("#")[0].split() for line in handle]
+            assert not [words for words in lines
+                        if words[:2] in (["import", "numpy"], ["from", "numpy"])], name

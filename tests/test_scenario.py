@@ -210,6 +210,12 @@ def test_config_validation():
     ):
         with pytest.raises(ScenarioError):
             generate_scenario(dataclasses.replace(DESK, **bad))
+    for field, value in (("seed", -1), ("seed", 1.5), ("seed", True),
+                         ("vot_sek_per_hour", -1), ("vot_sek_per_hour", 2.5),
+                         ("rental_fee_sek", -5), ("rental_fee_sek", False)):
+        with pytest.raises(ScenarioError) as info:
+            generate_scenario(dataclasses.replace(DESK, **{field: value}))
+        assert str(info.value) == f"{field} must be a non-negative integer, got {value!r}"
 
 
 @pytest.mark.parametrize("field, value, message", [
